@@ -1453,9 +1453,16 @@ impl ValidatorEngine {
         self.prune_checkpoints();
     }
 
-    /// Bounds checkpoint memory: keep the latest certified position and at
-    /// most [`CHECKPOINT_RETENTION`] of the newest positions.
+    /// Bounds checkpoint memory. Positions below the latest certified one
+    /// go at once: state-sync serves the latest certified cut only, and a
+    /// lower position certifying late cannot raise it — and each archived
+    /// entry holds a full execution snapshot. From there up, keep the
+    /// certified position and at most [`CHECKPOINT_RETENTION`] of the
+    /// newest.
     fn prune_checkpoints(&mut self) {
+        if let Some(certified) = self.latest_certified {
+            self.checkpoint_archive = self.checkpoint_archive.split_off(&certified);
+        }
         while self.checkpoint_archive.len() > CHECKPOINT_RETENTION {
             let Some((&oldest, _)) = self.checkpoint_archive.first_key_value() else {
                 break;
@@ -1628,8 +1635,10 @@ impl ValidatorEngine {
     /// execution state exactly at the boundary.
     fn emit_checkpoint(&mut self, snapshot: SequencerSnapshot, outputs: &mut Vec<Output>) {
         let authority = self.config.authority;
-        let state_root = self.execution.state_root();
+        // One encoding serves both the record and the root
+        // (`state_root() == H(snapshot())` by the trait's contract).
         let execution = self.execution.snapshot();
+        let state_root = StateRoot(blake2b_256(&execution));
         let resume = snapshot.to_bytes_vec();
         debug_assert_eq!(blake2b_256(&resume), snapshot.digest());
         let checkpoint = Checkpoint::sign(
@@ -2878,12 +2887,13 @@ mod tests {
             }
         }
         // Gossiped attestations certified a quorum at every engine.
+        // Snapshots below the certified cut serve nothing: they are gone.
         for engine in &engines {
-            assert!(
-                engine.latest_certified_checkpoint().is_some(),
-                "no certified checkpoint at {:?}",
-                engine.authority()
-            );
+            let certified = engine
+                .latest_certified_checkpoint()
+                .unwrap_or_else(|| panic!("no certified checkpoint at {:?}", engine.authority()));
+            assert!(certified > 4, "several positions certified in turn");
+            assert_eq!(engine.checkpoint_archive.keys().next(), Some(&certified));
             assert_ne!(engine.state_root(), StateRoot::genesis());
         }
     }

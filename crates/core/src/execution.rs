@@ -41,13 +41,14 @@ use std::collections::BTreeMap;
 /// [`restore`](ExecutionState::restore) with a snapshot whose hash
 /// matches a quorum-certified root.
 pub trait ExecutionState: Send {
-    /// Applies one committed sub-DAG and returns the new state root.
+    /// Applies one committed sub-DAG.
     ///
     /// Must be deterministic: equal prior state + equal sub-DAG ⇒ equal
-    /// root at every validator.
-    fn apply(&mut self, sub_dag: &CommittedSubDag) -> StateRoot;
+    /// state (and so equal root) at every validator.
+    fn apply(&mut self, sub_dag: &CommittedSubDag);
 
-    /// The current state root. Must equal `H(self.snapshot())`.
+    /// The current state root, computed on demand — nothing on the commit
+    /// path asks for it. Must equal `H(self.snapshot())`.
     fn state_root(&self) -> StateRoot;
 
     /// Canonical byte encoding of the full state (for checkpoints and
@@ -121,7 +122,7 @@ impl BalanceLedger {
 }
 
 impl ExecutionState for BalanceLedger {
-    fn apply(&mut self, sub_dag: &CommittedSubDag) -> StateRoot {
+    fn apply(&mut self, sub_dag: &CommittedSubDag) {
         for block in &sub_dag.blocks {
             self.credit(u64::from(block.author().0), BLOCK_REWARD);
             for transaction in block.transactions() {
@@ -129,7 +130,6 @@ impl ExecutionState for BalanceLedger {
                 self.credit(transaction.digest().prefix_u64(), amount);
             }
         }
-        self.state_root()
     }
 
     fn state_root(&self) -> StateRoot {
@@ -200,7 +200,7 @@ mod tests {
     fn apply_credits_authors_and_transactions() {
         let sub_dag = sample_sub_dag();
         let mut ledger = BalanceLedger::new();
-        let root = ledger.apply(&sub_dag);
+        ledger.apply(&sub_dag);
         for authority in 0..4u64 {
             assert_eq!(ledger.balance(authority), BLOCK_REWARD);
         }
@@ -210,8 +210,7 @@ mod tests {
                 assert_eq!(ledger.balance(account), transaction.len() as u64);
             }
         }
-        assert_eq!(root, ledger.state_root());
-        assert_ne!(root, BalanceLedger::new().state_root());
+        assert_ne!(ledger.state_root(), BalanceLedger::new().state_root());
     }
 
     #[test]

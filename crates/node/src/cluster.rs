@@ -273,6 +273,14 @@ mod tests {
             "committed-transaction gauge must advance between scrapes"
         );
         assert!(sample(body, "mahimahi_mempool_accepted") >= 32.0);
+        // The write-ahead log's gauges: blocks were appended, all of them
+        // still live, and nothing failed.
+        assert!(body.contains("# TYPE mahimahi_wal_compaction_seconds histogram"));
+        assert!(sample(body, "mahimahi_wal_bytes") > 0.0);
+        assert!(sample(body, "mahimahi_wal_live_bytes") <= sample(body, "mahimahi_wal_bytes"));
+        assert!(sample(body, "mahimahi_wal_compacted_bytes") >= 0.0);
+        assert_eq!(sample(body, "mahimahi_wal_compactions"), 0.0);
+        assert_eq!(sample(body, "mahimahi_wal_errors"), 0.0);
 
         let status = scrape(addr, "/status");
         assert!(status.starts_with("HTTP/1.1 200 OK"), "{status}");
@@ -283,6 +291,7 @@ mod tests {
             "\"committed_transactions\":",
             "\"mempool_pending\":",
             "\"verify_depth\":",
+            "\"wal_errors\":0",
         ] {
             assert!(json.contains(field), "{field} missing from {json}");
         }

@@ -12,6 +12,7 @@
 
 mod client;
 mod cluster;
+mod log;
 mod loopback;
 mod node;
 mod wire;

@@ -1,0 +1,748 @@
+//! The node's write-ahead log, with an in-memory index of which records
+//! are still needed.
+//!
+//! Every record the node appends (and, once, every record recovery
+//! replays) is indexed by where its frame sits and what it is. A
+//! checkpoint *marks* what it makes redundant — nothing is read or written:
+//!
+//! - every earlier checkpoint (the newest one subsumes them),
+//! - peers' blocks below its GC floor (outside every future sub-DAG), and
+//! - own blocks below the floor **except the newest own block**. Recovery
+//!   uses own blocks for one thing the checkpoint does not carry: the
+//!   produced-round watermark, `round = max(own rounds)`, which is the
+//!   equivocation guard. The newest own block alone carries that maximum,
+//!   so it survives any number of compactions — even below the floor, when
+//!   this node sat idle while the committee advanced.
+//!
+//! Evidence (convictions never expire) and records that do not decode
+//! (never drop what cannot be classified) are never marked.
+//!
+//! The log is rewritten only when its dead bytes exceed its live bytes.
+//! That ratio is a constant, not an option, because it is what makes both
+//! bounds hold at once: the file is never more than twice its live records
+//! (plus the record just appended), and a rewrite that copies `L` live
+//! bytes retires more than `L` dead ones, so all rewrites together copy
+//! fewer bytes than were ever appended. The rewrite itself is
+//! [`mahimahi_wal::Wal::rewrite_atomic`]: the surviving frames are streamed verbatim —
+//! latest checkpoint first, so recovery installs the cut before the blocks
+//! above it, then the rest in log order — with no decode and no re-framing.
+
+use mahimahi_core::{SequencerSnapshot, ValidatorEngine, WalRecord};
+use mahimahi_types::{AuthorityIndex, Block, Decode, Encode, Round};
+use mahimahi_wal::{FileWal, FrameRange, MemWal, Record, WalError};
+
+pub(crate) enum AnyWal {
+    File(FileWal),
+    Memory(MemWal),
+}
+
+impl AnyWal {
+    fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+        match self {
+            AnyWal::File(wal) => wal.append(payload),
+            AnyWal::Memory(wal) => wal.append(payload),
+        }
+    }
+
+    fn sync(&mut self) -> Result<(), WalError> {
+        match self {
+            AnyWal::File(wal) => wal.sync(),
+            AnyWal::Memory(wal) => wal.sync(),
+        }
+    }
+
+    fn records(&mut self) -> Result<Vec<Record>, WalError> {
+        match self {
+            AnyWal::File(wal) => wal.records(),
+            AnyWal::Memory(wal) => wal.records(),
+        }
+    }
+
+    fn rewrite_atomic(&mut self, keep: &[FrameRange]) -> Result<(), WalError> {
+        match self {
+            AnyWal::File(wal) => wal.rewrite_atomic(keep),
+            AnyWal::Memory(wal) => wal.rewrite_atomic(keep),
+        }
+    }
+
+    fn tail(&self) -> u64 {
+        match self {
+            AnyWal::File(wal) => wal.tail(),
+            AnyWal::Memory(wal) => wal.tail(),
+        }
+    }
+}
+
+/// What a logged record is, as far as a later checkpoint's verdict on it
+/// goes.
+#[derive(Debug, Clone, Copy)]
+enum RecordClass {
+    /// A checkpoint whose cut puts the GC floor at `floor` (0 when GC is
+    /// off).
+    Checkpoint {
+        floor: Round,
+    },
+    Evidence,
+    OwnBlock(Round),
+    PeerBlock(Round),
+    /// Bytes that decode as nothing this node knows — or a checkpoint whose
+    /// sequencer snapshot does not decode, which must truncate nothing.
+    Unclassified,
+}
+
+/// One live record: where its frame is and what it is.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    frame: FrameRange,
+    class: RecordClass,
+}
+
+/// Counters the node publishes as `mahimahi_wal_*` gauges.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LogStats {
+    /// Length of the log file.
+    pub bytes: u64,
+    /// Bytes of it held by records no checkpoint has made redundant.
+    pub live_bytes: u64,
+    /// Rewrites completed.
+    pub compactions: u64,
+    /// Bytes those rewrites copied, in total.
+    pub compacted_bytes: u64,
+    /// Appends, syncs and rewrites that failed.
+    pub errors: u64,
+}
+
+/// The write-ahead log plus the index that decides what a compaction keeps.
+pub(crate) struct NodeLog {
+    wal: AnyWal,
+    authority: AuthorityIndex,
+    gc_depth: Option<u64>,
+    /// The live records, in log order. At most one is a checkpoint.
+    live: Vec<Entry>,
+    live_bytes: u64,
+    /// Round of the newest own block logged so far.
+    newest_own: Option<Round>,
+    /// Deferred fsync: set by a durable append, cleared by [`Self::flush`].
+    pending_sync: bool,
+    compactions: u64,
+    compacted_bytes: u64,
+    errors: u64,
+}
+
+impl NodeLog {
+    /// Replays every decodable record of `wal` into `engine`, in log order,
+    /// and indexes the log as it goes — recovery decodes each record
+    /// anyway, so the index costs nothing extra.
+    ///
+    /// The engine's pending buffer tolerates out-of-order blocks (e.g.
+    /// after a torn tail elsewhere in the causal history); evidence records
+    /// restore convictions so slashing state survives crashes; a checkpoint
+    /// record jumps the execution and sequencer state to its cut, so the
+    /// blocks a compacted log no longer holds are never needed again. Logs
+    /// written before the tagged `WalRecord` framing held raw `Block`
+    /// encodings; fall back to that so an upgraded node never forgets
+    /// rounds it already broadcast (re-producing them under different
+    /// parents would be accidental equivocation).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures reading the log.
+    pub(crate) fn recover(
+        mut wal: AnyWal,
+        authority: AuthorityIndex,
+        gc_depth: Option<u64>,
+        engine: &mut ValidatorEngine,
+    ) -> Result<Self, WalError> {
+        let records = wal.records()?;
+        let mut log = NodeLog {
+            wal,
+            authority,
+            gc_depth,
+            live: Vec::with_capacity(records.len()),
+            live_bytes: 0,
+            newest_own: None,
+            pending_sync: false,
+            compactions: 0,
+            compacted_bytes: 0,
+            errors: 0,
+        };
+        for record in records {
+            let class = match WalRecord::from_bytes_exact(&record.payload) {
+                Ok(decoded) => {
+                    let class = log.classify(&decoded);
+                    match decoded {
+                        WalRecord::Block(block) => engine.restore_block(block),
+                        WalRecord::Evidence(proof) => engine.restore_evidence(proof),
+                        WalRecord::Checkpoint {
+                            checkpoint,
+                            execution,
+                            resume,
+                        } => {
+                            engine.restore_checkpoint(checkpoint, execution, resume);
+                        }
+                    }
+                    class
+                }
+                Err(_) => match Block::from_bytes_exact(&record.payload) {
+                    Ok(block) => {
+                        let class = log.classify_block(&block);
+                        engine.restore_block(block.into_arc());
+                        class
+                    }
+                    Err(_) => RecordClass::Unclassified, // corrupt or foreign: skip
+                },
+            };
+            log.index(record.frame(), class);
+        }
+        Ok(log)
+    }
+
+    /// Appends `record`. Own blocks, convictions and checkpoints are
+    /// *durable* records: they request an fsync, which [`Self::flush`]
+    /// performs before anything leaves the node. Peers' blocks can be
+    /// re-fetched, so they ride the next sync.
+    pub(crate) fn append(&mut self, record: &WalRecord) {
+        self.append_encoded(&record.to_bytes_vec(), self.classify(record));
+    }
+
+    /// Appends the encoding `payload` of a record of class `class`. A
+    /// failed append is counted and leaves the index as it was.
+    fn append_encoded(&mut self, payload: &[u8], class: RecordClass) {
+        match self.wal.append(payload) {
+            Ok(offset) => {
+                self.index(FrameRange::new(offset, payload.len()), class);
+                self.pending_sync |= !matches!(class, RecordClass::PeerBlock(_));
+            }
+            Err(_) => self.errors += 1,
+        }
+    }
+
+    /// Performs the deferred fsync, if one is pending. A failed sync stays
+    /// pending: the next flush tries again.
+    pub(crate) fn flush(&mut self) {
+        if self.pending_sync {
+            match self.wal.sync() {
+                Ok(()) => self.pending_sync = false,
+                Err(_) => self.errors += 1,
+            }
+        }
+    }
+
+    /// Whether dead bytes outweigh live ones — the rewrite trigger. Only a
+    /// checkpoint's marking can make this true.
+    pub(crate) fn compaction_due(&self) -> bool {
+        self.wal.tail() - self.live_bytes > self.live_bytes
+    }
+
+    /// Rewrites the log down to its live records: the checkpoint first,
+    /// the rest in log order. Makes the checkpoint durable first, so
+    /// nothing it subsumes is dropped before it is on disk. A failed
+    /// rewrite leaves the old log open and the index describing it, counts
+    /// an error, and is retried when the next checkpoint finds the log
+    /// still due.
+    pub(crate) fn compact(&mut self) {
+        self.flush();
+        if self.pending_sync {
+            return;
+        }
+        let mut kept = self.live.clone();
+        let checkpoint = kept
+            .iter()
+            .position(|entry| matches!(entry.class, RecordClass::Checkpoint { .. }));
+        if let Some(at) = checkpoint {
+            // Move the checkpoint to the front; the records it passes keep
+            // their order.
+            kept[..=at].rotate_right(1);
+        }
+        let frames: Vec<FrameRange> = kept.iter().map(|entry| entry.frame).collect();
+        if self.wal.rewrite_atomic(&frames).is_err() {
+            self.errors += 1;
+            return;
+        }
+        let mut offset = 0;
+        for entry in &mut kept {
+            entry.frame.offset = offset;
+            offset += entry.frame.len;
+        }
+        debug_assert_eq!(offset, self.live_bytes);
+        debug_assert_eq!(offset, self.wal.tail());
+        self.live = kept;
+        self.compactions += 1;
+        self.compacted_bytes += offset;
+    }
+
+    /// The counters behind the `mahimahi_wal_*` gauges.
+    pub(crate) fn stats(&self) -> LogStats {
+        LogStats {
+            bytes: self.wal.tail(),
+            live_bytes: self.live_bytes,
+            compactions: self.compactions,
+            compacted_bytes: self.compacted_bytes,
+            errors: self.errors,
+        }
+    }
+
+    fn classify(&self, record: &WalRecord) -> RecordClass {
+        match record {
+            WalRecord::Block(block) => self.classify_block(block),
+            WalRecord::Evidence(_) => RecordClass::Evidence,
+            WalRecord::Checkpoint { resume, .. } => {
+                match SequencerSnapshot::from_bytes_exact(resume) {
+                    Ok(snapshot) => RecordClass::Checkpoint {
+                        floor: self
+                            .gc_depth
+                            .map_or(0, |depth| snapshot.next_round.saturating_sub(depth)),
+                    },
+                    Err(_) => RecordClass::Unclassified,
+                }
+            }
+        }
+    }
+
+    fn classify_block(&self, block: &Block) -> RecordClass {
+        if block.author() == self.authority {
+            RecordClass::OwnBlock(block.round())
+        } else {
+            RecordClass::PeerBlock(block.round())
+        }
+    }
+
+    /// Adds the record at `frame` to the index. A checkpoint first marks
+    /// everything it makes redundant (see the module docs).
+    fn index(&mut self, frame: FrameRange, class: RecordClass) {
+        match class {
+            RecordClass::OwnBlock(round) => self.newest_own = self.newest_own.max(Some(round)),
+            RecordClass::Checkpoint { floor } => {
+                let newest_own = self.newest_own;
+                let mut dead_bytes = 0;
+                self.live.retain(|entry| {
+                    let live = match entry.class {
+                        RecordClass::Checkpoint { .. } => false,
+                        RecordClass::PeerBlock(round) => round >= floor,
+                        RecordClass::OwnBlock(round) => round >= floor || Some(round) == newest_own,
+                        RecordClass::Evidence | RecordClass::Unclassified => true,
+                    };
+                    if !live {
+                        dead_bytes += entry.frame.len;
+                    }
+                    live
+                });
+                self.live_bytes -= dead_bytes;
+            }
+            _ => {}
+        }
+        self.live.push(Entry { frame, class });
+        self.live_bytes += frame.len;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::NodeConfig;
+    use mahimahi_core::{BalanceLedger, CommittedSubDag, Committer, ExecutionState};
+    use mahimahi_dag::DagBuilder;
+    use mahimahi_types::{Checkpoint, EquivocationProof, TestCommittee};
+    use mahimahi_wal::{MemStorage, Wal};
+    use std::sync::Arc;
+
+    const OWN: AuthorityIndex = AuthorityIndex(0);
+    const GC_DEPTH: u64 = 6;
+
+    /// SplitMix64: the seeded source of every random choice below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound
+        }
+    }
+
+    fn fresh_engine(setup: &TestCommittee) -> ValidatorEngine {
+        let mut config = NodeConfig::local(OWN.0, setup.clone());
+        config.gc_depth = Some(GC_DEPTH);
+        let committer = Committer::new(setup.committee().clone(), config.options);
+        ValidatorEngine::honest(config.engine_config(), Box::new(committer))
+    }
+
+    /// What a crash leaves of `storage`, as a log of its own.
+    fn crash_image(storage: &MemStorage) -> MemStorage {
+        let image = MemStorage::new();
+        image.replace(storage.durable_snapshot());
+        image
+    }
+
+    /// Recovers a fresh engine (and the log's index) from `storage`.
+    fn recover(setup: &TestCommittee, storage: &MemStorage) -> (NodeLog, ValidatorEngine) {
+        let mut engine = fresh_engine(setup);
+        let wal = AnyWal::Memory(Wal::open(storage.clone()).unwrap());
+        let log = NodeLog::recover(wal, OWN, Some(GC_DEPTH), &mut engine).unwrap();
+        (log, engine)
+    }
+
+    /// The four things recovery must get right whatever was compacted away.
+    fn recovered_state(
+        engine: &ValidatorEngine,
+    ) -> (Round, Vec<AuthorityIndex>, Option<Checkpoint>, Round) {
+        (
+            engine.round(),
+            engine.convicted(),
+            engine.latest_checkpoint().cloned(),
+            engine.store().gc_cutoff(),
+        )
+    }
+
+    /// `rounds` full rounds of signed blocks, by round then author.
+    fn blocks_by_round(setup: &TestCommittee, rounds: usize) -> Vec<Vec<Arc<Block>>> {
+        let mut dag = DagBuilder::new(setup.clone());
+        dag.add_full_rounds(rounds);
+        let mut by_round = vec![Vec::new(); rounds + 1];
+        for block in dag.store().iter() {
+            by_round[block.round() as usize].push(block.clone());
+        }
+        by_round.remove(0); // genesis is never logged
+        by_round
+    }
+
+    /// A checkpoint record this node would sign for the cut "sequencing
+    /// resumes at `next_round`", over a ledger that `round_blocks` was just
+    /// applied to — so successive checkpoints differ and grow.
+    fn checkpoint_record(
+        setup: &TestCommittee,
+        ledger: &mut BalanceLedger,
+        position: u64,
+        next_round: Round,
+        round_blocks: &[Arc<Block>],
+    ) -> WalRecord {
+        let leader = round_blocks[0].reference();
+        ledger.apply(&CommittedSubDag {
+            position,
+            leader,
+            blocks: round_blocks.to_vec(),
+        });
+        let snapshot = SequencerSnapshot {
+            position,
+            next_round,
+            consumed_in_round: 0,
+            emitted: Vec::new(),
+        };
+        WalRecord::Checkpoint {
+            checkpoint: Checkpoint::sign(
+                OWN,
+                position,
+                leader,
+                ledger.state_root(),
+                snapshot.digest(),
+                setup.keypair(OWN),
+            ),
+            execution: ledger.snapshot(),
+            resume: snapshot.to_bytes_vec(),
+        }
+    }
+
+    /// Asserts what every freshly rewritten log must look like: the one
+    /// surviving checkpoint leads, no peer block sits below its floor, and
+    /// the only own block below it is the newest one.
+    fn assert_compacted_shape(storage: &MemStorage, newest_own: Option<Round>) {
+        let records = Wal::open(storage.clone()).unwrap().records().unwrap();
+        let decoded: Vec<WalRecord> = records
+            .iter()
+            .map(|record| WalRecord::from_bytes_exact(&record.payload).unwrap())
+            .collect();
+        let WalRecord::Checkpoint { resume, .. } = &decoded[0] else {
+            panic!(
+                "a rewritten log leads with its checkpoint: {:?}",
+                decoded[0]
+            );
+        };
+        let snapshot = SequencerSnapshot::from_bytes_exact(resume).unwrap();
+        let floor = snapshot.next_round.saturating_sub(GC_DEPTH);
+        for record in &decoded[1..] {
+            match record {
+                WalRecord::Checkpoint { .. } => panic!("a superseded checkpoint survived"),
+                WalRecord::Block(block) if block.author() == OWN => assert!(
+                    block.round() >= floor || Some(block.round()) == newest_own,
+                    "own block of round {} is neither above floor {floor} nor the newest",
+                    block.round()
+                ),
+                WalRecord::Block(block) => assert!(
+                    block.round() >= floor,
+                    "peer block of round {} survived below floor {floor}",
+                    block.round()
+                ),
+                WalRecord::Evidence(_) => {}
+            }
+        }
+    }
+
+    /// Random interleavings of blocks, evidence and checkpoints with rising
+    /// floors, through the compacting log and through a plain append-only
+    /// one. After every step — and between a checkpoint becoming durable and
+    /// the rewrite it triggers, where a crash abandons the half-written
+    /// replacement — a crash must recover the same state from both. Now and
+    /// then the crash is real: both sides continue from what it left.
+    #[test]
+    fn crash_at_any_step_recovers_the_same_state_as_the_uncompacted_log() {
+        const ROUNDS: usize = 30;
+        let mut rewrites = 0;
+        for seed in 0..6u64 {
+            let mut rng = Rng(seed);
+            let setup = TestCommittee::new(4, 100 + seed);
+            let rounds = blocks_by_round(&setup, ROUNDS);
+            // This node stops producing at a seeded round and sits idle
+            // while the committee advances.
+            let last_own_round = 1 + rng.below(ROUNDS as u64);
+
+            let compacted = MemStorage::new();
+            let (mut log, _) = recover(&setup, &compacted);
+            let reference = MemStorage::new();
+            let mut plain = Wal::open(reference.clone()).unwrap();
+            let mut ledger = BalanceLedger::new();
+            let mut position = 0;
+            let mut convicted = 1;
+
+            let check = |compacted: &MemStorage, reference: &MemStorage, at: &str| {
+                let (_, from_compacted) = recover(&setup, &crash_image(compacted));
+                let (_, from_reference) = recover(&setup, &crash_image(reference));
+                assert_eq!(
+                    recovered_state(&from_compacted),
+                    recovered_state(&from_reference),
+                    "seed {seed}: recovery diverged {at}"
+                );
+            };
+
+            for (index, round_blocks) in rounds.iter().enumerate() {
+                let round = index as Round + 1;
+                let mut script: Vec<WalRecord> = round_blocks
+                    .iter()
+                    .filter(|block| block.author() != OWN || round <= last_own_round)
+                    .map(|block| WalRecord::Block(block.clone()))
+                    .collect();
+                for i in (1..script.len()).rev() {
+                    script.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                if convicted < 4 && rng.below(8) == 0 {
+                    let proof = EquivocationProof::synthetic(&setup, AuthorityIndex(convicted));
+                    script.push(WalRecord::Evidence(proof));
+                    convicted += 1;
+                }
+                if rng.below(3) == 0 {
+                    position += 4;
+                    let next_round = round.saturating_sub(rng.below(3));
+                    script.push(checkpoint_record(
+                        &setup,
+                        &mut ledger,
+                        position,
+                        next_round,
+                        round_blocks,
+                    ));
+                }
+                for record in script {
+                    let durable = !matches!(
+                        &record,
+                        WalRecord::Block(block) if block.author() != OWN
+                    );
+                    plain.append(&record.to_bytes_vec()).unwrap();
+                    if durable {
+                        plain.sync().unwrap();
+                    }
+                    log.append(&record);
+                    log.flush();
+                    if matches!(record, WalRecord::Checkpoint { .. }) && log.compaction_due() {
+                        check(&compacted, &reference, "with the rewrite abandoned");
+                        log.compact();
+                        rewrites += 1;
+                        assert_compacted_shape(&compacted, Some(round.min(last_own_round)));
+                    }
+                    check(&compacted, &reference, &format!("after {record:?}"));
+                    if rng.below(16) == 0 {
+                        compacted.replace(compacted.durable_snapshot());
+                        log = recover(&setup, &compacted).0;
+                        reference.replace(reference.durable_snapshot());
+                        plain = Wal::open(reference.clone()).unwrap();
+                    }
+                }
+            }
+            assert_eq!(log.stats().errors, 0);
+            let (_, engine) = recover(&setup, &crash_image(&compacted));
+            assert_eq!(engine.round(), last_own_round, "seed {seed}");
+            assert!(engine.latest_checkpoint().is_some(), "seed {seed}");
+        }
+        assert!(
+            rewrites >= 6,
+            "the schedule must exercise the rewrite: {rewrites}"
+        );
+    }
+
+    /// Over more than 10⁴ records the rewrites together copy no more than
+    /// was ever appended, and the file never exceeds twice its live records
+    /// plus the record just appended. Exact counts: the record sizes and
+    /// classes are seeded, and nothing here depends on a clock.
+    #[test]
+    fn compaction_copies_less_than_was_appended_and_bounds_the_file() {
+        let setup = TestCommittee::new(4, 7);
+        let storage = MemStorage::new();
+        let (mut log, _) = recover(&setup, &storage);
+        let mut rng = Rng(42);
+        let mut appended = 0;
+        let mut records = 0;
+        for round in 1..=2_500u64 {
+            let mut step = |log: &mut NodeLog, len: u64, class: RecordClass| {
+                let payload = vec![0xab; len as usize];
+                log.append_encoded(&payload, class);
+                let frame_len = FrameRange::new(0, payload.len()).len;
+                appended += frame_len;
+                records += 1;
+                if matches!(class, RecordClass::Checkpoint { .. }) && log.compaction_due() {
+                    log.compact();
+                }
+                let stats = log.stats();
+                assert!(
+                    stats.bytes <= 2 * stats.live_bytes + frame_len,
+                    "round {round}: {} B on disk for {} B live",
+                    stats.bytes,
+                    stats.live_bytes
+                );
+                assert!(stats.compacted_bytes <= appended);
+            };
+            step(&mut log, 64 + rng.below(512), RecordClass::OwnBlock(round));
+            for _ in 0..3 {
+                step(&mut log, 64 + rng.below(512), RecordClass::PeerBlock(round));
+            }
+            if round.is_multiple_of(5) {
+                // Snapshots grow with the state, as the ledger's do.
+                let floor = round.saturating_sub(GC_DEPTH);
+                step(&mut log, 256 + round, RecordClass::Checkpoint { floor });
+            }
+        }
+        let stats = log.stats();
+        assert!(records > 10_000);
+        assert_eq!(stats.errors, 0);
+        assert!(stats.compactions > 10, "{stats:?}");
+        assert_eq!(stats.bytes, storage.snapshot().len() as u64);
+        assert!(
+            stats.compactions < 2_500 / 5,
+            "most checkpoints rewrite nothing"
+        );
+    }
+
+    /// A node that went idle at round 3 while the committee advanced: its
+    /// newest own block falls ever further below the floor, survives every
+    /// rewrite, and still restores the produced-round watermark — the older
+    /// own blocks, the peers' blocks below the floor and the superseded
+    /// checkpoints do not.
+    #[test]
+    fn the_newest_own_block_survives_every_compaction_below_the_floor() {
+        let setup = TestCommittee::new(4, 11);
+        let storage = MemStorage::new();
+        let (mut log, _) = recover(&setup, &storage);
+        let mut ledger = BalanceLedger::new();
+        for (index, round_blocks) in blocks_by_round(&setup, 40).iter().enumerate() {
+            let round = index as Round + 1;
+            for block in round_blocks {
+                if block.author() != OWN || round <= 3 {
+                    log.append(&WalRecord::Block(block.clone()));
+                }
+            }
+            if round.is_multiple_of(4) {
+                log.append(&checkpoint_record(
+                    &setup,
+                    &mut ledger,
+                    round,
+                    round,
+                    round_blocks,
+                ));
+                if log.compaction_due() {
+                    log.compact();
+                    assert_compacted_shape(&storage, Some(3));
+                }
+            }
+        }
+        assert!(log.stats().compactions >= 3, "{:?}", log.stats());
+        let own_rounds: Vec<Round> = Wal::open(storage.clone())
+            .unwrap()
+            .records()
+            .unwrap()
+            .iter()
+            .filter_map(|r| match WalRecord::from_bytes_exact(&r.payload) {
+                Ok(WalRecord::Block(block)) if block.author() == OWN => Some(block.round()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(own_rounds, [3], "only the watermark carrier is left");
+        let (recovered, engine) = recover(&setup, &crash_image(&storage));
+        assert_eq!(engine.round(), 3);
+        assert!(engine.store().gc_cutoff() > 3);
+        assert_eq!(recovered.stats().live_bytes, log.stats().live_bytes);
+    }
+
+    /// A rewrite that fails leaves the log open and the index describing
+    /// it, is counted, and goes through at the next checkpoint once the
+    /// obstacle is gone.
+    #[test]
+    fn a_failed_rewrite_is_counted_and_retried_at_the_next_checkpoint() {
+        let setup = TestCommittee::new(4, 13);
+        let dir = std::env::temp_dir().join(format!("mahimahi-node-log-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v0.wal");
+        let obstacle = dir.join("v0.wal.compact");
+        let mut engine = fresh_engine(&setup);
+        let wal = AnyWal::File(FileWal::open_path(&path).unwrap());
+        let mut log = NodeLog::recover(wal, OWN, Some(GC_DEPTH), &mut engine).unwrap();
+        let mut ledger = BalanceLedger::new();
+
+        // A directory on the replacement's path makes every rewrite fail.
+        std::fs::create_dir(&obstacle).unwrap();
+        let rounds = blocks_by_round(&setup, 24);
+        let mut failed_at = None;
+        for (index, round_blocks) in rounds.iter().enumerate() {
+            let round = index as Round + 1;
+            for block in round_blocks {
+                log.append(&WalRecord::Block(block.clone()));
+            }
+            if !round.is_multiple_of(4) {
+                continue;
+            }
+            log.append(&checkpoint_record(
+                &setup,
+                &mut ledger,
+                round,
+                round,
+                round_blocks,
+            ));
+            if !log.compaction_due() {
+                continue;
+            }
+            let before = log.stats();
+            log.compact();
+            let after = log.stats();
+            if failed_at.is_none() {
+                assert_eq!(after.errors, 1);
+                assert_eq!((after.bytes, after.compactions), (before.bytes, 0));
+                assert_eq!(after.live_bytes, before.live_bytes);
+                failed_at = Some(round);
+                std::fs::remove_dir(&obstacle).unwrap();
+            } else {
+                assert_eq!((after.errors, after.compactions), (1, 1));
+                assert_eq!(after.bytes, after.live_bytes);
+                break;
+            }
+        }
+        assert!(failed_at.is_some() && log.stats().compactions == 1);
+        drop(log);
+        let mut engine = fresh_engine(&setup);
+        let wal = AnyWal::File(FileWal::open_path(&path).unwrap());
+        let log = NodeLog::recover(wal, OWN, Some(GC_DEPTH), &mut engine).unwrap();
+        assert!(engine.latest_checkpoint().is_some());
+        assert_eq!(log.stats().bytes, log.stats().live_bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

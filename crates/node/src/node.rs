@@ -19,21 +19,22 @@
 //!
 //! Recovery replays the WAL's [`WalRecord`]s into the engine before the
 //! first input: blocks rebuild the DAG and the produced-round watermark,
-//! evidence records restore convictions.
+//! evidence records restore convictions, the latest checkpoint restores
+//! the cut everything below it was compacted away for (see [`crate::log`]).
 
+use crate::log::{AnyWal, LogStats, NodeLog};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use mahimahi_core::{
     engine::{EngineConfig, Input, Time as EngineTime},
     AdmissionConfig, AdmissionPipeline, CommittedSubDag, Committer, CommitterOptions, EvidencePool,
-    IngressConfig, MempoolConfig, Output, SequencerSnapshot, TxIntegrityReport, ValidatorEngine,
-    WalRecord,
+    IngressConfig, MempoolConfig, Output, TxIntegrityReport, ValidatorEngine, WalRecord,
 };
 use mahimahi_dag::BlockStore;
-use mahimahi_telemetry::{Gauge, Registry, Stage, StageSnapshot, StageStats};
+use mahimahi_telemetry::{Gauge, Histogram, Registry, Stage, StageSnapshot, StageStats};
 use mahimahi_transport::Transport;
 use mahimahi_types::{
-    AuthorityIndex, Committee, Decode, Encode, Envelope, Round, TestCommittee, Transaction,
-    TxReceipt, Verified,
+    AuthorityIndex, Committee, Encode, Envelope, Round, TestCommittee, Transaction, TxReceipt,
+    Verified,
 };
 use mahimahi_wal::{FileWal, MemStorage, Wal};
 use parking_lot::Mutex;
@@ -96,10 +97,11 @@ pub struct NodeConfig {
     /// periodically dropped from memory. `None` disables GC.
     pub gc_depth: Option<u64>,
     /// Sequencing decisions between signed checkpoints (`0` disables
-    /// checkpointing). Each checkpoint is persisted durably and, when
-    /// `gc_depth` is set, triggers WAL compaction below the checkpointed
-    /// frontier — see [`EngineConfig::checkpoint_interval`] for the safety
-    /// contract.
+    /// checkpointing). Each checkpoint is persisted durably and marks the
+    /// WAL records it makes redundant — earlier checkpoints and, when
+    /// `gc_depth` is set, blocks below the checkpointed frontier — for the
+    /// next compaction; see [`EngineConfig::checkpoint_interval`] for the
+    /// safety contract.
     pub checkpoint_interval: u64,
     /// Verify-stage worker threads for the admission pipeline. `0` checks
     /// signatures and proofs inline on the event-loop thread (the pre-split
@@ -189,6 +191,12 @@ pub struct NodeMetrics {
     verify_peak_depth: Arc<Gauge>,
     verify_verified: Arc<Gauge>,
     verify_rejected: Arc<Gauge>,
+    wal_bytes: Arc<Gauge>,
+    wal_live_bytes: Arc<Gauge>,
+    wal_compactions: Arc<Gauge>,
+    wal_compacted_bytes: Arc<Gauge>,
+    wal_errors: Arc<Gauge>,
+    wal_compaction_seconds: Arc<Histogram>,
     stage_stats: StageStats,
 }
 
@@ -252,6 +260,24 @@ impl NodeMetrics {
                 "mahimahi_verify_rejected",
                 "Inputs dropped by the verify stage",
             ),
+            wal_bytes: gauge("mahimahi_wal_bytes", "Length of the write-ahead log"),
+            wal_live_bytes: gauge(
+                "mahimahi_wal_live_bytes",
+                "Log bytes held by records no checkpoint has made redundant",
+            ),
+            wal_compactions: gauge("mahimahi_wal_compactions", "Log rewrites completed"),
+            wal_compacted_bytes: gauge(
+                "mahimahi_wal_compacted_bytes",
+                "Bytes copied by log rewrites, in total",
+            ),
+            wal_errors: gauge(
+                "mahimahi_wal_errors",
+                "Log appends, syncs and rewrites that failed",
+            ),
+            wal_compaction_seconds: registry.histogram(
+                "mahimahi_wal_compaction_seconds",
+                "Time the consensus thread spent in one log rewrite",
+            ),
             registry,
         }
     }
@@ -284,6 +310,15 @@ impl NodeMetrics {
         self.verify_rejected.set(pipeline.rejected());
     }
 
+    /// Refreshes the write-ahead-log gauges.
+    fn update_wal(&self, stats: LogStats) {
+        self.wal_bytes.set(stats.bytes);
+        self.wal_live_bytes.set(stats.live_bytes);
+        self.wal_compactions.set(stats.compactions);
+        self.wal_compacted_bytes.set(stats.compacted_bytes);
+        self.wal_errors.set(stats.errors);
+    }
+
     /// The registry every metric of this node lives in (stage histograms
     /// included) — render it with [`Registry::render_prometheus`].
     pub fn registry(&self) -> &Arc<Registry> {
@@ -307,6 +342,7 @@ impl NodeMetrics {
             mempool_pending: self.mempool_pending.get(),
             mempool_accepted: self.mempool_accepted.get(),
             verify_depth: self.verify_depth.get(),
+            wal_errors: self.wal_errors.get(),
         }
     }
 
@@ -375,6 +411,17 @@ impl NodeMetrics {
     pub fn rejected(&self) -> u64 {
         self.verify_rejected.get()
     }
+
+    /// Times the write-ahead log has been rewritten down to its live
+    /// records.
+    pub fn wal_compactions(&self) -> u64 {
+        self.wal_compactions.get()
+    }
+
+    /// Write-ahead-log appends, syncs and rewrites that failed.
+    pub fn wal_errors(&self) -> u64 {
+        self.wal_errors.get()
+    }
 }
 
 impl std::fmt::Debug for NodeMetrics {
@@ -405,6 +452,8 @@ pub struct StatusReport {
     pub mempool_accepted: u64,
     /// Inputs in flight inside the verify stage.
     pub verify_depth: u64,
+    /// Write-ahead-log appends, syncs and rewrites that failed.
+    pub wal_errors: u64,
 }
 
 impl StatusReport {
@@ -415,7 +464,7 @@ impl StatusReport {
                 "{{\"round\":{},\"highest_round\":{},\"committed_slots\":{},",
                 "\"committed_transactions\":{},\"convictions\":{},",
                 "\"mempool_pending\":{},\"mempool_accepted\":{},",
-                "\"verify_depth\":{}}}"
+                "\"verify_depth\":{},\"wal_errors\":{}}}"
             ),
             self.round,
             self.highest_round,
@@ -425,6 +474,7 @@ impl StatusReport {
             self.mempool_pending,
             self.mempool_accepted,
             self.verify_depth,
+            self.wal_errors,
         )
     }
 }
@@ -585,53 +635,6 @@ impl Drop for NodeHandle {
     }
 }
 
-enum AnyWal {
-    File(FileWal),
-    Memory(Wal<MemStorage>),
-}
-
-impl AnyWal {
-    fn append(&mut self, payload: &[u8]) -> Result<u64, mahimahi_wal::WalError> {
-        match self {
-            AnyWal::File(wal) => wal.append(payload),
-            AnyWal::Memory(wal) => wal.append(payload),
-        }
-    }
-
-    fn sync(&mut self) -> Result<(), mahimahi_wal::WalError> {
-        match self {
-            AnyWal::File(wal) => wal.sync(),
-            AnyWal::Memory(wal) => wal.sync(),
-        }
-    }
-
-    fn records(&mut self) -> Result<Vec<mahimahi_wal::Record>, mahimahi_wal::WalError> {
-        match self {
-            AnyWal::File(wal) => wal.records(),
-            AnyWal::Memory(wal) => wal.records(),
-        }
-    }
-
-    /// Replaces the whole log with `payloads` — crash-atomically for file
-    /// logs (temp file + rename + directory fsync), in place for memory
-    /// logs (which have no crash to survive).
-    fn rewrite(&mut self, payloads: &[Vec<u8>]) -> Result<(), mahimahi_wal::WalError> {
-        match self {
-            AnyWal::File(wal) => wal.rewrite_atomic(payloads),
-            AnyWal::Memory(wal) => wal.rewrite(payloads),
-        }
-    }
-}
-
-/// The store-compaction floor a persisted checkpoint implies: decodes the
-/// record's sequencer snapshot and applies the GC depth. `None` if the
-/// snapshot does not decode (never truncate on a parse failure).
-fn checkpoint_floor(resume: &[u8], gc_depth: u64) -> Option<Round> {
-    let snapshot = SequencerSnapshot::from_bytes_exact(resume).ok()?;
-    let floor = snapshot.next_round.saturating_sub(gc_depth);
-    (floor > 0).then_some(floor)
-}
-
 /// A networked Mahi-Mahi validator.
 pub struct ValidatorNode {
     authority: AuthorityIndex,
@@ -641,11 +644,10 @@ pub struct ValidatorNode {
     committee: Committee,
     /// Verify-stage sizing, forwarded to the [`AdmissionPipeline`].
     admission: AdmissionConfig,
-    wal: AnyWal,
-    /// Deferred WAL fsync: set by a durable Persist, flushed before the
-    /// next network send (durability-before-dissemination) or at the end
-    /// of the batch.
-    pending_sync: bool,
+    /// The write-ahead log and its liveness index. A durable Persist
+    /// defers its fsync, which is flushed before the next network send
+    /// (durability-before-dissemination) or at the end of the batch.
+    log: NodeLog,
     /// Registry-backed gauges, refreshed once per event-loop iteration.
     metrics: Arc<NodeMetrics>,
     /// Commit-path stage histograms: this clone records the driver-side
@@ -670,39 +672,11 @@ impl ValidatorNode {
         let committer = Committer::new(committee, config.options);
         let mut engine = ValidatorEngine::honest(config.engine_config(), Box::new(committer));
 
-        let mut wal = match &config.wal_path {
+        let wal = match &config.wal_path {
             Some(path) => AnyWal::File(FileWal::open_path(path)?),
             None => AnyWal::Memory(Wal::open(MemStorage::new())?),
         };
-
-        // Recovery: replay every decodable record in log order. The
-        // engine's pending buffer tolerates out-of-order blocks (e.g.
-        // after a torn tail elsewhere in the causal history); evidence
-        // records restore convictions so slashing state survives crashes.
-        // Logs written before the tagged WalRecord framing held raw Block
-        // encodings; fall back to that so an upgraded node never forgets
-        // rounds it already broadcast (re-producing them under different
-        // parents would be accidental equivocation).
-        for record in wal.records()? {
-            match WalRecord::from_bytes_exact(&record.payload) {
-                Ok(WalRecord::Block(block)) => engine.restore_block(block),
-                Ok(WalRecord::Evidence(proof)) => engine.restore_evidence(proof),
-                // A checkpoint record jumps the execution and sequencer
-                // state to its cut: the blocks the compacted log no longer
-                // holds are never needed again.
-                Ok(WalRecord::Checkpoint {
-                    checkpoint,
-                    execution,
-                    resume,
-                }) => {
-                    engine.restore_checkpoint(checkpoint, execution, resume);
-                }
-                Err(_) => match mahimahi_types::Block::from_bytes_exact(&record.payload) {
-                    Ok(block) => engine.restore_block(block.into_arc()),
-                    Err(_) => continue, // corrupt or foreign record: skip
-                },
-            }
-        }
+        let log = NodeLog::recover(wal, config.authority, config.gc_depth, &mut engine)?;
 
         // One registry per node: the gauges below, the eight stage
         // histograms, and the engine's telemetry sink all render through
@@ -712,6 +686,7 @@ impl ValidatorNode {
         let stage_stats = StageStats::new(&registry);
         engine.set_telemetry(Arc::new(stage_stats.clone()));
         metrics.update_engine(&engine);
+        metrics.update_wal(log.stats());
 
         Ok(ValidatorNode {
             authority: config.authority,
@@ -722,8 +697,7 @@ impl ValidatorNode {
                 verify_workers: config.verify_workers,
                 queue_bound: config.verify_queue_bound,
             },
-            wal,
-            pending_sync: false,
+            log,
             metrics,
             stage_stats,
             metrics_addr: config.metrics_addr,
@@ -903,6 +877,7 @@ impl ValidatorNode {
             }
             self.metrics.update_engine(&self.engine);
             self.metrics.update_pipeline(&pipeline);
+            self.metrics.update_wal(self.log.stats());
         }
         // Inputs still in flight inside the verify stage are dropped with
         // the pipeline: never applied, never traced.
@@ -939,39 +914,28 @@ impl ValidatorNode {
         for output in outputs {
             match output {
                 Output::Broadcast(envelope) => {
-                    self.flush_wal();
+                    self.log.flush();
                     self.transport.broadcast(envelope.to_bytes_vec());
                 }
                 Output::SendTo(peer, envelope) => {
-                    self.flush_wal();
+                    self.log.flush();
                     self.transport.send(peer as u32, envelope.to_bytes_vec());
                 }
                 Output::Persist(record) => {
                     // Durability before dissemination: own blocks (the
-                    // engine emits their Persist ahead of the Broadcast)
-                    // and convictions are fsynced before anything else
-                    // leaves this node; peers' blocks can be re-fetched,
-                    // so their records ride the next sync. Checkpoints are
-                    // durable too — the subsequent log truncation is only
-                    // safe once the cut they carry is on disk.
-                    let durable = match &record {
-                        WalRecord::Block(block) => block.author() == self.authority,
-                        WalRecord::Evidence(_) => true,
-                        WalRecord::Checkpoint { .. } => true,
-                    };
-                    let compact_floor = match &record {
-                        WalRecord::Checkpoint { resume, .. } => self
-                            .engine
-                            .config()
-                            .gc_depth
-                            .and_then(|depth| checkpoint_floor(resume, depth)),
-                        _ => None,
-                    };
-                    let _ = self.wal.append(&record.to_bytes_vec());
-                    self.pending_sync |= durable;
-                    if let Some(floor) = compact_floor {
-                        self.flush_wal();
-                        self.compact_wal(floor);
+                    // engine emits their Persist ahead of the Broadcast),
+                    // convictions and checkpoints are fsynced before
+                    // anything else leaves this node.
+                    self.log.append(&record);
+                    // A checkpoint marks what it subsumes as dead; once
+                    // that outweighs what is live, rewrite the log. The
+                    // clock is read here: the engine stays clock-free.
+                    if matches!(record, WalRecord::Checkpoint { .. }) && self.log.compaction_due() {
+                        let started = Instant::now();
+                        self.log.compact();
+                        self.metrics
+                            .wal_compaction_seconds
+                            .record(started.elapsed().as_micros() as u64);
                     }
                 }
                 Output::Committed(sub_dag) => {
@@ -991,7 +955,7 @@ impl ValidatorNode {
                         // A wire client's batch: the transport routes ids
                         // in the client range down the client's own
                         // connection (gone connections drop the frame).
-                        self.flush_wal();
+                        self.log.flush();
                         self.transport
                             .send(peer as u32, Envelope::TxReceipt(receipt).to_bytes_vec());
                     }
@@ -1010,57 +974,8 @@ impl ValidatorNode {
                 | Output::CheckpointProduced(_) => {}
             }
         }
-        self.flush_wal();
+        self.log.flush();
         Ok(())
-    }
-
-    /// Performs the deferred WAL fsync, if one is pending.
-    fn flush_wal(&mut self) {
-        if self.pending_sync {
-            let _ = self.wal.sync();
-            self.pending_sync = false;
-        }
-    }
-
-    /// Truncates the WAL below a checkpointed commit frontier.
-    ///
-    /// Safe only because the checkpoint record that triggered it is
-    /// already fsynced: recovery restores the checkpoint first and then
-    /// replays the surviving records on top of it. The rewrite keeps
-    ///
-    /// - the *latest* checkpoint record (earlier ones are subsumed),
-    /// - every evidence record (convictions must never expire),
-    /// - every own-authored block (the produced-round watermark is the
-    ///   equivocation guard and must survive any number of compactions),
-    /// - peers' blocks at `round >= floor` (still referenced by the
-    ///   post-checkpoint DAG), and
-    /// - any record that fails to decode (never drop what we cannot
-    ///   classify).
-    fn compact_wal(&mut self, floor: Round) {
-        let Ok(records) = self.wal.records() else {
-            return;
-        };
-        let mut kept: Vec<Vec<u8>> = Vec::with_capacity(records.len());
-        let mut last_checkpoint: Option<Vec<u8>> = None;
-        for record in records {
-            match WalRecord::from_bytes_exact(&record.payload) {
-                Ok(WalRecord::Checkpoint { .. }) => {
-                    last_checkpoint = Some(record.payload);
-                }
-                Ok(WalRecord::Block(block)) => {
-                    if block.author() == self.authority || block.round() >= floor {
-                        kept.push(record.payload);
-                    }
-                }
-                Ok(WalRecord::Evidence(_)) | Err(_) => kept.push(record.payload),
-            }
-        }
-        // The checkpoint leads the rewritten log so recovery installs it
-        // before replaying the retained records.
-        let mut payloads = Vec::with_capacity(kept.len() + 1);
-        payloads.extend(last_checkpoint);
-        payloads.extend(kept);
-        let _ = self.wal.rewrite(&payloads);
     }
 }
 

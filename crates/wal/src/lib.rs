@@ -21,6 +21,11 @@
 //! Two storage backends are provided: [`FileWal`] (real files, used by the
 //! networked node) and [`MemWal`] (in-memory, used by simulations and
 //! crash-injection tests).
+//!
+//! Compaction is payload-agnostic: the caller remembers where each record's
+//! frame sits ([`FrameRange`]) and [`Wal::rewrite_atomic`] copies the frames
+//! it wants to keep, verbatim, into a replacement log — no payload is
+//! decoded and no CRC is recomputed.
 
 pub mod crc32;
 
@@ -28,7 +33,7 @@ use parking_lot::Mutex;
 use std::error::Error as StdError;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,6 +46,10 @@ const HEADER_BYTES: usize = 12;
 /// Maximum payload accepted per record (64 MiB), mirroring the codec limit.
 pub const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
 
+/// Read buffer of the compaction copy: the most of the old log held in
+/// memory at once, however large the log or a single record is.
+const COPY_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Errors from WAL operations.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -49,6 +58,10 @@ pub enum WalError {
     Io(std::io::Error),
     /// The payload exceeds [`MAX_RECORD_BYTES`].
     RecordTooLarge(usize),
+    /// A [`FrameRange`] handed to [`Wal::rewrite_atomic`] does not hold one
+    /// whole frame of this log (it reaches past the tail, or the bytes at
+    /// its offset are not a frame header of that length).
+    NotAFrame(FrameRange),
 }
 
 impl fmt::Display for WalError {
@@ -61,6 +74,11 @@ impl fmt::Display for WalError {
                     "record of {size} bytes exceeds the {MAX_RECORD_BYTES} limit"
                 )
             }
+            WalError::NotAFrame(range) => write!(
+                f,
+                "no frame of {} bytes at offset {}",
+                range.len, range.offset
+            ),
         }
     }
 }
@@ -69,7 +87,7 @@ impl StdError for WalError {
     fn source(&self) -> Option<&(dyn StdError + 'static)> {
         match self {
             WalError::Io(error) => Some(error),
-            WalError::RecordTooLarge(_) => None,
+            WalError::RecordTooLarge(_) | WalError::NotAFrame(_) => None,
         }
     }
 }
@@ -80,10 +98,36 @@ impl From<std::io::Error> for WalError {
     }
 }
 
+/// Where one record's frame — header plus payload — sits in the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRange {
+    /// Byte offset of the frame's header.
+    pub offset: u64,
+    /// Length of the whole frame: header and payload.
+    pub len: u64,
+}
+
+impl FrameRange {
+    /// The frame of a record appended at `offset` (the value
+    /// [`Wal::append`] returned) with a payload of `payload_len` bytes.
+    pub fn new(offset: u64, payload_len: usize) -> Self {
+        FrameRange {
+            offset,
+            len: (HEADER_BYTES + payload_len) as u64,
+        }
+    }
+
+    /// The offset one past the frame's last byte.
+    pub fn end(&self) -> u64 {
+        self.offset.saturating_add(self.len)
+    }
+}
+
 /// Abstract append-only byte storage for the log.
 ///
-/// Implementations must support truncation (used once, at open, to discard a
-/// torn tail) and positional reads (used by recovery).
+/// Implementations must support truncation (used at open, to discard a
+/// torn tail), positional reads (used by recovery and by compaction) and
+/// replacing their whole contents in one atomic step (compaction).
 pub trait Storage: Send {
     /// Appends bytes at the end of the storage.
     fn append(&mut self, bytes: &[u8]) -> Result<(), WalError>;
@@ -99,6 +143,11 @@ pub trait Storage: Send {
     fn truncate(&mut self, offset: u64) -> Result<(), WalError>;
     /// Forces durability of previous appends.
     fn sync(&mut self) -> Result<(), WalError>;
+    /// Replaces the contents with the frames `keep` of the current
+    /// contents, copied verbatim in the order given, and returns the new
+    /// length. The replacement is durable on return and atomic: a crash or
+    /// an error leaves the complete old contents or the complete new ones.
+    fn replace_with_frames(&mut self, keep: &[FrameRange]) -> Result<u64, WalError>;
 }
 
 /// File-backed storage.
@@ -106,8 +155,20 @@ pub trait Storage: Send {
 pub struct FileStorage {
     file: File,
     /// The file's path when known (opened via [`FileWal::open_path`]);
-    /// enables the crash-atomic [`FileWal::rewrite_atomic`].
+    /// compaction needs it to rename the replacement log into place.
     path: Option<PathBuf>,
+    /// A compaction renamed a new log into place but could not fsync the
+    /// directory. Until that succeeds no later append is durable — a crash
+    /// could bring the old file back — so every [`Storage::sync`] retries
+    /// it and fails while it does.
+    rename_unsynced: bool,
+}
+
+/// The sibling file a compaction writes before renaming it over the log.
+fn compaction_temp_path(path: &Path) -> PathBuf {
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(".compact");
+    PathBuf::from(temp)
 }
 
 /// Forces the directory entry for `path` to disk, so a freshly created or
@@ -155,7 +216,58 @@ impl Storage for FileStorage {
 
     fn sync(&mut self) -> Result<(), WalError> {
         self.file.sync_data()?;
+        if self.rename_unsynced {
+            let path = self.path.as_deref().expect("a rename needed the path");
+            sync_parent_dir(path)?;
+            self.rename_unsynced = false;
+        }
         Ok(())
+    }
+
+    /// Temp file → `sync_all` → rename over the log → directory fsync.
+    /// Requires the log to have been opened through
+    /// [`FileWal::open_path`].
+    fn replace_with_frames(&mut self, keep: &[FrameRange]) -> Result<u64, WalError> {
+        let path = self
+            .path
+            .clone()
+            .ok_or_else(|| WalError::Io(std::io::Error::other("wal path unknown")))?;
+        let temp_path = compaction_temp_path(&path);
+        let (temp, len) = self
+            .write_replacement(keep, &temp_path, &path)
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(&temp_path);
+            })?;
+        // From the rename on, the new file is the log.
+        self.file = temp;
+        self.rename_unsynced = sync_parent_dir(&path).is_err();
+        Ok(len)
+    }
+}
+
+impl FileStorage {
+    /// Writes the frames `keep` to a new file at `temp_path`, makes it
+    /// durable and renames it to `path`; returns the file, positioned for
+    /// use as the log, and its length.
+    fn write_replacement(
+        &mut self,
+        keep: &[FrameRange],
+        temp_path: &Path,
+        path: &Path,
+    ) -> Result<(File, u64), WalError> {
+        let temp = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(temp_path)?;
+        let mut writer = BufWriter::with_capacity(COPY_BUFFER_BYTES, &temp);
+        let len = copy_frames(self, keep, &mut writer)?;
+        writer.flush()?;
+        drop(writer);
+        temp.sync_all()?;
+        std::fs::rename(temp_path, path)?;
+        Ok((temp, len))
     }
 }
 
@@ -168,6 +280,9 @@ pub struct MemStorage {
     /// crash-consistency tests assert that recovery actions were made
     /// durable, not merely performed.
     syncs: Arc<AtomicU64>,
+    /// Length of the buffer when it was last made durable (a
+    /// [`Storage::sync`], a truncation or a compaction): what a crash keeps.
+    synced_len: Arc<AtomicU64>,
 }
 
 impl MemStorage {
@@ -189,6 +304,14 @@ impl MemStorage {
     /// Number of [`Storage::sync`] calls observed so far.
     pub fn sync_count(&self) -> u64 {
         self.syncs.load(Ordering::SeqCst)
+    }
+
+    /// The bytes a crash at this instant would leave behind: everything
+    /// appended after the last sync is discarded.
+    pub fn durable_snapshot(&self) -> Vec<u8> {
+        let buffer = self.buffer.lock();
+        let durable = (self.synced_len.load(Ordering::SeqCst) as usize).min(buffer.len());
+        buffer[..durable].to_vec()
     }
 }
 
@@ -212,12 +335,25 @@ impl Storage for MemStorage {
 
     fn truncate(&mut self, offset: u64) -> Result<(), WalError> {
         self.buffer.lock().truncate(offset as usize);
+        self.synced_len.fetch_min(offset, Ordering::SeqCst);
         Ok(())
     }
 
     fn sync(&mut self) -> Result<(), WalError> {
         self.syncs.fetch_add(1, Ordering::SeqCst);
+        let len = self.buffer.lock().len() as u64;
+        self.synced_len.store(len, Ordering::SeqCst);
         Ok(())
+    }
+
+    /// The replacement is built beside the buffer and swapped in under the
+    /// lock — the in-memory twin of the file backend's rename.
+    fn replace_with_frames(&mut self, keep: &[FrameRange]) -> Result<u64, WalError> {
+        let mut replacement = Vec::new();
+        let len = copy_frames(&mut self.clone(), keep, &mut replacement)?;
+        *self.buffer.lock() = replacement;
+        self.synced_len.store(len, Ordering::SeqCst);
+        Ok(len)
     }
 }
 
@@ -257,9 +393,18 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
+impl Record {
+    /// Where the record's frame sits in the log it was read from.
+    pub fn frame(&self) -> FrameRange {
+        FrameRange::new(self.offset, self.payload.len())
+    }
+}
+
 impl FileWal {
     /// Opens (creating if missing) a file-backed log at `path`, scanning it
-    /// and truncating any torn tail.
+    /// and truncating any torn tail. A replacement log left half-written
+    /// beside it by a crash during [`Wal::rewrite_atomic`] is removed: the
+    /// rename never happened, so the log at `path` is the complete old one.
     ///
     /// # Errors
     ///
@@ -279,55 +424,15 @@ impl FileWal {
             // contract from the first append onward.
             sync_parent_dir(path)?;
         }
-        Wal::open(FileStorage {
+        let wal = Wal::open(FileStorage {
             file,
             path: Some(path.to_path_buf()),
-        })
-    }
-
-    /// Atomically replaces the log's contents with `payloads` (compaction).
-    ///
-    /// The surviving records are written to a sibling temporary file,
-    /// fsynced, renamed over the log, and the parent directory is fsynced —
-    /// so a crash at any point leaves either the complete old log or the
-    /// complete new one, never a mix. Requires the log to have been opened
-    /// through [`FileWal::open_path`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; fails if the log was opened without a path.
-    pub fn rewrite_atomic(&mut self, payloads: &[Vec<u8>]) -> Result<(), WalError> {
-        let path = self
-            .storage
-            .path
-            .clone()
-            .ok_or_else(|| WalError::Io(std::io::Error::other("wal path unknown")))?;
-        for payload in payloads {
-            if payload.len() > MAX_RECORD_BYTES {
-                return Err(WalError::RecordTooLarge(payload.len()));
-            }
+            rename_unsynced: false,
+        })?;
+        match std::fs::remove_file(compaction_temp_path(path)) {
+            Err(error) if error.kind() != std::io::ErrorKind::NotFound => Err(error.into()),
+            _ => Ok(wal),
         }
-        let mut temp_path = path.clone().into_os_string();
-        temp_path.push(".compact");
-        let temp_path = PathBuf::from(temp_path);
-        let mut temp = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&temp_path)?;
-        let mut tail = 0u64;
-        for payload in payloads {
-            let frame = frame_record(payload);
-            temp.write_all(&frame)?;
-            tail += frame.len() as u64;
-        }
-        temp.sync_all()?;
-        std::fs::rename(&temp_path, &path)?;
-        sync_parent_dir(&path)?;
-        self.storage.file = temp;
-        self.tail = tail;
-        Ok(())
     }
 }
 
@@ -368,27 +473,35 @@ impl<S: Storage> Wal<S> {
         Ok(offset)
     }
 
-    /// Replaces the log's contents with `payloads` (compaction), in place:
-    /// truncate to zero, re-append, sync. **Not crash-atomic** — a crash
-    /// mid-rewrite loses records. File-backed logs should use
-    /// [`FileWal::rewrite_atomic`] instead; this variant serves in-memory
-    /// logs and tests, where there is no crash window.
+    /// Replaces the log's contents with the frames `keep` — each the
+    /// [`FrameRange`] of a record of this log — in the order given
+    /// (compaction).
+    ///
+    /// The frames are streamed *verbatim* — header, stored CRC, payload —
+    /// from the old log into the replacement through a bounded buffer:
+    /// nothing is decoded, no CRC is recomputed, and the log is never held
+    /// in memory. Only each frame's header is checked against its range, so
+    /// a stale or miscounted offset is an error, not a corrupt log.
+    ///
+    /// For file-backed logs the replacement is written to a sibling
+    /// temporary file, `sync_all`ed, renamed over the log, and the parent
+    /// directory is fsynced — a crash at any point leaves either the
+    /// complete old log or the complete new one, never a mix (a leftover
+    /// temporary file is removed by the next [`FileWal::open_path`]).
+    /// Everything the new log holds is durable on return, including records
+    /// that were appended but not yet synced.
     ///
     /// # Errors
     ///
-    /// Fails if any payload exceeds [`MAX_RECORD_BYTES`] or on I/O error.
-    pub fn rewrite(&mut self, payloads: &[Vec<u8>]) -> Result<(), WalError> {
-        for payload in payloads {
-            if payload.len() > MAX_RECORD_BYTES {
-                return Err(WalError::RecordTooLarge(payload.len()));
-            }
+    /// [`WalError::NotAFrame`] if a range is not a frame of this log; I/O
+    /// failures; a file-backed log opened without a path. On error the old
+    /// log is untouched and still open, and [`Wal::tail`] is unchanged.
+    pub fn rewrite_atomic(&mut self, keep: &[FrameRange]) -> Result<(), WalError> {
+        if let Some(range) = keep.iter().find(|range| range.end() > self.tail) {
+            return Err(WalError::NotAFrame(*range));
         }
-        self.storage.truncate(0)?;
-        self.tail = 0;
-        for payload in payloads {
-            self.append(payload)?;
-        }
-        self.sync()
+        self.tail = self.storage.replace_with_frames(keep)?;
+        Ok(())
     }
 
     /// Forces durability of all appended records.
@@ -425,6 +538,46 @@ fn frame_record(payload: &[u8]) -> Vec<u8> {
     frame.extend_from_slice(&crc32(payload).to_le_bytes());
     frame.extend_from_slice(payload);
     frame
+}
+
+/// Streams the frames `keep` from `source` into `sink`, verbatim and in the
+/// order given, through a [`COPY_BUFFER_BYTES`] buffer; returns the bytes
+/// written. Each frame's header must carry the magic and the length its
+/// range implies; payloads are not inspected.
+fn copy_frames<S: Storage, W: Write>(
+    source: &mut S,
+    keep: &[FrameRange],
+    sink: &mut W,
+) -> Result<u64, WalError> {
+    let mut buffer = vec![0u8; COPY_BUFFER_BYTES];
+    let mut written = 0u64;
+    for range in keep {
+        if range.len < HEADER_BYTES as u64 {
+            return Err(WalError::NotAFrame(*range));
+        }
+        let mut copied = 0u64;
+        while copied < range.len {
+            let want = (range.len - copied).min(COPY_BUFFER_BYTES as u64) as usize;
+            let chunk = &mut buffer[..want];
+            if source.read_at(range.offset + copied, chunk)? < want {
+                return Err(WalError::NotAFrame(*range));
+            }
+            if copied == 0 && !is_header_of(chunk, range.len) {
+                return Err(WalError::NotAFrame(*range));
+            }
+            sink.write_all(chunk)?;
+            copied += want as u64;
+        }
+        written += range.len;
+    }
+    Ok(written)
+}
+
+/// Whether `bytes` (at least a header long) starts with the header of a
+/// frame `frame_len` bytes long.
+fn is_header_of(bytes: &[u8], frame_len: u64) -> bool {
+    let payload_len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    bytes[0..4] == MAGIC.to_le_bytes() && u64::from(payload_len) + HEADER_BYTES as u64 == frame_len
 }
 
 /// Scans storage from the start, returning every record up to (excluding)
@@ -591,8 +744,7 @@ mod tests {
 
     #[test]
     fn file_backed_wal_round_trip() {
-        let dir = std::env::temp_dir().join(format!("mahimahi-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("round-trip");
         let path = dir.join("test.wal");
         {
             let mut wal = FileWal::open_path(&path).unwrap();
@@ -608,47 +760,164 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A per-process scratch directory for the file-backed tests.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mahimahi-wal-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
-    fn rewrite_replaces_contents_in_place() {
+    fn rewrite_copies_the_kept_frames_verbatim_in_the_order_given() {
         let (mut wal, storage) = mem_wal();
-        wal.append(b"old-one").unwrap();
-        wal.append(b"old-two").unwrap();
-        wal.append(b"keep").unwrap();
-        wal.rewrite(&[b"keep".to_vec(), b"new".to_vec()]).unwrap();
+        let payloads: [&[u8]; 4] = [b"old-one", b"keep-a", b"", b"keep-b"];
+        let frames: Vec<FrameRange> = payloads
+            .iter()
+            .map(|payload| FrameRange::new(wal.append(payload).unwrap(), payload.len()))
+            .collect();
+        let before = storage.snapshot();
+        let bytes_of = |frame: &FrameRange| &before[frame.offset as usize..frame.end() as usize];
+
+        // Keep the last record first, then the second and the empty one.
+        let keep = [frames[3], frames[1], frames[2]];
+        wal.rewrite_atomic(&keep).unwrap();
+        let after = storage.snapshot();
+        let expected: Vec<u8> = keep
+            .iter()
+            .flat_map(|frame| bytes_of(frame).to_vec())
+            .collect();
+        assert_eq!(after, expected, "frames are copied byte for byte");
+        assert_eq!(wal.tail(), expected.len() as u64);
+        assert_eq!(storage.durable_snapshot(), expected, "and are durable");
+
+        // The copies still carry valid CRCs: the scan accepts every one.
         let records = wal.records().unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].payload, b"keep");
-        assert_eq!(records[1].payload, b"new");
+        let kept: Vec<&[u8]> = records.iter().map(|r| r.payload.as_slice()).collect();
+        assert_eq!(kept, [&b"keep-b"[..], b"keep-a", b""]);
+        assert_eq!(records[1].frame(), FrameRange::new(frames[3].len, 6));
+
         // Appends continue from the rewritten tail, and a reopen agrees.
         wal.append(b"after").unwrap();
         let mut reopened = Wal::open(storage).unwrap();
-        assert_eq!(reopened.records().unwrap().len(), 3);
+        assert_eq!(reopened.records().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn rewrite_streams_frames_larger_than_the_copy_buffer() {
+        let (mut wal, storage) = mem_wal();
+        let big: Vec<u8> = (0..COPY_BUFFER_BYTES * 2 + 17).map(|i| i as u8).collect();
+        wal.append(b"dropped").unwrap();
+        let frame = FrameRange::new(wal.append(&big).unwrap(), big.len());
+        wal.rewrite_atomic(&[frame]).unwrap();
+        assert_eq!(storage.snapshot().len() as u64, frame.len);
+        assert_eq!(wal.records().unwrap()[0].payload, big);
+    }
+
+    #[test]
+    fn rewrite_rejects_ranges_that_are_not_frames_and_keeps_the_log() {
+        let (mut wal, storage) = mem_wal();
+        let first = FrameRange::new(wal.append(b"first").unwrap(), 5);
+        let second = FrameRange::new(wal.append(b"second").unwrap(), 6);
+        let before = storage.snapshot();
+        for bad in [
+            FrameRange {
+                offset: second.offset,
+                len: second.len + 1,
+            }, // past the tail
+            FrameRange {
+                offset: first.offset,
+                len: first.len - 1,
+            }, // wrong length
+            FrameRange {
+                offset: first.offset + 1,
+                len: first.len,
+            }, // not a header
+            FrameRange { offset: 0, len: 0 }, // not even a header
+        ] {
+            let result = wal.rewrite_atomic(&[second, bad]);
+            assert!(matches!(result, Err(WalError::NotAFrame(range)) if range == bad));
+            assert_eq!(
+                storage.snapshot(),
+                before,
+                "a failed rewrite changes nothing"
+            );
+            assert_eq!(wal.tail(), before.len() as u64);
+        }
+    }
+
+    #[test]
+    fn durable_snapshot_drops_everything_after_the_last_sync() {
+        let (mut wal, storage) = mem_wal();
+        wal.append(b"synced").unwrap();
+        wal.sync().unwrap();
+        let durable = storage.snapshot();
+        wal.append(b"lost in the crash").unwrap();
+        assert_eq!(storage.durable_snapshot(), durable);
+        assert!(storage.snapshot().len() > durable.len());
     }
 
     #[test]
     fn file_rewrite_atomic_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("mahimahi-wal-compact-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("compact");
         let path = dir.join("compact.wal");
         {
             let mut wal = FileWal::open_path(&path).unwrap();
-            for i in 0..8u8 {
-                wal.append(&[i; 16]).unwrap();
-            }
-            wal.sync().unwrap();
-            wal.rewrite_atomic(&[vec![6; 16], vec![7; 16]]).unwrap();
+            let frames: Vec<FrameRange> = (0..8u8)
+                .map(|i| FrameRange::new(wal.append(&[i; 16]).unwrap(), 16))
+                .collect();
+            // Unsynced appends are copied too, and durable afterwards.
+            wal.rewrite_atomic(&[frames[7], frames[6]]).unwrap();
+            assert_eq!(wal.tail(), 2 * frames[0].len);
             // The handle stays usable after the rename.
             wal.append(b"appended-after-compaction").unwrap();
             wal.sync().unwrap();
         }
         // No temporary file left behind, and the compacted log reopens.
-        assert!(!dir.join("compact.wal.compact").exists());
+        assert!(!compaction_temp_path(&path).exists());
         let mut reopened = FileWal::open_path(&path).unwrap();
         let records = reopened.records().unwrap();
         assert_eq!(records.len(), 3);
-        assert_eq!(records[0].payload, vec![6; 16]);
-        assert_eq!(records[1].payload, vec![7; 16]);
+        assert_eq!(records[0].payload, vec![7; 16]);
+        assert_eq!(records[1].payload, vec![6; 16]);
         assert_eq!(records[2].payload, b"appended-after-compaction");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_removes_a_replacement_log_abandoned_by_a_crash() {
+        let dir = scratch_dir("stale-temp");
+        let path = dir.join("crashed.wal");
+        {
+            let mut wal = FileWal::open_path(&path).unwrap();
+            wal.append(b"survivor").unwrap();
+            wal.sync().unwrap();
+        }
+        // The crash hit mid-copy: half a frame in the temporary file, the
+        // rename never happened.
+        std::fs::write(compaction_temp_path(&path), &frame_record(b"survivor")[..9]).unwrap();
+        let mut wal = FileWal::open_path(&path).unwrap();
+        assert!(!compaction_temp_path(&path).exists());
+        assert_eq!(wal.records().unwrap()[0].payload, b"survivor");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_file_rewrite_leaves_the_old_log_open() {
+        let dir = scratch_dir("rewrite-fails");
+        let path = dir.join("kept.wal");
+        let mut wal = FileWal::open_path(&path).unwrap();
+        let frame = FrameRange::new(wal.append(b"kept").unwrap(), 4);
+        // A directory squatting on the temporary path makes the create fail.
+        std::fs::create_dir(compaction_temp_path(&path)).unwrap();
+        assert!(matches!(wal.rewrite_atomic(&[frame]), Err(WalError::Io(_))));
+        assert_eq!(wal.tail(), frame.len);
+        wal.append(b"still appending").unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.records().unwrap().len(), 2);
+        // With the obstacle gone the same rewrite goes through.
+        std::fs::remove_dir(compaction_temp_path(&path)).unwrap();
+        wal.rewrite_atomic(&[frame]).unwrap();
+        assert_eq!(wal.records().unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -657,6 +926,9 @@ mod tests {
         let io = WalError::from(std::io::Error::other("x"));
         assert!(io.to_string().contains("i/o"));
         assert!(WalError::RecordTooLarge(1).to_string().contains("limit"));
+        assert!(WalError::NotAFrame(FrameRange::new(7, 0))
+            .to_string()
+            .contains("offset 7"));
     }
 
     proptest! {

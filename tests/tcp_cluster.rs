@@ -399,14 +399,17 @@ fn restarted_node_resumes_from_a_checkpoint_with_a_truncated_wal() {
     }
 
     // Phase 1: run far enough past the GC depth that node 0 has persisted a
-    // checkpoint and compacted its WAL below the frontier. Track validator
-    // 1's commits by position as the reference sequence.
+    // checkpoint and rewritten its WAL below the frontier at least once (a
+    // rewrite waits until the dead records outweigh the live ones). Track
+    // validator 1's commits by position as the reference sequence.
     let mut reference = std::collections::BTreeMap::new();
     for id in 0..40u64 {
         handles[(id % 4) as usize].submit(Transaction::benchmark(id));
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    while handles[0].round() < 32 && std::time::Instant::now() < deadline {
+    while (handles[0].round() < 32 || handles[0].metrics().wal_compactions() == 0)
+        && std::time::Instant::now() < deadline
+    {
         if let Ok(sub_dag) = handles[1]
             .commits()
             .recv_timeout(Duration::from_millis(100))
@@ -415,6 +418,11 @@ fn restarted_node_resumes_from_a_checkpoint_with_a_truncated_wal() {
         }
     }
     assert!(handles[0].round() >= 32, "cluster never got going");
+    assert!(
+        handles[0].metrics().wal_compactions() > 0,
+        "node 0 never rewrote its WAL"
+    );
+    assert_eq!(handles[0].metrics().wal_errors(), 0);
 
     // Phase 2: kill node 0; the survivors keep committing well past more
     // checkpoint boundaries so its WAL checkpoint falls behind the frontier.
