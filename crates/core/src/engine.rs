@@ -3,11 +3,24 @@
 //!
 //! [`ValidatorEngine`] is the paper's validator — receive blocks, advance
 //! rounds, run the commit rule, emit blocks and commits — with every
-//! side-effect reified as data. It owns the local DAG ([`BlockStore`]),
-//! the synchronizer bookkeeping, the [`CommitSequencer`], the
-//! [`EvidencePool`], and Tusk's certified-broadcast ack pipeline, but it
-//! never touches a socket, a clock, a disk, or a thread: drivers feed it
-//! [`Input`]s and carry out the [`Output`]s it returns.
+//! side-effect reified as data. It never touches a socket, a clock, a disk,
+//! or a thread: drivers feed it [`Input`]s and carry out the [`Output`]s it
+//! returns.
+//!
+//! # Where each concern lives
+//!
+//! The engine is a consensus kernel plus three plain components it holds
+//! as fields. Each owns its state outright; the kernel routes inputs to
+//! them and renders what they hand back as outputs.
+//!
+//! | concern | file | state it owns | inputs that reach it |
+//! |---|---|---|---|
+//! | consensus kernel — admission, production, commit rule, linearisation | `engine.rs` (the [`ProposerStrategy`] seam in `engine/proposer.rs`) | local DAG ([`BlockStore`]), [`EvidencePool`], [`CommitSequencer`], proposer strategy, round pacing, [`Mempool`], unreferenced tips, verified-block set, execution state, commit history | `BlockReceived`, `SyncRequest`, `SyncReply`, `EvidenceReceived`, `TxSubmitted`, `TxForwardReceived`, `TimerFired` |
+//! | client ledger — receipts, forwarding, exactly-once accounting | `ingress.rs` ([`ClientLedger`]) | token buckets, receipt counters, commit notes, forwarded digests, own-block tags, committed-digest ledger | `TxBatchReceived`; every own block built; every block sequenced |
+//! | checkpoint book — certification and state-sync material | `checkpointing.rs` ([`CheckpointBook`]) | archived cuts with their snapshots, attestations per position, latest certified position, commit frontier | `CheckpointReceived`, `CheckpointRequested`, `CheckpointSyncReceived`; every checkpoint boundary; checkpoint records at recovery |
+//! | certified broadcast — Tusk's proposal/ack/certificate pipeline | `certified.rs` ([`CertifiedBroadcast`]) | parked proposals, ack tallies, certified own proposals | `ProposalReceived`, `AckReceived`, `CertificateReceived` — only when [`EngineConfig::certified`]; otherwise the component does not exist and the three are dropped |
+//!
+//! # Drivers
 //!
 //! Three drivers share this core:
 //!
@@ -20,6 +33,10 @@
 //! - the **loopback harness** (`mahimahi-node::LoopbackCluster`) maps
 //!   everything onto a deterministic in-memory event queue and records the
 //!   input trace for replay.
+//!
+//! The two that persist follow one rule, stated at
+//! [`WalRecord::is_durable`], and recover through one entry point,
+//! [`ValidatorEngine::restore`].
 //!
 //! # Determinism contract
 //!
@@ -53,25 +70,29 @@
 //!     if b.round() == 1));
 //! ```
 
-use mahimahi_crypto::blake2b::blake2b_256;
 use mahimahi_crypto::Digest;
 use mahimahi_dag::{BlockStore, InsertResult};
 use mahimahi_types::{
-    AuthorityIndex, AuthoritySet, Block, BlockBuilder, BlockRef, Checkpoint, CodecError, Committee,
-    CommitteeMap, Decode, Decoder, Encode, Encoder, Envelope, EquivocationProof, Round, Slot,
-    StateRoot, TestCommittee, Transaction, TxReceipt, TxVerdict, Verified,
+    AuthorityIndex, AuthoritySet, Block, BlockRef, Checkpoint, CodecError, Committee, Decode,
+    Decoder, Encode, Encoder, Envelope, EquivocationProof, Round, Slot, StateRoot, TestCommittee,
+    Transaction, TxReceipt, Verified,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
+use crate::certified::CertifiedBroadcast;
+use crate::checkpointing::CheckpointBook;
 use crate::evidence::EvidencePool;
 use crate::execution::{BalanceLedger, ExecutionState};
-use crate::ingress::{IngressConfig, IngressPolicy, IngressReport};
+use crate::ingress::{ClientLedger, IngressConfig, IngressReport};
 use crate::mempool::{Mempool, MempoolConfig, SubmitResult, TxIntegrityReport};
 use crate::protocol::ProtocolCommitter;
 use crate::sequencer::{CommitDecision, CommitSequencer, CommittedSubDag, SequencerSnapshot};
 use crate::telemetry::{NoopSink, TelemetrySink};
 use mahimahi_telemetry::Stage;
+
+mod proposer;
+pub use proposer::{HonestProposer, ProposeCtx, ProposerStrategy, Route};
 
 /// Engine time in microseconds. The engine is clock-free: this is whatever
 /// monotonic microsecond counter the driver feeds through
@@ -271,9 +292,8 @@ pub enum Output {
     /// just committed.
     TxsCommitted(Vec<u64>),
     /// Append the record to durable storage. Drivers without persistence
-    /// (the simulator) drop this. The node syncs after own-block and
-    /// evidence records — both must survive a crash (accidental
-    /// equivocation, lost convictions).
+    /// (the simulator) drop this; the others sync it before their next
+    /// send when [`WalRecord::is_durable`] says so.
     Persist(WalRecord),
     /// Call back with [`Input::TimerFired`] no later than the given time.
     WakeAt(Time),
@@ -309,8 +329,7 @@ pub enum Output {
 }
 
 /// One durable log record, as emitted through [`Output::Persist`] and
-/// replayed through [`ValidatorEngine::restore_block`] /
-/// [`ValidatorEngine::restore_evidence`] at recovery.
+/// replayed through [`ValidatorEngine::restore`] at recovery.
 #[derive(Debug, Clone)]
 pub enum WalRecord {
     /// A block that entered (or produced by) this validator.
@@ -331,6 +350,27 @@ pub enum WalRecord {
         /// Sequencer snapshot hashing to the checkpoint's resume digest.
         resume: Vec<u8>,
     },
+}
+
+impl WalRecord {
+    /// Whether this record must reach stable storage before anything the
+    /// engine emitted after it leaves the validator — **durability before
+    /// dissemination**, the one persistence rule every driver with a log
+    /// follows. The engine always emits a record's [`Output::Persist`]
+    /// ahead of the [`Output::Broadcast`]/[`Output::SendTo`] that depends
+    /// on it; a driver upholds the rule by syncing its log between
+    /// appending a durable record and its next send.
+    ///
+    /// Durable are: this validator's *own blocks* (a restart that forgot a
+    /// round it already broadcast would produce it again under different
+    /// parents — accidental equivocation), *evidence* (conviction gossip is
+    /// flood-once: a lost conviction is not re-sent) and *checkpoints*
+    /// (the log below the cut is truncated on the strength of this
+    /// record). Peers' blocks can be fetched again through the
+    /// synchronizer, so they ride the next sync.
+    pub fn is_durable(&self, authority: AuthorityIndex) -> bool {
+        !matches!(self, WalRecord::Block(block) if block.author() != authority)
+    }
 }
 
 const WAL_TAG_BLOCK: u8 = 1;
@@ -377,194 +417,6 @@ impl Decode for WalRecord {
     }
 }
 
-/// Where a strategy wants a message to go.
-#[derive(Debug)]
-pub enum Route {
-    /// To every other validator, now.
-    Broadcast(Envelope),
-    /// To one peer, now.
-    Send(usize, Envelope),
-    /// To every other validator, but not before `release` (slow-proposer
-    /// pacing; the engine queues the message and emits the wake-up).
-    Delay(Time, Envelope),
-}
-
-/// How produced blocks are built and disseminated.
-///
-/// The engine computes *when* to produce (quorum, pacing, inclusion wait)
-/// and *what goes in* (parents, transactions); the strategy decides how
-/// many variants to build and who receives which. [`HonestProposer`] builds
-/// one block and broadcasts it — the only strategy real deployments run.
-/// The simulator's Byzantine strategies (equivocators, withholding leaders,
-/// slow proposers) live in `mahimahi-sim` and implement this trait, so
-/// attack behavior composes with the shared core instead of forking it.
-pub trait ProposerStrategy: Send {
-    /// Builds and routes the block(s) for the round described by `ctx`.
-    ///
-    /// Implementations must leave the own chain extendable: admit exactly
-    /// one variant locally ([`ProposeCtx::admit_own`]) or, under a
-    /// certified DAG, register exactly one proposal
-    /// ([`ProposeCtx::register_proposal`]).
-    fn propose(&mut self, ctx: &mut ProposeCtx<'_>);
-
-    /// Routes a certificate just formed for an own proposal (certified
-    /// DAGs). The default broadcasts it.
-    fn route_certificate(&mut self, certificate: Envelope, reference: BlockRef) -> Vec<Route> {
-        let _ = reference;
-        vec![Route::Broadcast(certificate)]
-    }
-}
-
-/// The protocol-faithful strategy: one block, broadcast to everyone
-/// (proposal first under a certified DAG).
-#[derive(Debug, Default)]
-pub struct HonestProposer;
-
-impl ProposerStrategy for HonestProposer {
-    fn propose(&mut self, ctx: &mut ProposeCtx<'_>) {
-        let block = ctx.build(None);
-        if ctx.certified() {
-            ctx.register_proposal(block.clone());
-            ctx.broadcast(Envelope::Proposal(block));
-        } else {
-            ctx.admit_own(block.clone());
-            ctx.broadcast(Envelope::Block(block));
-        }
-    }
-}
-
-/// The build-and-route context handed to a [`ProposerStrategy`] for one
-/// production.
-pub struct ProposeCtx<'a> {
-    engine: &'a mut ValidatorEngine,
-    round: Round,
-    parents: Vec<BlockRef>,
-    transactions: Vec<Transaction>,
-    tags: Vec<(u64, usize)>,
-    routes: Vec<Route>,
-    persists: Vec<WalRecord>,
-}
-
-impl ProposeCtx<'_> {
-    /// The round being produced.
-    pub fn round(&self) -> Round {
-        self.round
-    }
-
-    /// The engine's current time (for pacing strategies).
-    pub fn now(&self) -> Time {
-        self.engine.now
-    }
-
-    /// The producing authority.
-    pub fn authority(&self) -> AuthorityIndex {
-        self.engine.config.authority
-    }
-
-    /// Committee size `n`.
-    pub fn committee_size(&self) -> usize {
-        self.engine.committee.size()
-    }
-
-    /// The committee's fault bound `f`.
-    pub fn f(&self) -> usize {
-        self.engine.committee.f()
-    }
-
-    /// Whether blocks require certification before entering the DAG.
-    pub fn certified(&self) -> bool {
-        self.engine.config.certified
-    }
-
-    /// Builds one signed variant of this round's block over the engine's
-    /// parents and drained transactions. `tag` appends one extra marker
-    /// transaction, letting equivocation strategies mint conflicting
-    /// variants. Every built variant is registered for own-transaction
-    /// commit accounting.
-    pub fn build(&mut self, tag: Option<u64>) -> Arc<Block> {
-        let authority = self.engine.config.authority;
-        let mut builder = BlockBuilder::new(authority, self.round)
-            .parents(self.parents.clone())
-            .transactions(self.transactions.iter().cloned());
-        if let Some(tag) = tag {
-            builder = builder.transaction(Transaction::new(tag.to_le_bytes().to_vec()));
-        }
-        let block = builder
-            .build_with(
-                self.engine.config.setup.keypair(authority),
-                self.engine.config.setup.coin_secret(authority),
-            )
-            .into_arc();
-        self.engine
-            .own_block_txs
-            .insert(block.reference(), self.tags.clone());
-        block
-    }
-
-    /// Admits `block` into the local DAG as this validator's block of the
-    /// round and schedules its persistence.
-    pub fn admit_own(&mut self, block: Arc<Block>) {
-        self.persists.push(WalRecord::Block(block.clone()));
-        self.engine.insert_own(block);
-    }
-
-    /// Registers `block` as a pending own proposal (certified pipeline):
-    /// it enters the DAG only once a certificate forms; the own
-    /// acknowledgement is counted immediately.
-    pub fn register_proposal(&mut self, block: Arc<Block>) {
-        let reference = block.reference();
-        self.engine.pending_proposals.insert(reference, block);
-        self.engine
-            .ack_votes
-            .entry(reference)
-            .or_default()
-            .insert(self.engine.config.authority);
-    }
-
-    // --------------------------------------------------------------
-    // Read-only views of the live consensus state, for adaptive
-    // strategies that pick victims from what the DAG actually shows
-    // instead of a precomputed schedule.
-
-    /// Authorities with a block at `round` in the local DAG (allocation-free
-    /// bitset copy).
-    pub fn authorities_at_round(&self, round: Round) -> AuthoritySet {
-        self.engine.store.authorities_at_round(round)
-    }
-
-    /// Authorities this validator has observed equivocating (live store
-    /// view).
-    pub fn observed_equivocators(&self) -> AuthoritySet {
-        self.engine.store.equivocators()
-    }
-
-    /// Authorities convicted through the evidence pool.
-    pub fn convicted(&self) -> AuthoritySet {
-        self.engine.evidence.convicted_set()
-    }
-
-    /// The quorum threshold `2f + 1`.
-    pub fn quorum_threshold(&self) -> usize {
-        self.engine.committee.quorum_threshold()
-    }
-
-    /// Routes `envelope` to every other validator.
-    pub fn broadcast(&mut self, envelope: Envelope) {
-        self.routes.push(Route::Broadcast(envelope));
-    }
-
-    /// Routes `envelope` to one peer.
-    pub fn send(&mut self, peer: usize, envelope: Envelope) {
-        self.routes.push(Route::Send(peer, envelope));
-    }
-
-    /// Routes `envelope` to every other validator no earlier than
-    /// `release`.
-    pub fn delay_broadcast(&mut self, release: Time, envelope: Envelope) {
-        self.routes.push(Route::Delay(release, envelope));
-    }
-}
-
 /// Static parameters of a [`ValidatorEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -585,13 +437,6 @@ pub struct EngineConfig {
     /// age-based mempool forwarding. Fully permissive by default. See
     /// [`IngressConfig`].
     pub ingress: IngressConfig,
-    /// Whether the engine keeps the committed-transaction digest set that
-    /// backs [`ValidatorEngine::tx_integrity`]'s duplicate-commit counter.
-    /// On by default (the scenario harness gates on it); long
-    /// multi-million-transaction sweeps turn it off to halve digest-set
-    /// growth. (The mempool's own accepted-digest ledger stays regardless
-    /// — retention *is* the dedup/replay protection.)
-    pub track_tx_integrity: bool,
     /// How long to keep collecting previous-round blocks after the quorum
     /// arrived before producing the next round. Real implementations pace
     /// rounds this way so that far-region blocks stay referenced; advancing
@@ -624,7 +469,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// An uncertified configuration with no pacing, no GC, and the default
-    /// block capacity — the base both drivers specialize.
+    /// block capacity — the base every driver specializes.
     pub fn new(authority: AuthorityIndex, setup: TestCommittee) -> Self {
         EngineConfig {
             authority,
@@ -632,7 +477,6 @@ impl EngineConfig {
             certified: false,
             mempool: MempoolConfig::default(),
             ingress: IngressConfig::default(),
-            track_tx_integrity: true,
             inclusion_wait: 0,
             min_round_interval: 0,
             gc_depth: None,
@@ -642,13 +486,45 @@ impl EngineConfig {
     }
 }
 
+/// What this engine has sequenced so far.
+#[derive(Default)]
+struct CommitHistory {
+    /// The committed leader sequence (`None` = skipped slot), for safety
+    /// checking across validators. Cleared when a checkpoint is installed:
+    /// the log then covers only post-checkpoint decisions.
+    log: Vec<Option<BlockRef>>,
+    committed_slots: u64,
+    skipped_slots: u64,
+    sequenced_blocks: u64,
+    /// Transactions committed, across all authors.
+    committed_transactions: u64,
+}
+
+impl CommitHistory {
+    fn record(&mut self, decision: &CommitDecision) {
+        match decision {
+            CommitDecision::Skip(..) => {
+                self.skipped_slots += 1;
+                self.log.push(None);
+            }
+            CommitDecision::Commit(sub_dag) => {
+                self.log.push(Some(sub_dag.leader));
+                self.committed_slots += 1;
+                self.sequenced_blocks += usize_gauge(sub_dag.blocks.len());
+                for block in &sub_dag.blocks {
+                    self.committed_transactions += usize_gauge(block.transactions().len());
+                }
+            }
+        }
+    }
+}
+
 /// The transport-free, clock-free validator state machine.
 ///
-/// See the [module docs](crate::engine) for the driver contract and the
-/// determinism guarantee.
+/// See the [module docs](crate::engine) for what lives where, the driver
+/// contract and the determinism guarantee.
 pub struct ValidatorEngine {
     config: EngineConfig,
-    committee: Committee,
     store: BlockStore,
     evidence: EvidencePool,
     sequencer: CommitSequencer<Box<dyn ProtocolCommitter>>,
@@ -667,70 +543,9 @@ pub struct ValidatorEngine {
     pending_out: VecDeque<(Time, Envelope)>,
     /// The bounded client-transaction pool feeding block production.
     mempool: Mempool,
-    /// Per-client token buckets (external clients only; committee peers
-    /// are exempt by construction).
-    ingress: IngressPolicy,
-    /// Receipt/forwarding ledger (the `forwarded`/`rate_limited` fields
-    /// are filled from the mempool at report time).
-    ingress_counters: IngressReport,
-    /// Commit notifications owed to clients: `(batch tag, client)` → how
-    /// many accepted transactions of that batch are still unsequenced.
-    /// Keys are time-ordered (tags are engine receive times), so stale
-    /// entries — batches whose transactions will never all commit here,
-    /// e.g. after an equivocating peer got one linearized first — are
-    /// pruned from the front by retention.
-    pending_commit_notes: BTreeMap<(u64, usize), u64>,
-    /// Digests of transactions forwarded to a peer, with the batch
-    /// bookkeeping needed to close their commit notes when any sequenced
-    /// block carries them.
-    forwarded_out: HashMap<Digest, (u64, usize)>,
-    /// Engine time of the last commit-note retention sweep.
-    last_note_gc: Time,
-    /// Round-robin cursor over peers for forwarding frames.
-    forward_cursor: usize,
     /// Blocks in the local DAG that no stored block references yet —
     /// candidates for the next block's parent list.
     unreferenced: BTreeSet<BlockRef>,
-    /// Certified pipeline: proposals awaiting a certificate.
-    pending_proposals: HashMap<BlockRef, Arc<Block>>,
-    /// Certified pipeline: acknowledgements collected for own proposals.
-    /// Per-proposal voter tallies are dense bitsets — quorum checks are
-    /// popcounts, not hash-set cardinalities.
-    ack_votes: HashMap<BlockRef, AuthoritySet>,
-    /// Certified pipeline: own proposals already certified.
-    certified_own: HashSet<BlockRef>,
-    /// `(tag, client)` pairs of transactions in own blocks, resolved at
-    /// commit (tags echoed through [`Output::TxsCommitted`], clients used
-    /// to close their batches' commit notes).
-    own_block_txs: HashMap<BlockRef, Vec<(u64, usize)>>,
-    /// Commit statistics.
-    committed_slots: u64,
-    skipped_slots: u64,
-    sequenced_blocks: u64,
-    committed_transactions: u64,
-    /// Own accepted transactions that committed (tags returned).
-    own_committed_txs: u64,
-    /// Digests of transactions committed in *own* blocks — the
-    /// exactly-once ledger behind `duplicate_committed`. Scoped to own
-    /// blocks because they are the unforgeable image of this validator's
-    /// mempool drains: a Byzantine peer can always copy an observed
-    /// payload into its own blocks (and an equivocator can get its spam
-    /// linearized under two conflicting digests), but it cannot sign a
-    /// block as this authority. Kept only when
-    /// [`EngineConfig::track_tx_integrity`] is on, and GC'd against the
-    /// commit frontier (the same floor as `verified_blocks`) through the
-    /// round-keyed index below — floored linearization guarantees nothing
-    /// below the floor can commit again, so pruning is exact within the
-    /// GC window. With GC off the ledger is retained in full.
-    committed_tx_digests: HashSet<Digest>,
-    /// Round-keyed index into `committed_tx_digests` (the round of the own
-    /// block that committed each digest), enabling frontier GC.
-    committed_digests_by_round: BTreeMap<Round, Vec<Digest>>,
-    /// Accepted transactions that committed twice across own blocks.
-    duplicate_committed: u64,
-    /// The committed leader sequence (`None` = skipped slot), for safety
-    /// checking across validators.
-    commit_log: Vec<Option<BlockRef>>,
     /// Digests of blocks whose signature and coin share already verified,
     /// keyed by round so GC can prune them with the store. The digest
     /// covers the entire content, so a same-digest block is byte-identical
@@ -741,38 +556,15 @@ pub struct ValidatorEngine {
     signature_checks: u64,
     /// The deterministic state machine folded over the commit stream.
     execution: Box<dyn ExecutionState>,
-    /// The last committed leader (genesis-zero sentinel before the first
-    /// commit) — recorded in every checkpoint as the commit frontier.
-    last_committed_leader: BlockRef,
-    /// Own (or adopted) checkpoints with the snapshots they attest, keyed
-    /// by position: the material served to state-syncing peers. Pruned to
-    /// [`CHECKPOINT_RETENTION`] entries.
-    checkpoint_archive: BTreeMap<u64, (Checkpoint, Vec<u8>, Vec<u8>)>,
-    /// Verified attestations collected per position per authority (own
-    /// included), committee-dense per position. Iteration is in authority
-    /// order by construction. Pruned alongside the archive.
-    peer_checkpoints: BTreeMap<u64, CommitteeMap<Checkpoint>>,
-    /// Highest position with a quorum of matching attestations *and* an
-    /// archived snapshot — what `CheckpointRequest` is answered with.
-    latest_certified: Option<u64>,
-    /// Position of `commit_log[0]` (non-zero after a state-sync adoption:
-    /// the log then covers only post-checkpoint decisions).
-    commit_log_base: u64,
+    history: CommitHistory,
+    clients: ClientLedger,
+    checkpoints: CheckpointBook,
+    /// `Some` exactly when [`EngineConfig::certified`].
+    certified: Option<CertifiedBroadcast>,
     /// Record-only stage observer (default: [`NoopSink`]). Never consulted
     /// for decisions — see [`crate::telemetry`] for the contract.
     telemetry: Arc<dyn TelemetrySink>,
 }
-
-/// How many checkpoint positions the engine retains attestations and
-/// snapshots for. Old entries can never certify once a newer one has, so
-/// a small window bounds memory without losing safety.
-const CHECKPOINT_RETENTION: usize = 8;
-
-/// How long (engine microseconds) unresolved commit notes and forwarded
-/// digests are retained before the periodic sweep drops them — ten
-/// minutes, orders of magnitude past any commit latency this repo
-/// measures.
-const NOTE_RETENTION: Time = 600_000_000;
 
 impl ValidatorEngine {
     /// Creates the engine with an explicit [`ProposerStrategy`].
@@ -782,20 +574,14 @@ impl ValidatorEngine {
         strategy: Box<dyn ProposerStrategy>,
     ) -> Self {
         let committee = config.setup.committee().clone();
-        let store = BlockStore::new(committee.size(), committee.quorum_threshold());
-        let unreferenced = Block::all_genesis(committee.size())
-            .iter()
-            .map(Block::reference)
-            .collect();
         let mut sequencer = CommitSequencer::new(committer);
         if let Some(depth) = config.gc_depth {
             sequencer = sequencer.with_gc_depth(depth);
         }
         sequencer.set_checkpoint_interval(config.checkpoint_interval);
         ValidatorEngine {
+            store: BlockStore::new(committee.size(), committee.quorum_threshold()),
             evidence: EvidencePool::new(committee.clone()),
-            committee,
-            store,
             sequencer,
             strategy: Some(strategy),
             now: 0,
@@ -804,38 +590,19 @@ impl ValidatorEngine {
             last_production: None,
             pending_out: VecDeque::new(),
             mempool: Mempool::new(config.mempool),
-            ingress: IngressPolicy::new(config.ingress),
-            ingress_counters: IngressReport::default(),
-            pending_commit_notes: BTreeMap::new(),
-            forwarded_out: HashMap::new(),
-            last_note_gc: 0,
-            forward_cursor: config.authority.as_usize() + 1,
-            unreferenced,
-            pending_proposals: HashMap::new(),
-            ack_votes: HashMap::new(),
-            certified_own: HashSet::new(),
-            own_block_txs: HashMap::new(),
-            committed_slots: 0,
-            skipped_slots: 0,
-            sequenced_blocks: 0,
-            committed_transactions: 0,
-            own_committed_txs: 0,
-            committed_tx_digests: HashSet::new(),
-            committed_digests_by_round: BTreeMap::new(),
-            duplicate_committed: 0,
-            commit_log: Vec::new(),
+            unreferenced: Block::all_genesis(committee.size())
+                .iter()
+                .map(Block::reference)
+                .collect(),
             verified_blocks: BTreeMap::new(),
             signature_checks: 0,
             execution: Box::new(BalanceLedger::new()),
-            last_committed_leader: BlockRef {
-                round: 0,
-                author: AuthorityIndex(0),
-                digest: Digest::ZERO,
-            },
-            checkpoint_archive: BTreeMap::new(),
-            peer_checkpoints: BTreeMap::new(),
-            latest_certified: None,
-            commit_log_base: 0,
+            history: CommitHistory::default(),
+            clients: ClientLedger::new(config.ingress, config.authority, committee.size()),
+            certified: config
+                .certified
+                .then(|| CertifiedBroadcast::new(config.authority, committee.quorum_threshold())),
+            checkpoints: CheckpointBook::new(committee),
             telemetry: Arc::new(NoopSink),
             config,
         }
@@ -876,58 +643,31 @@ impl ValidatorEngine {
             Input::TxSubmitted { transaction, tag } => {
                 // Enqueue-only: inclusion happens at the next production so
                 // batch submissions do not fragment across blocks.
-                let result = self.submit_transaction(transaction, tag);
-                if result.is_accepted() {
+                // Locally submitted transactions belong to this validator's
+                // own client id (a committee member — never rate-limited).
+                let client = self.config.authority.as_usize();
+                let reason = self.mempool.submit(transaction, tag, client, self.now);
+                if reason.is_accepted() {
                     self.arm_forward_timer(&mut outputs);
                 } else {
-                    outputs.push(Output::TxRejected {
-                        tag,
-                        reason: result,
-                    });
+                    outputs.push(Output::TxRejected { tag, reason });
                 }
                 return outputs;
             }
-            Input::TxBatchReceived { from, transactions } => {
-                // Wire batches carry no per-transaction tag; the engine's
-                // receive time stands in, turning the receipt tag (and the
-                // TxsCommitted tags) into client-observed commit latencies.
+            Input::TxBatchReceived {
+                from: peer,
+                transactions,
+            } => {
                 if transactions.is_empty() {
                     return outputs; // cannot arrive via the wire codec
                 }
-                let tag = self.now;
-                self.ingress_counters.batches_received += 1;
-                // Committee members (forwarding peers, the node's own
-                // submission channel) are never rate-limited; only
-                // external client connections pay the token bucket.
-                let external = from >= self.committee.size();
-                let mut verdicts = Vec::with_capacity(transactions.len());
-                for transaction in transactions {
-                    let verdict = if external && !self.ingress.admit(from, tag) {
-                        self.mempool.note_rate_limited();
-                        TxVerdict::RateLimited
-                    } else {
-                        match self.mempool.submit(transaction, tag, from, tag) {
-                            SubmitResult::Accepted => TxVerdict::Accepted,
-                            SubmitResult::Duplicate => TxVerdict::Duplicate,
-                            SubmitResult::Full => TxVerdict::Full,
-                        }
-                    };
-                    verdicts.push(verdict);
-                }
-                let accepted = usize_gauge(verdicts.iter().filter(|v| v.is_accepted()).count());
-                if accepted > 0 {
-                    // Open the commit note: the Committed receipt fires
-                    // once every accepted transaction of the batch is
-                    // sequenced (locally or at a forwarding target).
-                    *self.pending_commit_notes.entry((tag, from)).or_insert(0) += accepted;
-                    self.ingress_counters.notes_opened += 1;
+                let (receipt, accepted) =
+                    self.clients
+                        .admit_batch(&mut self.mempool, peer, transactions, self.now);
+                if accepted {
                     self.arm_forward_timer(&mut outputs);
                 }
-                self.ingress_counters.receipts_emitted += 1;
-                outputs.push(Output::TxReceipt {
-                    peer: from,
-                    receipt: TxReceipt::Admission { tag, verdicts },
-                });
+                outputs.push(Output::TxReceipt { peer, receipt });
                 return outputs;
             }
             Input::TxForwardReceived { from, transactions } => {
@@ -951,48 +691,11 @@ impl ValidatorEngine {
             Input::BlockReceived { from, block } => {
                 self.accept_block(block, from, &mut outputs);
             }
-            // The certified-pipeline messages exist on the shared wire for
-            // every driver, but an uncertified engine must drop them: a
-            // TCP peer could otherwise grow `pending_proposals`/`ack_votes`
-            // without bound (no certificate ever drains them) or spoof
-            // ack quorums — the acks are voter claims, not signatures, a
-            // simulation-fidelity shortcut acceptable only where the
-            // protocol actually runs certified.
-            Input::ProposalReceived { from, block } => {
-                if !self.config.certified {
+            message @ (Input::ProposalReceived { .. }
+            | Input::AckReceived { .. }
+            | Input::CertificateReceived { .. }) => {
+                if !self.on_certified_message(message, &mut outputs) {
                     return outputs;
-                }
-                let reference = block.reference();
-                self.pending_proposals.insert(reference, block);
-                outputs.push(Output::SendTo(
-                    from,
-                    Envelope::Ack {
-                        reference,
-                        voter: self.config.authority,
-                    },
-                ));
-            }
-            Input::AckReceived {
-                from,
-                reference,
-                voter,
-            } => {
-                if !self.config.certified {
-                    return outputs;
-                }
-                self.on_ack(from, reference, voter, &mut outputs);
-            }
-            Input::CertificateReceived {
-                from, reference, ..
-            } => {
-                if !self.config.certified {
-                    return outputs;
-                }
-                if let Some(block) = self.pending_proposals.remove(&reference) {
-                    self.accept_block(block, from, &mut outputs);
-                } else if !self.store.contains(&reference) {
-                    // Certificate outran the proposal: fetch the block.
-                    outputs.push(Output::SendTo(from, Envelope::Request(vec![reference])));
                 }
             }
             Input::SyncRequest { from, references } => {
@@ -1024,10 +727,10 @@ impl ValidatorEngine {
             // points (never delegated to the admission verify stage), so
             // `handle_verified` stays byte-identical to `handle`.
             Input::CheckpointReceived { checkpoint, .. } => {
-                self.ingest_checkpoint(checkpoint);
+                self.checkpoints.ingest(checkpoint);
             }
             Input::CheckpointRequested { from } => {
-                if let Some(envelope) = self.checkpoint_response() {
+                if let Some(envelope) = self.checkpoints.response() {
                     outputs.push(Output::SendTo(from, envelope));
                 }
             }
@@ -1044,7 +747,13 @@ impl ValidatorEngine {
         // Forwarding runs after advance: anything production could drain
         // into an own block stays local; only what this validator cannot
         // propose (halted, paced out) moves to a peer.
-        self.forward_aged(&mut outputs);
+        if let Some((peer, transactions)) =
+            self.clients
+                .forward_aged(&mut self.mempool, &self.evidence, self.now)
+        {
+            outputs.push(Output::SendTo(peer, Envelope::TxForward(transactions)));
+        }
+        self.arm_forward_timer(&mut outputs);
         self.commit(&mut outputs);
         outputs
     }
@@ -1074,57 +783,75 @@ impl ValidatorEngine {
         self.handle(input)
     }
 
-    /// Submits a client transaction to the mempool without driving the
-    /// state machine (equivalent to [`Input::TxSubmitted`]), returning the
-    /// backpressure signal directly.
-    pub fn submit_transaction(&mut self, transaction: Transaction, tag: u64) -> SubmitResult {
-        // Locally submitted transactions belong to this validator's own
-        // client id (a committee member — never rate-limited).
-        let client = self.config.authority.as_usize();
-        self.mempool.submit(transaction, tag, client, self.now)
+    // ------------------------------------------------------------------
+    // Recovery (used by the drivers before the first `handle`).
+
+    /// Replays one record of this validator's own durable log: no outputs,
+    /// no gossip. Returns whether the record was valid and took effect — a
+    /// block that verifies, a proof that convicts, a checkpoint ahead of
+    /// the local sequence whose snapshots match the roots it signs.
+    pub fn restore(&mut self, record: WalRecord) -> bool {
+        match record {
+            WalRecord::Block(block) => self.restore_block(block),
+            WalRecord::Evidence(proof) => self.restore_evidence(proof),
+            WalRecord::Checkpoint {
+                checkpoint,
+                execution,
+                resume,
+            } => self.restore_checkpoint(checkpoint, execution, resume),
+        }
     }
 
-    // ------------------------------------------------------------------
-    // Recovery (used by the node before the first `handle`).
-
-    /// Re-inserts a block from durable storage: no outputs, no gossip.
-    /// Invalid blocks are skipped; own blocks advance the produced-round
-    /// watermark even when their ancestry is still missing (a torn log
-    /// tail must not cause accidental equivocation). Evidence surfaced by
-    /// replayed conflicts is convicted silently.
-    pub fn restore_block(&mut self, block: Arc<Block>) {
+    /// Re-inserts a block from durable storage. Invalid blocks are
+    /// skipped; own blocks advance the produced-round watermark even when
+    /// their ancestry is still missing (a torn log tail must not cause
+    /// accidental equivocation). Evidence surfaced by replayed conflicts
+    /// is convicted silently.
+    fn restore_block(&mut self, block: Arc<Block>) -> bool {
         if !self.check_block(&block) {
-            return;
+            return false;
         }
         if block.author() == self.config.authority {
             self.round = self.round.max(block.round());
         }
-        if let Ok(InsertResult::Inserted(admitted)) = self.store.insert(block) {
-            for reference in admitted {
-                self.note_admitted(reference);
-            }
-        }
+        self.admit(block);
         for proof in self.store.take_equivocation_evidence() {
             let _ = self.evidence.submit(proof);
         }
+        true
     }
 
-    /// Re-submits a persisted conviction: no outputs, no re-gossip.
-    pub fn restore_evidence(&mut self, proof: EquivocationProof) {
-        let _ = self.evidence.submit(proof);
+    /// Re-submits a persisted conviction.
+    fn restore_evidence(&mut self, proof: EquivocationProof) -> bool {
+        self.evidence.submit(proof).is_ok()
+    }
+
+    /// Restores a persisted checkpoint: installed if its snapshots match
+    /// the signed roots and it advances the local sequence. No quorum is
+    /// required — the record came from this validator's own durable log.
+    fn restore_checkpoint(
+        &mut self,
+        checkpoint: Checkpoint,
+        execution: Vec<u8>,
+        resume: Vec<u8>,
+    ) -> bool {
+        if !self.install_cut(&checkpoint, &execution, &resume) {
+            return false;
+        }
+        self.checkpoints.archive(checkpoint, execution, resume);
+        true
     }
 
     // ------------------------------------------------------------------
     // Accessors.
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// The authority this engine runs as.
     pub fn authority(&self) -> AuthorityIndex {
         self.config.authority
+    }
+
+    fn committee(&self) -> &Committee {
+        self.config.setup.committee()
     }
 
     /// The local DAG.
@@ -1153,11 +880,6 @@ impl ValidatorEngine {
         self.round
     }
 
-    /// The engine's current (driver-fed) time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
     /// Transactions waiting for inclusion.
     pub fn queued_transactions(&self) -> usize {
         self.mempool.len()
@@ -1176,25 +898,7 @@ impl ValidatorEngine {
     /// [`TxIntegrityReport::occupancy_bounded`], and a zero
     /// `duplicate_committed` count.
     pub fn tx_integrity(&self) -> TxIntegrityReport {
-        TxIntegrityReport {
-            accepted: self.mempool.accepted(),
-            rejected_duplicate: self.mempool.rejected_duplicate(),
-            rejected_full: self.mempool.rejected_full(),
-            rejected_rate_limited: self.mempool.rejected_rate_limited(),
-            forwarded: self.mempool.forwarded(),
-            pending: usize_gauge(self.mempool.len()),
-            in_flight: self
-                .own_block_txs
-                .values()
-                .map(|tags| usize_gauge(tags.len()))
-                .sum(),
-            own_committed: self.own_committed_txs,
-            duplicate_committed: self.duplicate_committed,
-            peak_occupancy_txs: usize_gauge(self.mempool.peak_txs()),
-            peak_occupancy_bytes: usize_gauge(self.mempool.peak_bytes()),
-            capacity_txs: usize_gauge(self.config.mempool.capacity_txs),
-            capacity_bytes: usize_gauge(self.config.mempool.capacity_bytes),
-        }
+        self.clients.tx_integrity(&self.mempool)
     }
 
     /// A point-in-time accounting of the client-ingress subsystem:
@@ -1203,38 +907,34 @@ impl ValidatorEngine {
     /// oracle holds every correct validator to
     /// [`IngressReport::violations`] being empty.
     pub fn ingress_report(&self) -> IngressReport {
-        IngressReport {
-            forwarded: self.mempool.forwarded(),
-            rate_limited: self.mempool.rejected_rate_limited(),
-            ..self.ingress_counters
-        }
+        self.clients.ingress_report(&self.mempool)
     }
 
     /// The committed leader sequence so far (`None` entries are skipped
     /// slots). Any two honest validators' logs must be prefix-consistent —
     /// the safety property of Lemmas 5–7.
     pub fn commit_log(&self) -> &[Option<BlockRef>] {
-        &self.commit_log
+        &self.history.log
     }
 
     /// Committed leader slots so far.
     pub fn committed_slots(&self) -> u64 {
-        self.committed_slots
+        self.history.committed_slots
     }
 
     /// Skipped leader slots so far.
     pub fn skipped_slots(&self) -> u64 {
-        self.skipped_slots
+        self.history.skipped_slots
     }
 
     /// Blocks linearized into the total order so far.
     pub fn sequenced_blocks(&self) -> u64 {
-        self.sequenced_blocks
+        self.history.sequenced_blocks
     }
 
     /// Transactions committed (across all authors) so far.
     pub fn committed_transactions(&self) -> u64 {
-        self.committed_transactions
+        self.history.committed_transactions
     }
 
     /// Full block verifications performed so far (verified-set cache
@@ -1251,36 +951,24 @@ impl ValidatorEngine {
         self.execution.state_root()
     }
 
-    /// The execution state machine (read-only).
-    pub fn execution(&self) -> &dyn ExecutionState {
-        self.execution.as_ref()
-    }
-
-    /// The highest checkpoint position this engine has both a quorum of
-    /// matching attestations and archived snapshots for — what it serves
-    /// to state-syncing peers.
-    pub fn latest_certified_checkpoint(&self) -> Option<u64> {
-        self.latest_certified
-    }
-
     /// The engine's own latest signed (or adopted) checkpoint, if any.
     pub fn latest_checkpoint(&self) -> Option<&Checkpoint> {
-        self.checkpoint_archive
-            .last_key_value()
-            .map(|(_, (checkpoint, _, _))| checkpoint)
+        self.checkpoints.latest()
     }
 
     /// The sequence position of `commit_log()[0]`: zero normally, the
     /// checkpoint position after a state-sync adoption (the log then
-    /// covers only post-checkpoint decisions).
+    /// covers only post-checkpoint decisions). Every decision the
+    /// sequencer hands out is logged, so the base is whatever the log does
+    /// not cover.
     pub fn commit_log_base(&self) -> u64 {
-        self.commit_log_base
+        self.sequencer.sequenced_slots() - usize_gauge(self.history.log.len())
     }
 
     /// Current size of the committed-digest exactly-once ledger (bounded
     /// by frontier GC when `gc_depth` is set; see `tests/engine_proptest`).
     pub fn committed_digest_ledger_len(&self) -> usize {
-        self.committed_tx_digests.len()
+        self.clients.digest_ledger_len()
     }
 
     // ------------------------------------------------------------------
@@ -1301,23 +989,44 @@ impl ValidatorEngine {
             return true;
         }
         self.signature_checks += 1;
-        if block.verify(&self.committee).is_err() {
+        if block.verify(self.config.setup.committee()).is_err() {
             return false;
         }
-        self.verified_blocks
-            .entry(block.round())
-            .or_default()
-            .insert(digest);
+        self.mark_verified(block);
         true
     }
 
-    /// Records that `block` passed an external verify stage (the caller's
-    /// [`Verified`] witness is the promise).
+    /// Records that `block` passed verification — here, or in an external
+    /// verify stage (the caller's [`Verified`] witness is the promise).
     fn mark_verified(&mut self, block: &Block) {
         self.verified_blocks
             .entry(block.round())
             .or_default()
             .insert(block.digest());
+    }
+
+    /// The one place a block joins the local DAG: inserts it and, for
+    /// every block that became available (the block itself and any
+    /// waiters it released), maintains the unreferenced-tips set. Returns
+    /// the ancestors still missing — empty unless the block was buffered.
+    /// Duplicates, blocks below the GC floor and out-of-range authors
+    /// (which [`Self::check_block`] already rejected) change nothing.
+    fn admit(&mut self, block: Arc<Block>) -> Vec<BlockRef> {
+        match self.store.insert(block) {
+            Ok(InsertResult::Inserted(admitted)) => {
+                for reference in admitted {
+                    if let Some(block) = self.store.get(&reference) {
+                        for parent in block.parents() {
+                            self.unreferenced.remove(parent);
+                        }
+                    }
+                    self.unreferenced.insert(reference);
+                }
+                Vec::new()
+            }
+            Ok(InsertResult::Pending(missing)) => missing,
+            _ => Vec::new(),
+        }
     }
 
     /// Validates and inserts a block, driving the synchronizer on gaps.
@@ -1327,52 +1036,67 @@ impl ValidatorEngine {
         }
         // Persist before acting: recovery must see everything acted on.
         outputs.push(Output::Persist(WalRecord::Block(block.clone())));
-        match self.store.insert(block) {
-            Ok(InsertResult::Inserted(admitted)) => {
-                for reference in admitted {
-                    self.note_admitted(reference);
-                }
-                self.harvest_evidence(outputs);
-            }
-            Ok(InsertResult::Pending(missing)) => {
-                outputs.push(Output::SendTo(from, Envelope::Request(missing)));
-            }
-            Ok(InsertResult::Duplicate) | Ok(InsertResult::BelowGcFloor) => {}
-            Err(_) => {}
+        let missing = self.admit(block);
+        if missing.is_empty() {
+            self.harvest_evidence(outputs);
+        } else {
+            outputs.push(Output::SendTo(from, Envelope::Request(missing)));
         }
     }
 
-    /// Certified pipeline: counts an acknowledgement of an own proposal
-    /// and forms the certificate at quorum.
-    fn on_ack(
-        &mut self,
-        from: usize,
-        reference: BlockRef,
-        voter: AuthorityIndex,
-        outputs: &mut Vec<Output>,
-    ) {
-        if reference.author != self.config.authority || self.certified_own.contains(&reference) {
-            return;
-        }
-        let votes = self.ack_votes.entry(reference).or_default();
-        votes.insert(voter);
-        if votes.len() < self.committee.quorum_threshold() {
-            return;
-        }
-        let signatures = votes.len();
-        self.certified_own.insert(reference);
-        let certificate = Envelope::Certificate {
-            reference,
-            signatures,
+    /// The certified pipeline's three wire messages. Returns `false` when
+    /// the message was dropped without effect: this engine runs
+    /// uncertified (see [`crate::certified`] for why it must then neither
+    /// buffer, ack, nor act), or the message concerns a round below the GC
+    /// floor — a late ack for a pruned own proposal must not re-open a
+    /// tally and mint a second certificate, and a proposal parked there
+    /// could never be released.
+    fn on_certified_message(&mut self, message: Input, outputs: &mut Vec<Output>) -> bool {
+        let Some(certified) = &mut self.certified else {
+            return false;
         };
-        let mut strategy = self.strategy.take().expect("strategy present");
-        let routes = strategy.route_certificate(certificate, reference);
-        self.strategy = Some(strategy);
-        self.apply_routes(routes, outputs);
-        // Apply the certificate locally.
-        if let Some(block) = self.pending_proposals.remove(&reference) {
-            self.accept_block(block, from, outputs);
+        let floor = self.store.gc_cutoff();
+        match message {
+            Input::ProposalReceived { from, block } if block.round() >= floor => {
+                let reference = certified.park(block);
+                let voter = self.config.authority;
+                outputs.push(Output::SendTo(from, Envelope::Ack { reference, voter }));
+            }
+            Input::AckReceived {
+                from,
+                reference,
+                voter,
+            } if reference.round >= floor => {
+                let Some(signatures) = certified.on_ack(reference, voter) else {
+                    return true;
+                };
+                let proposal = certified.release(&reference);
+                let certificate = Envelope::Certificate {
+                    reference,
+                    signatures,
+                };
+                let mut strategy = self.strategy.take().expect("strategy present");
+                let routes = strategy.route_certificate(certificate, reference);
+                self.strategy = Some(strategy);
+                self.apply_routes(routes, outputs);
+                // Apply the certificate locally.
+                if let Some(block) = proposal {
+                    self.accept_block(block, from, outputs);
+                }
+            }
+            Input::CertificateReceived {
+                from, reference, ..
+            } if reference.round >= floor => {
+                if let Some(block) = certified.release(&reference) {
+                    self.accept_block(block, from, outputs);
+                } else if !self.store.contains(&reference) {
+                    // Certificate outran the proposal: fetch the block.
+                    outputs.push(Output::SendTo(from, Envelope::Request(vec![reference])));
+                }
+            }
+            _ => return false,
         }
+        true
     }
 
     /// Collects proofs the store emitted at admission, convicting locally
@@ -1397,117 +1121,13 @@ impl ValidatorEngine {
     // ------------------------------------------------------------------
     // Checkpoints and state-sync.
 
-    /// Collects a verified peer attestation and re-checks certification.
-    /// Invalid signatures are dropped; a second (conflicting) attestation
-    /// from the same authority at the same position is ignored —
-    /// first-write-wins keeps quorum counting per-authority, and `f`
-    /// double-signers can never complete two conflicting quorums.
-    fn ingest_checkpoint(&mut self, checkpoint: Checkpoint) {
-        if checkpoint.verify(&self.committee).is_err() {
-            return;
-        }
-        // Positions already pruned (older than anything retained) are not
-        // worth collecting for.
-        if let Some((&oldest, _)) = self.checkpoint_archive.first_key_value() {
-            if checkpoint.position() < oldest {
-                return;
-            }
-        }
-        self.record_attestation(checkpoint);
-        self.refresh_certification();
-    }
-
-    /// First-write-wins collection of a verified attestation: the first
-    /// checkpoint an authority signs for a position is the one counted.
-    fn record_attestation(&mut self, checkpoint: Checkpoint) {
-        let committee_size = self.committee.size();
-        let votes = self
-            .peer_checkpoints
-            .entry(checkpoint.position())
-            .or_insert_with(|| CommitteeMap::new(committee_size));
-        let authority = checkpoint.authority();
-        if !votes.contains_key(authority) {
-            votes.insert(authority, checkpoint);
-        }
-    }
-
-    /// Recomputes the latest certified position: the highest archived
-    /// position where a quorum of distinct authorities attests the same
-    /// `(state_root, resume_digest)` as the archived checkpoint.
-    fn refresh_certification(&mut self) {
-        let quorum = self.committee.quorum_threshold();
-        let certified = self
-            .checkpoint_archive
-            .iter()
-            .rev()
-            .find(|(position, (own, _, _))| {
-                self.peer_checkpoints.get(*position).is_some_and(|votes| {
-                    votes.values().filter(|vote| vote.attests_same(own)).count() >= quorum
-                })
-            })
-            .map(|(&position, _)| position);
-        if let Some(position) = certified {
-            self.latest_certified =
-                Some(self.latest_certified.map_or(position, |p| p.max(position)));
-        }
-        self.prune_checkpoints();
-    }
-
-    /// Bounds checkpoint memory. Positions below the latest certified one
-    /// go at once: state-sync serves the latest certified cut only, and a
-    /// lower position certifying late cannot raise it — and each archived
-    /// entry holds a full execution snapshot. From there up, keep the
-    /// certified position and at most [`CHECKPOINT_RETENTION`] of the
-    /// newest.
-    fn prune_checkpoints(&mut self) {
-        if let Some(certified) = self.latest_certified {
-            self.checkpoint_archive = self.checkpoint_archive.split_off(&certified);
-        }
-        while self.checkpoint_archive.len() > CHECKPOINT_RETENTION {
-            let Some((&oldest, _)) = self.checkpoint_archive.first_key_value() else {
-                break;
-            };
-            if Some(oldest) == self.latest_certified {
-                break;
-            }
-            self.checkpoint_archive.remove(&oldest);
-        }
-        let floor = self
-            .checkpoint_archive
-            .first_key_value()
-            .map(|(&position, _)| position)
-            .unwrap_or(0);
-        self.peer_checkpoints = self.peer_checkpoints.split_off(&floor);
-    }
-
-    /// Builds the state-sync payload for the latest certified checkpoint:
-    /// the matching attestations (authority order — deterministic) plus
-    /// the archived snapshots.
-    fn checkpoint_response(&self) -> Option<Envelope> {
-        let position = self.latest_certified?;
-        let (own, execution, resume) = self.checkpoint_archive.get(&position)?;
-        let votes = self.peer_checkpoints.get(&position)?;
-        let checkpoints: Vec<Checkpoint> = votes
-            .values()
-            .filter(|vote| vote.attests_same(own))
-            .cloned()
-            .collect();
-        if checkpoints.len() < self.committee.quorum_threshold() {
-            return None;
-        }
-        Some(Envelope::CheckpointResponse {
-            checkpoints,
-            execution: execution.clone(),
-            resume: resume.clone(),
-        })
-    }
-
-    /// Verifies and adopts a state-sync payload: quorum of matching valid
-    /// attestations, snapshots hashing to the certified roots, and a
-    /// position strictly ahead of the local sequence. On success the
-    /// execution and sequencer state jump to the cut, the store is
-    /// compacted below its floor, and the checkpoint is persisted so a
-    /// later restart recovers from it instead of genesis.
+    /// Verifies and adopts a state-sync payload: a position strictly ahead
+    /// of the local sequence (the cheap check, before any signature is
+    /// verified), a quorum of matching valid attestations, and snapshots
+    /// hashing to the certified roots. On success the execution and
+    /// sequencer state jump to the cut, the quorum is collected so this
+    /// validator can serve the same payload, and the checkpoint is
+    /// persisted so a later restart recovers from it instead of genesis.
     fn adopt_checkpoint(
         &mut self,
         checkpoints: Vec<Checkpoint>,
@@ -1515,48 +1135,23 @@ impl ValidatorEngine {
         resume: Vec<u8>,
         outputs: &mut Vec<Output>,
     ) {
-        let Some(first) = checkpoints.first().cloned() else {
-            return;
-        };
-        if first.position() <= self.sequencer.sequenced_slots() {
-            return; // not ahead of us — nothing to adopt
-        }
-        if !checkpoints.iter().all(|c| c.attests_same(&first)) {
-            return;
-        }
-        if checkpoints
-            .iter()
-            .any(|c| c.verify(&self.committee).is_err())
+        if !checkpoints
+            .first()
+            .is_some_and(|first| self.is_ahead(first))
         {
             return;
         }
-        let authorities: AuthoritySet = checkpoints.iter().map(Checkpoint::authority).collect();
-        if authorities.len() < self.committee.quorum_threshold() {
-            return;
-        }
-        if blake2b_256(&execution) != first.state_root().digest()
-            || blake2b_256(&resume) != first.resume_digest()
-        {
-            return;
-        }
-        let Ok(snapshot) = SequencerSnapshot::from_bytes_exact(&resume) else {
+        let Some(first) = self.checkpoints.verify_quorum(&checkpoints).cloned() else {
             return;
         };
-        if snapshot.position != first.position() {
+        if !self.install_cut(&first, &execution, &resume) {
             return;
         }
-        if !self.install_checkpoint(&first, &execution, &snapshot) {
-            return;
-        }
-        // Collect the quorum so this validator can serve the same payload.
         for checkpoint in checkpoints {
-            self.record_attestation(checkpoint);
+            self.checkpoints.attest(checkpoint);
         }
-        self.checkpoint_archive.insert(
-            first.position(),
-            (first.clone(), execution.clone(), resume.clone()),
-        );
-        self.refresh_certification();
+        self.checkpoints
+            .archive(first.clone(), execution.clone(), resume.clone());
         outputs.push(Output::Persist(WalRecord::Checkpoint {
             checkpoint: first,
             execution,
@@ -1564,69 +1159,31 @@ impl ValidatorEngine {
         }));
     }
 
-    /// Jumps the execution and sequencer state to a verified cut (shared
-    /// by state-sync adoption and WAL recovery). The snapshots must
-    /// already hash to the checkpoint's roots.
-    fn install_checkpoint(
-        &mut self,
-        checkpoint: &Checkpoint,
-        execution: &[u8],
-        snapshot: &SequencerSnapshot,
-    ) -> bool {
-        if self.execution.restore(execution).is_err() {
+    /// Whether `checkpoint` attests a cut beyond what is sequenced here.
+    fn is_ahead(&self, checkpoint: &Checkpoint) -> bool {
+        checkpoint.position() > self.sequencer.sequenced_slots()
+    }
+
+    /// Jumps the execution and sequencer state to a cut (shared by
+    /// state-sync adoption and WAL recovery), if it is ahead of the local
+    /// sequence and [`CheckpointBook::verify_cut`] accepts its snapshots.
+    fn install_cut(&mut self, checkpoint: &Checkpoint, execution: &[u8], resume: &[u8]) -> bool {
+        if !self.is_ahead(checkpoint) {
             return false;
         }
-        if self.sequencer.restore(snapshot).is_err() {
+        let Some(snapshot) = CheckpointBook::verify_cut(checkpoint, execution, resume) else {
+            return false;
+        };
+        if self.execution.restore(execution).is_err() || self.sequencer.restore(&snapshot).is_err()
+        {
             return false;
         }
-        self.last_committed_leader = checkpoint.leader();
-        self.commit_log_base = checkpoint.position();
-        self.commit_log.clear();
+        self.history.log.clear();
         // Everything below the snapshot's floor is outside any future
         // sub-DAG: compact it away.
         if let Some(depth) = self.config.gc_depth {
-            let floor = snapshot.next_round.saturating_sub(depth);
-            if floor > 0 {
-                self.store.compact(floor);
-                self.unreferenced
-                    .retain(|reference| reference.round >= floor);
-                self.verified_blocks = self.verified_blocks.split_off(&floor);
-                self.prune_digest_ledger(floor);
-            }
+            self.compact_below(snapshot.gc_floor(depth));
         }
-        true
-    }
-
-    /// Restores a persisted checkpoint at recovery (the WAL replay path):
-    /// snapshots are re-hashed against the signed roots, then installed if
-    /// they advance the local sequence. No quorum is required — the record
-    /// came from this validator's own durable log. Returns whether the
-    /// checkpoint was installed.
-    pub fn restore_checkpoint(
-        &mut self,
-        checkpoint: Checkpoint,
-        execution: Vec<u8>,
-        resume: Vec<u8>,
-    ) -> bool {
-        if blake2b_256(&execution) != checkpoint.state_root().digest()
-            || blake2b_256(&resume) != checkpoint.resume_digest()
-        {
-            return false;
-        }
-        let Ok(snapshot) = SequencerSnapshot::from_bytes_exact(&resume) else {
-            return false;
-        };
-        if snapshot.position != checkpoint.position()
-            || checkpoint.position() <= self.sequencer.sequenced_slots()
-        {
-            return false;
-        }
-        if !self.install_checkpoint(&checkpoint, &execution, &snapshot) {
-            return false;
-        }
-        self.checkpoint_archive
-            .insert(checkpoint.position(), (checkpoint, execution, resume));
-        self.prune_checkpoints();
         true
     }
 
@@ -1635,26 +1192,16 @@ impl ValidatorEngine {
     /// execution state exactly at the boundary.
     fn emit_checkpoint(&mut self, snapshot: SequencerSnapshot, outputs: &mut Vec<Output>) {
         let authority = self.config.authority;
-        // One encoding serves both the record and the root
-        // (`state_root() == H(snapshot())` by the trait's contract).
         let execution = self.execution.snapshot();
-        let state_root = StateRoot(blake2b_256(&execution));
         let resume = snapshot.to_bytes_vec();
-        debug_assert_eq!(blake2b_256(&resume), snapshot.digest());
-        let checkpoint = Checkpoint::sign(
+        let checkpoint = self.checkpoints.sign_own(
             authority,
-            snapshot.position,
-            self.last_committed_leader,
-            state_root,
-            snapshot.digest(),
             self.config.setup.keypair(authority),
-        );
-        self.checkpoint_archive.insert(
             snapshot.position,
-            (checkpoint.clone(), execution.clone(), resume.clone()),
+            &execution,
+            &resume,
         );
-        self.record_attestation(checkpoint.clone());
-        self.refresh_certification();
+        debug_assert_eq!(checkpoint.resume_digest(), snapshot.digest());
         // Durability before dissemination, like blocks and evidence.
         outputs.push(Output::Persist(WalRecord::Checkpoint {
             checkpoint: checkpoint.clone(),
@@ -1665,96 +1212,27 @@ impl ValidatorEngine {
         outputs.push(Output::CheckpointProduced(checkpoint));
     }
 
-    /// Drops digest-ledger entries for own blocks below the GC floor.
-    fn prune_digest_ledger(&mut self, floor: Round) {
-        let keep = self.committed_digests_by_round.split_off(&floor);
-        for digests in self.committed_digests_by_round.values() {
-            for digest in digests {
-                self.committed_tx_digests.remove(digest);
-            }
-        }
-        self.committed_digests_by_round = keep;
-    }
-
-    /// Bookkeeping for a block that joined the DAG: maintain the
-    /// unreferenced-tips set.
-    fn note_admitted(&mut self, reference: BlockRef) {
-        let parents: Vec<BlockRef> = self
-            .store
-            .get(&reference)
-            .map(|block| block.parents().to_vec())
-            .unwrap_or_default();
-        for parent in parents {
-            self.unreferenced.remove(&parent);
-        }
-        self.unreferenced.insert(reference);
-    }
-
-    fn insert_own(&mut self, block: Arc<Block>) {
-        if let Ok(InsertResult::Inserted(admitted)) = self.store.insert(block) {
-            for reference in admitted {
-                self.note_admitted(reference);
-            }
+    /// Drops everything held for rounds below `floor` — the one place
+    /// floor compaction happens: the store, the tips, the verified set,
+    /// the exactly-once digest ledger and the certified pipeline's maps.
+    fn compact_below(&mut self, floor: Round) {
+        self.store.compact(floor);
+        self.unreferenced
+            .retain(|reference| reference.round >= floor);
+        self.verified_blocks = self.verified_blocks.split_off(&floor);
+        self.clients.prune_digests(floor);
+        if let Some(certified) = &mut self.certified {
+            certified.compact_below(floor);
         }
     }
 
     /// Schedules the forwarding timer for the oldest pending forwardable
     /// transaction (no-op when forwarding is disabled or nothing is
     /// pending).
-    fn arm_forward_timer(&mut self, outputs: &mut Vec<Output>) {
-        let Some(age) = self.config.ingress.forward_age else {
-            return;
-        };
-        if let Some(oldest) = self.mempool.oldest_enqueued() {
-            outputs.push(Output::WakeAt(oldest.saturating_add(age)));
+    fn arm_forward_timer(&self, outputs: &mut Vec<Output>) {
+        if let Some(due) = self.clients.forward_wake(&self.mempool) {
+            outputs.push(Output::WakeAt(due));
         }
-    }
-
-    /// Moves transactions that sat unproposed past the configured age to
-    /// a peer's pool ([`Envelope::TxForward`]): pop from pending (digests
-    /// stay in the dedup set), remember each digest so the client's
-    /// commit note can close when *any* sequenced block carries it, and
-    /// rotate the target peer (skipping self and convicted authorities).
-    /// One hop, no retry: exactly one pool owns a transaction at a time,
-    /// which is what keeps the global commit count at one.
-    fn forward_aged(&mut self, outputs: &mut Vec<Output>) {
-        let Some(age) = self.config.ingress.forward_age else {
-            return;
-        };
-        let cutoff = self.now.saturating_sub(age);
-        if self.mempool.oldest_enqueued().is_some_and(|t| t <= cutoff) {
-            if let Some(peer) = self.next_forward_peer() {
-                let aged = self
-                    .mempool
-                    .take_aged(cutoff, self.config.ingress.forward_max);
-                let mut transactions = Vec::with_capacity(aged.len());
-                for (transaction, tag, client) in aged {
-                    self.forwarded_out
-                        .insert(transaction.digest(), (tag, client));
-                    transactions.push(transaction);
-                }
-                if !transactions.is_empty() {
-                    outputs.push(Output::SendTo(peer, Envelope::TxForward(transactions)));
-                }
-            }
-        }
-        self.arm_forward_timer(outputs);
-    }
-
-    /// The next forwarding target: round-robin over the committee,
-    /// skipping this validator and convicted equivocators. `None` only in
-    /// a degenerate single-validator committee.
-    fn next_forward_peer(&mut self) -> Option<usize> {
-        let n = self.committee.size();
-        let me = self.config.authority.as_usize();
-        for _ in 0..n {
-            let candidate = self.forward_cursor % n;
-            self.forward_cursor = self.forward_cursor.wrapping_add(1);
-            if candidate != me && !self.evidence.is_convicted(AuthorityIndex(candidate as u32)) {
-                return Some(candidate);
-            }
-        }
-        None
     }
 
     /// Produces blocks while the previous round holds a quorum and the
@@ -1779,7 +1257,7 @@ impl ValidatorEngine {
             if self.config.halt_from_round.is_some_and(|halt| next >= halt) {
                 break;
             }
-            let quorum = self.committee.quorum_threshold();
+            let quorum = self.committee().quorum_threshold();
             let present = self.store.authorities_at_round(self.round).len();
             if present < quorum {
                 self.quorum_since = None;
@@ -1808,7 +1286,7 @@ impl ValidatorEngine {
             }
             // Post-quorum inclusion wait — skipped once every validator's
             // block is already here (nothing left to wait for).
-            if present < self.committee.size() && self.config.inclusion_wait > 0 {
+            if present < self.committee().size() && self.config.inclusion_wait > 0 {
                 let since = *self.quorum_since.get_or_insert(self.now);
                 let ready_at = since + self.config.inclusion_wait;
                 if self.now < ready_at {
@@ -1859,7 +1337,7 @@ impl ValidatorEngine {
                 previous_round_authors.insert(reference.author);
             }
         }
-        let quorum = self.committee.quorum_threshold();
+        let quorum = self.committee().quorum_threshold();
         for reference in shunned {
             if previous_round_authors.len() >= quorum {
                 break;
@@ -1923,30 +1401,10 @@ impl ValidatorEngine {
 
     /// Runs the commit rule, emitting sub-DAGs and own-transaction tags,
     /// folding every commit into the execution state, signing checkpoints
-    /// at boundary crossings, then compacting the store once the GC floor
-    /// moved far enough.
-    /// Decrements the commit note for `(tag, client)`; a note reaching
-    /// zero closes and its tag joins the client's `Committed` receipt.
-    fn close_note(
-        notes: &mut BTreeMap<(u64, usize), u64>,
-        tag: u64,
-        client: usize,
-        closed: &mut BTreeMap<usize, Vec<u64>>,
-    ) {
-        if let Some(remaining) = notes.get_mut(&(tag, client)) {
-            *remaining = remaining.saturating_sub(1);
-            if *remaining == 0 {
-                notes.remove(&(tag, client));
-                closed.entry(client).or_default().push(tag);
-            }
-        }
-    }
-
+    /// at boundary crossings, then compacting once the GC floor moved far
+    /// enough. Allocates nothing when nothing commits.
     fn commit(&mut self, outputs: &mut Vec<Output>) {
         let decisions = self.sequencer.try_commit(&self.store);
-        // Commit notes closed by this sweep, per client (BTreeMap: the
-        // receipt emission order is deterministic).
-        let mut closed: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
         // Boundary snapshots captured during try_commit, oldest first; the
         // snapshot at position `p` is emitted after the decision at
         // `p − 1` has been executed, so the signed state root describes
@@ -1958,81 +1416,27 @@ impl ValidatorEngine {
             .peekable();
         for decision in decisions {
             let position = decision.position();
-            match decision {
-                CommitDecision::Skip(..) => {
-                    self.skipped_slots += 1;
-                    self.commit_log.push(None);
+            self.history.record(&decision);
+            if let CommitDecision::Commit(sub_dag) = decision {
+                self.checkpoints.set_frontier(sub_dag.leader);
+                self.execution.apply(&sub_dag);
+                // Execution is synchronous inside commit(): the honest
+                // zero keeps the stage populated for the wiring day it
+                // moves off-path.
+                self.telemetry.record_stage(Stage::Executed, 0);
+                let mut tags = Vec::new();
+                for block in &sub_dag.blocks {
+                    self.clients.on_sequenced(block, &mut tags);
                 }
-                CommitDecision::Commit(sub_dag) => {
-                    self.commit_log.push(Some(sub_dag.leader));
-                    self.last_committed_leader = sub_dag.leader;
-                    self.committed_slots += 1;
-                    self.sequenced_blocks += usize_gauge(sub_dag.blocks.len());
-                    self.execution.apply(&sub_dag);
-                    // Execution is synchronous inside commit(): the honest
-                    // zero keeps the stage populated for the wiring day it
-                    // moves off-path.
-                    self.telemetry.record_stage(Stage::Executed, 0);
-                    let mut tags = Vec::new();
-                    for block in &sub_dag.blocks {
-                        self.committed_transactions += usize_gauge(block.transactions().len());
-                        // Transactions this validator forwarded commit in
-                        // *other* authors' blocks; spot them by digest to
-                        // close their batches' commit notes. Gated on the
-                        // map being non-empty — the digest per committed
-                        // transaction is only paid when forwarding is live.
-                        if !self.forwarded_out.is_empty() {
-                            for transaction in block.transactions() {
-                                if let Some((tag, client)) =
-                                    self.forwarded_out.remove(&transaction.digest())
-                                {
-                                    self.ingress_counters.forwarded_committed += 1;
-                                    Self::close_note(
-                                        &mut self.pending_commit_notes,
-                                        tag,
-                                        client,
-                                        &mut closed,
-                                    );
-                                }
-                            }
-                        }
-                        if block.author() == self.config.authority {
-                            if self.config.track_tx_integrity {
-                                for transaction in block.transactions() {
-                                    if self.committed_tx_digests.insert(transaction.digest()) {
-                                        self.committed_digests_by_round
-                                            .entry(block.round())
-                                            .or_default()
-                                            .push(transaction.digest());
-                                    } else {
-                                        self.duplicate_committed += 1;
-                                    }
-                                }
-                            }
-                            if let Some(mine) = self.own_block_txs.remove(&block.reference()) {
-                                for &(tag, client) in &mine {
-                                    Self::close_note(
-                                        &mut self.pending_commit_notes,
-                                        tag,
-                                        client,
-                                        &mut closed,
-                                    );
-                                }
-                                tags.extend(mine.iter().map(|&(tag, _)| tag));
-                            }
-                        }
+                outputs.push(Output::Committed(sub_dag));
+                if !tags.is_empty() {
+                    // Tags are submission times (engine clock), so the
+                    // delta is the submit→linearize latency.
+                    for &tag in &tags {
+                        self.telemetry
+                            .record_stage(Stage::Sequenced, self.now.saturating_sub(tag));
                     }
-                    self.own_committed_txs += usize_gauge(tags.len());
-                    outputs.push(Output::Committed(sub_dag));
-                    if !tags.is_empty() {
-                        // Tags are submission times (engine clock), so the
-                        // delta is the submit→linearize latency.
-                        for &tag in &tags {
-                            self.telemetry
-                                .record_stage(Stage::Sequenced, self.now.saturating_sub(tag));
-                        }
-                        outputs.push(Output::TxsCommitted(tags));
-                    }
+                    outputs.push(Output::TxsCommitted(tags));
                 }
             }
             while boundaries
@@ -2044,44 +1448,20 @@ impl ValidatorEngine {
             }
         }
         debug_assert!(boundaries.peek().is_none(), "unpaired boundary snapshot");
-        // Deliver the commit notifications closed by this sweep, chunked
-        // under the wire frame's tag bound.
-        for (client, tags) in closed {
-            self.ingress_counters.commit_notices += usize_gauge(tags.len());
-            for chunk in tags.chunks(mahimahi_types::MAX_RECEIPT_TAGS) {
-                // The receipt leaves with this output batch; the driver owns
-                // any further queueing, so the engine's share is zero.
-                self.telemetry.record_stage(Stage::ReceiptSent, 0);
-                outputs.push(Output::TxReceipt {
-                    peer: client,
-                    receipt: TxReceipt::Committed {
-                        tags: chunk.to_vec(),
-                    },
-                });
-            }
+        // Deliver the commit notifications closed by this sweep.
+        for (peer, receipt) in self.clients.take_commit_receipts() {
+            // The receipt leaves with this output batch; the driver owns
+            // any further queueing, so the engine's share is zero.
+            self.telemetry.record_stage(Stage::ReceiptSent, 0);
+            outputs.push(Output::TxReceipt { peer, receipt });
         }
-        // Retention sweep for commit notes and forwarded digests: a batch
-        // whose transactions can never all commit here (e.g. a forwarded
-        // transaction dropped by a crashing peer) must not pin its note
-        // forever. Tags are engine times, so age prunes from the front.
-        if self.now.saturating_sub(self.last_note_gc) >= NOTE_RETENTION / 10 {
-            self.last_note_gc = self.now;
-            let floor = self.now.saturating_sub(NOTE_RETENTION);
-            if floor > 0 {
-                self.pending_commit_notes = self.pending_commit_notes.split_off(&(floor, 0));
-                self.forwarded_out.retain(|_, &mut (tag, _)| tag >= floor);
-            }
-        }
+        self.clients.sweep(self.now);
         // Periodic garbage collection once the frontier moved far enough
         // past the last cutoff.
         if self.config.gc_depth.is_some() {
             let floor = self.sequencer.gc_floor();
             if floor >= self.store.gc_cutoff() + 64 {
-                self.store.compact(floor);
-                self.unreferenced
-                    .retain(|reference| reference.round >= floor);
-                self.verified_blocks = self.verified_blocks.split_off(&floor);
-                self.prune_digest_ledger(floor);
+                self.compact_below(floor);
             }
         }
     }
@@ -2090,7 +1470,7 @@ impl ValidatorEngine {
 /// Checked `usize → u64` for the engine's gauges: lossless on every
 /// supported platform, and a compile-visible assertion (instead of a
 /// silent `as` wraparound) anywhere that ever stops being true.
-fn usize_gauge(value: usize) -> u64 {
+pub(crate) fn usize_gauge(value: usize) -> u64 {
     u64::try_from(value).expect("usize gauge fits u64")
 }
 
@@ -2099,6 +1479,8 @@ mod tests {
     use super::*;
     use crate::committer::{Committer, CommitterOptions};
     use mahimahi_dag::DagBuilder;
+    use mahimahi_types::{BlockBuilder, TxVerdict};
+    use std::collections::HashMap;
 
     fn engine(authority: u32, certified: bool) -> ValidatorEngine {
         let setup = TestCommittee::new(4, 7);
@@ -2890,10 +2272,11 @@ mod tests {
         // Snapshots below the certified cut serve nothing: they are gone.
         for engine in &engines {
             let certified = engine
-                .latest_certified_checkpoint()
+                .checkpoints
+                .latest_certified()
                 .unwrap_or_else(|| panic!("no certified checkpoint at {:?}", engine.authority()));
             assert!(certified > 4, "several positions certified in turn");
-            assert_eq!(engine.checkpoint_archive.keys().next(), Some(&certified));
+            assert_eq!(engine.checkpoints.archived().first(), Some(&certified));
             assert_ne!(engine.state_root(), StateRoot::genesis());
         }
     }
@@ -2904,7 +2287,8 @@ mod tests {
             (0..4).map(|a| engine_with_interval(a, 4)).collect();
         flood(&mut engines, 12);
         let certified = engines[0]
-            .latest_certified_checkpoint()
+            .checkpoints
+            .latest_certified()
             .expect("flood certified a checkpoint");
 
         // A joiner asks; the synced engine answers with the certified cut
@@ -3030,5 +2414,154 @@ mod tests {
         bad_resume[0] ^= 0xff;
         assert!(!fresh.restore_checkpoint(checkpoint, execution, bad_resume));
         assert_eq!(fresh.commit_log_base(), 0, "rejected restores are no-ops");
+    }
+
+    #[test]
+    fn durable_records_are_own_blocks_evidence_and_checkpoints() {
+        let setup = TestCommittee::new(4, 7);
+        let me = AuthorityIndex(1);
+        let own = WalRecord::Block(Block::genesis(me).into_arc());
+        let peer = WalRecord::Block(Block::genesis(AuthorityIndex(2)).into_arc());
+        let evidence = WalRecord::Evidence(conflicting_pair(&setup, 3));
+        let keypair = setup.keypair(me);
+        let checkpoint = WalRecord::Checkpoint {
+            checkpoint: CheckpointBook::new(setup.committee().clone()).sign_own(
+                me,
+                keypair,
+                4,
+                &[],
+                &[],
+            ),
+            execution: Vec::new(),
+            resume: Vec::new(),
+        };
+        assert!(own.is_durable(me));
+        assert!(!peer.is_durable(me), "refetchable: rides the next sync");
+        assert!(peer.is_durable(AuthorityIndex(2)), "own is relative");
+        assert!(evidence.is_durable(me));
+        assert!(checkpoint.is_durable(me));
+    }
+
+    /// Like [`flood`], for the certified pipeline: also delivers `SendTo`
+    /// (acks, sync traffic), and calls `observe` after every input engine 0
+    /// handled.
+    fn flood_certified(
+        engines: &mut [ValidatorEngine],
+        round_horizon: Round,
+        mut observe: impl FnMut(&mut ValidatorEngine, &mut VecDeque<(usize, usize, Envelope)>),
+    ) {
+        let mut inflight: VecDeque<(usize, usize, Envelope)> = VecDeque::new();
+        let route = |from: usize, outputs: Vec<Output>, inflight: &mut VecDeque<_>| {
+            for output in outputs {
+                match output {
+                    Output::Broadcast(envelope) => {
+                        for to in (0..4).filter(|&to| to != from) {
+                            inflight.push_back((from, to, envelope.clone()));
+                        }
+                    }
+                    Output::SendTo(to, envelope) => inflight.push_back((from, to, envelope)),
+                    _ => {}
+                }
+            }
+        };
+        for (from, engine) in engines.iter_mut().enumerate() {
+            route(
+                from,
+                engine.handle(Input::TimerFired { now: 0 }),
+                &mut inflight,
+            );
+        }
+        while let Some((from, to, envelope)) = inflight.pop_front() {
+            if matches!(&envelope, Envelope::Proposal(block) if block.round() > round_horizon) {
+                continue;
+            }
+            let outputs = engines[to].handle(Input::from_envelope(from, envelope));
+            route(to, outputs, &mut inflight);
+            if to == 0 {
+                observe(&mut engines[0], &mut inflight);
+            }
+        }
+    }
+
+    #[test]
+    fn certified_maps_plateau_under_gc_and_ignore_messages_below_the_floor() {
+        const GC_DEPTH: u64 = 16;
+        let setup = TestCommittee::new(4, 7);
+        let mut engines: Vec<ValidatorEngine> = (0..4)
+            .map(|a| {
+                let mut config = EngineConfig::new(AuthorityIndex(a), setup.clone());
+                config.certified = true;
+                config.gc_depth = Some(GC_DEPTH);
+                let committee = setup.committee().clone();
+                let committer = Committer::new(committee, CommitterOptions::mahi_mahi_5(2));
+                ValidatorEngine::honest(config, Box::new(committer))
+            })
+            .collect();
+
+        let mut first_own = None;
+        let mut junk_round = 0;
+        let mut peak = [0usize; 3];
+        flood_certified(&mut engines, 600, |engine, inflight| {
+            let own = engine
+                .store()
+                .blocks_in_slot(Slot::new(1, AuthorityIndex(0)));
+            first_own = first_own.or(own.first().map(|block| block.reference()));
+            // Each round, peer 1 parks a proposal no certificate will ever
+            // release (proposals are not verified until then); the ack it
+            // earns opens a tally at engine 1 that never reaches a quorum.
+            if engine.round() > junk_round {
+                junk_round = engine.round();
+                let junk = BlockBuilder::new(AuthorityIndex(1), junk_round)
+                    .transaction(Transaction::benchmark(junk_round))
+                    .build(&setup);
+                inflight.push_back((1, 0, Envelope::Proposal(junk.into_arc())));
+            }
+            let sizes = engine.certified.as_ref().expect("certified").sizes();
+            for (peak, size) in peak.iter_mut().zip(sizes) {
+                *peak = (*peak).max(size);
+            }
+        });
+
+        assert!(engines[0].round() >= 500, "round {}", engines[0].round());
+        // The store compacts every 64 rounds of floor movement: several
+        // prunes happened, and each map only ever held the window above
+        // the last cutoff — not one entry per round of the run.
+        let cutoff = engines[0].store().gc_cutoff();
+        assert!(cutoff >= 5 * 64, "cutoff {cutoff}");
+        let window = 64 + GC_DEPTH as usize + 32;
+        assert!(peak.iter().all(|&held| held <= window), "{peak:?}");
+        assert!(peak[0] > 64 && peak[2] > 64, "the test must fill the maps");
+        let acks_at_peer = engines[1].certified.as_ref().expect("certified").sizes()[1];
+        assert!((1..=window).contains(&acks_at_peer), "{acks_at_peer}");
+
+        // A full quorum of late acks for the long-pruned first own
+        // proposal: no tally re-opens, no second certificate is minted.
+        let stale = first_own.expect("round 1 was certified");
+        assert!(stale.round < cutoff);
+        let before = engines[0].certified.as_ref().expect("certified").sizes();
+        for voter in 1..4 {
+            let outputs = engines[0].handle(Input::AckReceived {
+                from: voter,
+                reference: stale,
+                voter: AuthorityIndex(voter as u32),
+            });
+            assert!(outputs.is_empty(), "{outputs:?}");
+        }
+        // Nor is anything parked or fetched below the floor.
+        let junk = BlockBuilder::new(AuthorityIndex(1), 2).build(&setup);
+        let reference = junk.reference();
+        let block = junk.into_arc();
+        assert!(engines[0]
+            .handle(Input::ProposalReceived { from: 1, block })
+            .is_empty());
+        assert!(engines[0]
+            .handle(Input::CertificateReceived {
+                from: 1,
+                reference,
+                signatures: 3,
+            })
+            .is_empty());
+        let after = engines[0].certified.as_ref().expect("certified").sizes();
+        assert_eq!(before, after);
     }
 }

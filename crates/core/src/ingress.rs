@@ -1,5 +1,5 @@
-//! Client-ingress policy: per-client rate limiting and the ingress
-//! accounting ledger.
+//! Client ingress: per-client rate limiting, the receipt and forwarding
+//! ledger, and the exactly-once accounting of own transactions.
 //!
 //! Admission control lives *inside* the sans-I/O engine, not in the
 //! drivers, for one reason: determinism. The simulator, the loopback
@@ -8,7 +8,10 @@
 //! (never a wall clock), all three drivers enforce byte-identical policy
 //! and a recorded trace replays the exact same verdicts.
 //!
-//! Two mechanisms share this module:
+//! [`ClientLedger`] is the engine's component for everything a client is
+//! owed. It holds the two mechanisms below as fields, plus the commit
+//! notes, the forwarded-transaction digests, the tags of transactions in
+//! own blocks, and the exactly-once digest ledger:
 //!
 //! - [`IngressPolicy`] — a token bucket per client id, refilled from
 //!   engine time at [`IngressConfig::rate_limit_per_client`] transactions
@@ -24,11 +27,17 @@
 //!   committed more often than it was forwarded.
 //!
 //! The deficit-round-robin fair queue — the other half of the ingress
-//! policy — lives in the [`Mempool`](crate::mempool::Mempool) itself,
+//! policy — lives in the [`Mempool`] itself,
 //! where the per-client queues are.
 
-use crate::engine::Time;
-use std::collections::BTreeMap;
+use crate::engine::{usize_gauge, Time};
+use crate::evidence::EvidencePool;
+use crate::mempool::{Mempool, SubmitResult, TxIntegrityReport};
+use mahimahi_crypto::Digest;
+use mahimahi_types::{
+    AuthorityIndex, Block, BlockRef, Round, Transaction, TxReceipt, TxVerdict, MAX_RECEIPT_TAGS,
+};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Micro-tokens per transaction: integer token-bucket accounting with
 /// microsecond refill granularity and no floating point (floats would
@@ -84,7 +93,7 @@ struct TokenBucket {
 /// Per-client token buckets over engine time. Deterministic by
 /// construction: state advances only on [`IngressPolicy::admit`] calls,
 /// whose `now` comes from the engine's virtual clock.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct IngressPolicy {
     config: IngressConfig,
     buckets: BTreeMap<usize, TokenBucket>,
@@ -187,6 +196,317 @@ impl IngressReport {
     }
 }
 
+/// How long (engine microseconds) unresolved commit notes and forwarded
+/// digests are retained before the periodic sweep drops them — ten
+/// minutes, orders of magnitude past any commit latency this repo
+/// measures.
+const NOTE_RETENTION: Time = 600_000_000;
+
+/// What one validator owes its clients and how it accounts for their
+/// transactions: admission verdicts, commit notices, one-hop forwarding,
+/// and the exactly-once ledger of transactions committed in own blocks.
+///
+/// The ledger never decides when a block is produced or what commits; the
+/// engine tells it what was admitted, built and sequenced, and renders the
+/// receipts it hands back.
+#[derive(Default)]
+pub struct ClientLedger {
+    authority: AuthorityIndex,
+    committee_size: usize,
+    /// Per-client token buckets (external clients only; committee peers
+    /// are exempt by construction).
+    policy: IngressPolicy,
+    /// Receipt/forwarding counters (the `forwarded`/`rate_limited` fields
+    /// are filled from the mempool at report time).
+    counters: IngressReport,
+    /// Commit notifications owed to clients: `(batch tag, client)` → how
+    /// many accepted transactions of that batch are still unsequenced.
+    /// Keys are time-ordered (tags are engine receive times), so stale
+    /// entries — batches whose transactions will never all commit here,
+    /// e.g. after an equivocating peer got one linearized first — are
+    /// pruned from the front by retention.
+    notes: BTreeMap<(u64, usize), u64>,
+    /// Notes closed since the last [`ClientLedger::take_commit_receipts`],
+    /// per client (`BTreeMap`: the receipt emission order is
+    /// deterministic).
+    closed: BTreeMap<usize, Vec<u64>>,
+    /// Digests of transactions forwarded to a peer, with the batch
+    /// bookkeeping needed to close their commit notes when any sequenced
+    /// block carries them.
+    forwarded_out: HashMap<Digest, (u64, usize)>,
+    /// Engine time of the last retention sweep.
+    last_sweep: Time,
+    /// Round-robin cursor over peers for forwarding frames.
+    forward_cursor: usize,
+    /// `(tag, client)` pairs of transactions in own blocks, resolved at
+    /// commit (tags echoed to the submitter, clients used to close their
+    /// batches' commit notes).
+    own_block_txs: HashMap<BlockRef, Vec<(u64, usize)>>,
+    /// Own accepted transactions that committed (tags returned).
+    own_committed: u64,
+    /// Digests of transactions committed in *own* blocks — the
+    /// exactly-once ledger behind `duplicate_committed`. Scoped to own
+    /// blocks because they are the unforgeable image of this validator's
+    /// mempool drains: a Byzantine peer can always copy an observed
+    /// payload into its own blocks (and an equivocator can get its spam
+    /// linearized under two conflicting digests), but it cannot sign a
+    /// block as this authority. GC'd against the commit frontier (the same
+    /// floor as the store) through the round-keyed index below — floored
+    /// linearization guarantees nothing below the floor can commit again,
+    /// so pruning is exact within the GC window. With GC off the ledger is
+    /// retained in full.
+    committed_digests: HashSet<Digest>,
+    /// Round-keyed index into `committed_digests` (the round of the own
+    /// block that committed each digest), enabling frontier GC.
+    digests_by_round: BTreeMap<Round, Vec<Digest>>,
+    /// Accepted transactions that committed twice across own blocks.
+    duplicate_committed: u64,
+}
+
+impl ClientLedger {
+    /// An empty ledger for `authority` in a committee of `committee_size`.
+    pub fn new(config: IngressConfig, authority: AuthorityIndex, committee_size: usize) -> Self {
+        ClientLedger {
+            authority,
+            committee_size,
+            policy: IngressPolicy::new(config),
+            forward_cursor: authority.as_usize() + 1,
+            ..ClientLedger::default()
+        }
+    }
+
+    /// Admits a wire batch from `from` into `mempool` at engine time
+    /// `now`. Wire batches carry no per-transaction tag; the receive time
+    /// stands in, turning the receipt tag (and the commit tags) into
+    /// client-observed commit latencies. Returns the admission receipt —
+    /// exactly one per batch — and whether anything was accepted, in which
+    /// case a commit note is opened: the `Committed` receipt fires once
+    /// every accepted transaction of the batch is sequenced (locally or at
+    /// a forwarding target).
+    pub fn admit_batch(
+        &mut self,
+        mempool: &mut Mempool,
+        from: usize,
+        transactions: Vec<Transaction>,
+        now: Time,
+    ) -> (TxReceipt, bool) {
+        self.counters.batches_received += 1;
+        // Committee members (forwarding peers, the node's own submission
+        // channel) are never rate-limited; only external client
+        // connections pay the token bucket.
+        let external = from >= self.committee_size;
+        let mut accepted = 0;
+        let verdicts = transactions
+            .into_iter()
+            .map(|transaction| {
+                if external && !self.policy.admit(from, now) {
+                    mempool.note_rate_limited();
+                    return TxVerdict::RateLimited;
+                }
+                match mempool.submit(transaction, now, from, now) {
+                    SubmitResult::Accepted => {
+                        accepted += 1;
+                        TxVerdict::Accepted
+                    }
+                    SubmitResult::Duplicate => TxVerdict::Duplicate,
+                    SubmitResult::Full => TxVerdict::Full,
+                }
+            })
+            .collect();
+        if accepted > 0 {
+            *self.notes.entry((now, from)).or_insert(0) += accepted;
+            self.counters.notes_opened += 1;
+        }
+        self.counters.receipts_emitted += 1;
+        (TxReceipt::Admission { tag: now, verdicts }, accepted > 0)
+    }
+
+    /// Records the `(tag, client)` pairs of the transactions in an own
+    /// block just built, for commit accounting.
+    pub fn register_own(&mut self, reference: BlockRef, tags: Vec<(u64, usize)>) {
+        self.own_block_txs.insert(reference, tags);
+    }
+
+    /// When the oldest pending forwardable transaction falls due (`None`
+    /// when forwarding is disabled or nothing is pending).
+    pub fn forward_wake(&self, mempool: &Mempool) -> Option<Time> {
+        let age = self.policy.config.forward_age?;
+        Some(mempool.oldest_enqueued()?.saturating_add(age))
+    }
+
+    /// Moves transactions that sat unproposed past the configured age out
+    /// of `mempool`, returning them with the peer to send them to
+    /// (`Envelope::TxForward`): pop from pending (digests stay in the
+    /// dedup set), remember each digest so the client's commit note can
+    /// close when *any* sequenced block carries it, and rotate the target
+    /// peer. One hop, no retry: exactly one pool owns a transaction at a
+    /// time, which is what keeps the global commit count at one.
+    pub fn forward_aged(
+        &mut self,
+        mempool: &mut Mempool,
+        evidence: &EvidencePool,
+        now: Time,
+    ) -> Option<(usize, Vec<Transaction>)> {
+        let cutoff = now.saturating_sub(self.policy.config.forward_age?);
+        if mempool.oldest_enqueued().is_none_or(|t| t > cutoff) {
+            return None;
+        }
+        let peer = self.next_forward_peer(evidence)?;
+        let aged = mempool.take_aged(cutoff, self.policy.config.forward_max);
+        let mut transactions = Vec::with_capacity(aged.len());
+        for (transaction, tag, client) in aged {
+            self.forwarded_out
+                .insert(transaction.digest(), (tag, client));
+            transactions.push(transaction);
+        }
+        (!transactions.is_empty()).then_some((peer, transactions))
+    }
+
+    /// The next forwarding target: round-robin over the committee,
+    /// skipping this validator and convicted equivocators. `None` only in
+    /// a degenerate single-validator committee.
+    fn next_forward_peer(&mut self, evidence: &EvidencePool) -> Option<usize> {
+        let n = self.committee_size;
+        for _ in 0..n {
+            let candidate = self.forward_cursor % n;
+            self.forward_cursor = self.forward_cursor.wrapping_add(1);
+            if candidate != self.authority.as_usize()
+                && !evidence.is_convicted(AuthorityIndex(candidate as u32))
+            {
+                return Some(candidate);
+            }
+        }
+        None
+    }
+
+    /// Accounts one block the commit rule just sequenced, appending the
+    /// tags of own transactions it committed to `tags`.
+    pub fn on_sequenced(&mut self, block: &Block, tags: &mut Vec<u64>) {
+        // Transactions this validator forwarded commit in *other* authors'
+        // blocks; spot them by digest to close their batches' commit
+        // notes. Gated on the map being non-empty — the digest per
+        // committed transaction is only paid when forwarding is live.
+        if !self.forwarded_out.is_empty() {
+            for transaction in block.transactions() {
+                if let Some((tag, client)) = self.forwarded_out.remove(&transaction.digest()) {
+                    self.counters.forwarded_committed += 1;
+                    self.close_note(tag, client);
+                }
+            }
+        }
+        if block.author() != self.authority {
+            return;
+        }
+        for transaction in block.transactions() {
+            let digest = transaction.digest();
+            if self.committed_digests.insert(digest) {
+                self.digests_by_round
+                    .entry(block.round())
+                    .or_default()
+                    .push(digest);
+            } else {
+                self.duplicate_committed += 1;
+            }
+        }
+        if let Some(mine) = self.own_block_txs.remove(&block.reference()) {
+            self.own_committed += usize_gauge(mine.len());
+            for (tag, client) in mine {
+                self.close_note(tag, client);
+                tags.push(tag);
+            }
+        }
+    }
+
+    /// Decrements the commit note for `(tag, client)`; a note reaching
+    /// zero closes and its tag joins the client's `Committed` receipt.
+    fn close_note(&mut self, tag: u64, client: usize) {
+        if let Some(remaining) = self.notes.get_mut(&(tag, client)) {
+            *remaining = remaining.saturating_sub(1);
+            if *remaining == 0 {
+                self.notes.remove(&(tag, client));
+                self.closed.entry(client).or_default().push(tag);
+            }
+        }
+    }
+
+    /// The commit notifications closed since the last call, as
+    /// `(client, receipt)` pairs in client order, chunked under the wire
+    /// frame's tag bound. Allocates nothing when no note closed.
+    pub fn take_commit_receipts(&mut self) -> Vec<(usize, TxReceipt)> {
+        let mut receipts = Vec::new();
+        for (client, tags) in std::mem::take(&mut self.closed) {
+            self.counters.commit_notices += usize_gauge(tags.len());
+            for chunk in tags.chunks(MAX_RECEIPT_TAGS) {
+                let tags = chunk.to_vec();
+                receipts.push((client, TxReceipt::Committed { tags }));
+            }
+        }
+        receipts
+    }
+
+    /// Retention sweep for commit notes and forwarded digests: a batch
+    /// whose transactions can never all commit here (e.g. a forwarded
+    /// transaction dropped by a crashing peer) must not pin its note
+    /// forever. Tags are engine times, so age prunes from the front.
+    pub fn sweep(&mut self, now: Time) {
+        if now.saturating_sub(self.last_sweep) < NOTE_RETENTION / 10 {
+            return;
+        }
+        self.last_sweep = now;
+        let floor = now.saturating_sub(NOTE_RETENTION);
+        if floor > 0 {
+            self.notes = self.notes.split_off(&(floor, 0));
+            self.forwarded_out.retain(|_, &mut (tag, _)| tag >= floor);
+        }
+    }
+
+    /// Drops digest-ledger entries for own blocks below the GC floor.
+    pub fn prune_digests(&mut self, floor: Round) {
+        let keep = self.digests_by_round.split_off(&floor);
+        for digest in self.digests_by_round.values().flatten() {
+            self.committed_digests.remove(digest);
+        }
+        self.digests_by_round = keep;
+    }
+
+    /// Current size of the exactly-once digest ledger.
+    pub fn digest_ledger_len(&self) -> usize {
+        self.committed_digests.len()
+    }
+
+    /// The transaction-pipeline accounting over `mempool` and this ledger.
+    pub fn tx_integrity(&self, mempool: &Mempool) -> TxIntegrityReport {
+        TxIntegrityReport {
+            accepted: mempool.accepted(),
+            rejected_duplicate: mempool.rejected_duplicate(),
+            rejected_full: mempool.rejected_full(),
+            rejected_rate_limited: mempool.rejected_rate_limited(),
+            forwarded: mempool.forwarded(),
+            pending: usize_gauge(mempool.len()),
+            in_flight: self
+                .own_block_txs
+                .values()
+                .map(|tags| usize_gauge(tags.len()))
+                .sum(),
+            own_committed: self.own_committed,
+            duplicate_committed: self.duplicate_committed,
+            peak_occupancy_txs: usize_gauge(mempool.peak_txs()),
+            peak_occupancy_bytes: usize_gauge(mempool.peak_bytes()),
+            capacity_txs: usize_gauge(mempool.config().capacity_txs),
+            capacity_bytes: usize_gauge(mempool.config().capacity_bytes),
+        }
+    }
+
+    /// The receipt/forwarding counters, completed from `mempool`.
+    pub fn ingress_report(&self, mempool: &Mempool) -> IngressReport {
+        IngressReport {
+            forwarded: mempool.forwarded(),
+            rate_limited: mempool.rejected_rate_limited(),
+            ..self.counters
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,5 +578,191 @@ mod tests {
             ..sound
         };
         assert_eq!(phantom.violations().len(), 2);
+    }
+
+    use crate::mempool::MempoolConfig;
+    use mahimahi_types::{BlockBuilder, TestCommittee};
+
+    const ME: AuthorityIndex = AuthorityIndex(0);
+    const CLIENT: usize = 9;
+
+    fn ledger(config: IngressConfig) -> (ClientLedger, Mempool) {
+        let ledger = ClientLedger::new(config, ME, 4);
+        (ledger, Mempool::new(MempoolConfig::test(100_000, 100_000)))
+    }
+
+    /// A block by `author` at `round` carrying the benchmark transactions
+    /// `ids` (never verified here, so it needs no parents).
+    fn block(setup: &TestCommittee, author: u32, round: Round, ids: &[u64]) -> Block {
+        BlockBuilder::new(AuthorityIndex(author), round)
+            .transactions(ids.iter().map(|&id| Transaction::benchmark(id)))
+            .build(setup)
+    }
+
+    #[test]
+    fn ledger_note_closes_exactly_when_its_last_accepted_transaction_is_sequenced() {
+        let setup = TestCommittee::new(4, 7);
+        let (mut ledger, mut mempool) = ledger(IngressConfig::default());
+        // Three submissions, one a duplicate: two accepted, one note.
+        let batch = [1, 2, 1].map(Transaction::benchmark).to_vec();
+        let (receipt, accepted) = ledger.admit_batch(&mut mempool, CLIENT, batch, 100);
+        assert!(accepted);
+        let TxReceipt::Admission { tag: 100, verdicts } = receipt else {
+            panic!("admission receipt tagged with the receive time");
+        };
+        assert_eq!(
+            verdicts,
+            [
+                TxVerdict::Accepted,
+                TxVerdict::Accepted,
+                TxVerdict::Duplicate
+            ]
+        );
+        // The two land in different own blocks.
+        let first = block(&setup, 0, 1, &[1]);
+        let second = block(&setup, 0, 2, &[2]);
+        ledger.register_own(first.reference(), vec![(100, CLIENT)]);
+        ledger.register_own(second.reference(), vec![(100, CLIENT)]);
+        assert_eq!(ledger.tx_integrity(&mempool).in_flight, 2);
+
+        let mut tags = Vec::new();
+        ledger.on_sequenced(&first, &mut tags);
+        assert_eq!(tags, [100]);
+        assert!(ledger.take_commit_receipts().is_empty(), "one still owed");
+        // A peer's block with the same payload closes nothing: only own
+        // blocks (and forwarded digests) count.
+        ledger.on_sequenced(&block(&setup, 1, 2, &[2]), &mut tags);
+        assert!(ledger.take_commit_receipts().is_empty());
+        ledger.on_sequenced(&second, &mut tags);
+        assert_eq!(tags, [100, 100]);
+        assert_eq!(
+            ledger.take_commit_receipts(),
+            [(CLIENT, TxReceipt::Committed { tags: vec![100] })]
+        );
+        assert!(ledger.take_commit_receipts().is_empty(), "delivered once");
+
+        let report = ledger.ingress_report(&mempool);
+        assert_eq!((report.batches_received, report.receipts_emitted), (1, 1));
+        assert_eq!((report.notes_opened, report.commit_notices), (1, 1));
+        assert!(report.violations().is_empty());
+        let integrity = ledger.tx_integrity(&mempool);
+        assert_eq!((integrity.own_committed, integrity.in_flight), (2, 0));
+    }
+
+    #[test]
+    fn ledger_note_of_a_forwarded_transaction_closes_in_any_authors_block() {
+        let setup = TestCommittee::new(4, 7);
+        let evidence = EvidencePool::new(setup.committee().clone());
+        let (mut ledger, mut mempool) = ledger(IngressConfig {
+            forward_age: Some(1_000),
+            ..IngressConfig::default()
+        });
+        let batch = vec![Transaction::benchmark(5)];
+        assert!(ledger.admit_batch(&mut mempool, CLIENT, batch, 500).1);
+        assert_eq!(ledger.forward_wake(&mempool), Some(1_500));
+        assert!(ledger
+            .forward_aged(&mut mempool, &evidence, 1_499)
+            .is_none());
+        // Past the age it moves to the next peer in rotation — never self.
+        let (peer, moved) = ledger
+            .forward_aged(&mut mempool, &evidence, 1_500)
+            .expect("aged out");
+        assert_eq!((peer, moved.len()), (1, 1));
+        assert!(mempool.is_empty());
+        assert_eq!(ledger.forward_wake(&mempool), None);
+
+        let mut tags = Vec::new();
+        ledger.on_sequenced(&block(&setup, 2, 3, &[5]), &mut tags);
+        assert!(tags.is_empty(), "not an own block: no tag echoed");
+        assert_eq!(
+            ledger.take_commit_receipts(),
+            [(CLIENT, TxReceipt::Committed { tags: vec![500] })]
+        );
+        assert_eq!(ledger.ingress_report(&mempool).forwarded_committed, 1);
+        assert!(ledger.forwarded_out.is_empty());
+    }
+
+    #[test]
+    fn ledger_receipts_chunk_at_the_wire_tag_bound() {
+        let setup = TestCommittee::new(4, 7);
+        let (mut ledger, mut mempool) = ledger(IngressConfig::default());
+        // One single-transaction batch per engine microsecond: as many
+        // notes, all closed by one own block.
+        let count = MAX_RECEIPT_TAGS as u64 + 5;
+        for now in 0..count {
+            let batch = vec![Transaction::benchmark(now)];
+            assert!(ledger.admit_batch(&mut mempool, CLIENT, batch, now).1);
+        }
+        let ids: Vec<u64> = (0..count).collect();
+        let own = block(&setup, 0, 1, &ids);
+        ledger.register_own(
+            own.reference(),
+            (0..count).map(|tag| (tag, CLIENT)).collect(),
+        );
+        ledger.on_sequenced(&own, &mut Vec::new());
+        let receipts = ledger.take_commit_receipts();
+        let lengths: Vec<usize> = receipts
+            .iter()
+            .map(|(client, receipt)| match receipt {
+                TxReceipt::Committed { tags } if *client == CLIENT => tags.len(),
+                other => panic!("unexpected receipt {other:?}"),
+            })
+            .collect();
+        assert_eq!(lengths, [MAX_RECEIPT_TAGS, 5]);
+        assert_eq!(ledger.ingress_report(&mempool).commit_notices, count);
+    }
+
+    #[test]
+    fn ledger_retention_sweep_drops_from_the_front_only() {
+        let evidence = EvidencePool::new(TestCommittee::new(4, 7).committee().clone());
+        let (mut ledger, mut mempool) = ledger(IngressConfig {
+            forward_age: Some(0),
+            forward_max: 1,
+            ..IngressConfig::default()
+        });
+        // An old and a recent batch, one transaction of each forwarded.
+        let old = 1_000;
+        let recent = old + NOTE_RETENTION;
+        for (now, id) in [(old, 1), (recent, 2)] {
+            let batch = vec![Transaction::benchmark(id)];
+            assert!(ledger.admit_batch(&mut mempool, CLIENT, batch, now).1);
+            assert!(ledger.forward_aged(&mut mempool, &evidence, now).is_some());
+        }
+        assert_eq!(ledger.notes.len(), 2);
+        // Too soon after the last sweep (time zero): nothing happens.
+        ledger.sweep(NOTE_RETENTION / 10 - 1);
+        assert_eq!(ledger.notes.len(), 2);
+        // The floor lands between the two: only the old entries go.
+        ledger.sweep(recent + 1);
+        assert_eq!(
+            ledger.notes.keys().copied().collect::<Vec<_>>(),
+            [(recent, CLIENT)]
+        );
+        let kept: Vec<u64> = ledger.forwarded_out.values().map(|&(tag, _)| tag).collect();
+        assert_eq!(kept, [recent]);
+    }
+
+    #[test]
+    fn ledger_digest_ledger_counts_a_duplicate_and_is_pruned_at_the_floor() {
+        let setup = TestCommittee::new(4, 7);
+        let (mut ledger, mempool) = ledger(IngressConfig::default());
+        let mut tags = Vec::new();
+        ledger.on_sequenced(&block(&setup, 0, 1, &[1, 2]), &mut tags);
+        ledger.on_sequenced(&block(&setup, 0, 5, &[3]), &mut tags);
+        // Peers' blocks never enter the exactly-once ledger.
+        ledger.on_sequenced(&block(&setup, 1, 5, &[4]), &mut tags);
+        assert_eq!(ledger.digest_ledger_len(), 3);
+        assert_eq!(ledger.tx_integrity(&mempool).duplicate_committed, 0);
+        // Transaction 2 commits again in a later own block.
+        ledger.on_sequenced(&block(&setup, 0, 6, &[2, 5]), &mut tags);
+        assert_eq!(ledger.tx_integrity(&mempool).duplicate_committed, 1);
+        assert_eq!(ledger.digest_ledger_len(), 4);
+        // Round 1's digests go with the floor; rounds 5 and 6 stay.
+        ledger.prune_digests(5);
+        assert_eq!(ledger.digest_ledger_len(), 2);
+        assert_eq!(
+            ledger.digests_by_round.keys().copied().collect::<Vec<_>>(),
+            [5, 6]
+        );
     }
 }

@@ -39,6 +39,8 @@
 //! ```
 
 pub mod admission;
+pub mod certified;
+pub mod checkpointing;
 mod committer;
 mod decider;
 mod election;
@@ -61,7 +63,7 @@ pub use engine::{
 };
 pub use evidence::{EvidencePool, RecordingSlashingHook, SlashingHook};
 pub use execution::{BalanceLedger, ExecutionState, BLOCK_REWARD};
-pub use ingress::{IngressConfig, IngressPolicy, IngressReport};
+pub use ingress::{ClientLedger, IngressConfig, IngressPolicy, IngressReport};
 pub use mempool::{Mempool, MempoolConfig, SubmitResult, TxIntegrityReport};
 pub use protocol::ProtocolCommitter;
 pub use sequencer::{CommitDecision, CommitSequencer, CommittedSubDag, SequencerSnapshot};

@@ -183,14 +183,6 @@ impl Mempool {
         &self.config
     }
 
-    /// Whether a transaction with this digest was ever accepted here —
-    /// the scope of the exactly-once commit guarantee (an equivocating
-    /// *peer* can get its own spam payload linearized under two block
-    /// digests; transactions accepted by this validator cannot).
-    pub fn was_accepted(&self, digest: &Digest) -> bool {
-        self.seen.contains(digest)
-    }
-
     /// Admits one transaction from `client`. `tag` is opaque client
     /// metadata carried alongside (submission time) and returned with the
     /// payload at inclusion; `now` is the engine's virtual time, recorded
@@ -409,11 +401,6 @@ impl Mempool {
                     .map(|entry| entry.enqueued)
             })
             .min()
-    }
-
-    /// Pending transactions for one client id.
-    pub fn pending_for(&self, client: usize) -> usize {
-        self.queues.get(&client).map_or(0, VecDeque::len)
     }
 
     /// Pending transactions.

@@ -95,6 +95,20 @@ impl SequencerSnapshot {
     pub fn digest(&self) -> Digest {
         blake2b_256(&self.to_bytes_vec())
     }
+
+    /// The GC floor of this cut under garbage-collection depth `depth`:
+    /// the lowest round a commit after it can still linearize. Everything
+    /// below is outside every future sub-DAG — the store may drop it, and
+    /// so may a log that holds this snapshot.
+    pub fn gc_floor(&self, depth: u64) -> Round {
+        gc_floor(self.next_round, depth)
+    }
+}
+
+/// The one place the floor arithmetic lives: `depth` rounds below the
+/// round sequencing resumes from, never below zero.
+fn gc_floor(next_round: Round, depth: u64) -> Round {
+    next_round.saturating_sub(depth)
 }
 
 impl Encode for SequencerSnapshot {
@@ -192,10 +206,8 @@ impl<C: ProtocolCommitter> CommitSequencer<C> {
     /// The lowest round future commits can still reference: the store may
     /// be compacted below it.
     pub fn gc_floor(&self) -> Round {
-        match self.gc_depth {
-            Some(depth) => self.next_round.saturating_sub(depth),
-            None => 0,
-        }
+        self.gc_depth
+            .map_or(0, |depth| gc_floor(self.next_round, depth))
     }
 
     /// Captures a [`SequencerSnapshot`] every `interval` decisions (0

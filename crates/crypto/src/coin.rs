@@ -19,7 +19,6 @@
 //! (DESIGN.md §3).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::blake2b::blake2b_256_parts;
 use crate::dleq::DleqProof;
@@ -112,7 +111,7 @@ impl CoinDealer {
 }
 
 /// A validator's long-term coin secret.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct CoinSecret {
     share: Share,
 }
@@ -151,7 +150,7 @@ impl std::fmt::Debug for CoinSecret {
 
 /// Public coin parameters: the reconstruction threshold and each validator's
 /// registered share key `g^{s_i}`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoinPublic {
     threshold: usize,
     share_keys: Vec<GroupElement>,
@@ -281,7 +280,7 @@ impl CoinPublic {
 }
 
 /// One validator's coin share for a round, with its validity proof.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoinShare {
     index: u64,
     sigma: GroupElement,
@@ -328,7 +327,7 @@ impl CoinShare {
 ///
 /// Deterministically elects the round's leader slots (Algorithm 2 line 15:
 /// `l ← c + leaderOffset mod committee size`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoinValue {
     round: u64,
     bytes: [u8; 32],

@@ -1,6 +1,5 @@
 //! 32-byte content digests.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{hex_decode, hex_encode};
@@ -16,7 +15,7 @@ use crate::{hex_decode, hex_encode};
 /// let digest = blake2b_256(b"hello");
 /// assert_eq!(digest.to_string().len(), 64);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Digest([u8; 32]);
 
 impl Digest {

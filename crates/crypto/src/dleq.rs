@@ -6,15 +6,13 @@
 //! long-term public share key and the per-round coin share — with the
 //! standard non-interactive (Fiat–Shamir) Chaum–Pedersen protocol.
 
-use serde::{Deserialize, Serialize};
-
 use crate::group::{GroupElement, Scalar};
 use crate::CryptoError;
 
 const DLEQ_DOMAIN: &[u8] = b"mahimahi-dleq-v1";
 
 /// A non-interactive proof that `log_{base_a}(a) == log_{base_b}(b)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DleqProof {
     challenge: Scalar,
     response: Scalar,

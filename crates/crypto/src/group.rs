@@ -7,7 +7,6 @@
 //! deliberately small — see the crate-level security note.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -51,7 +50,7 @@ fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
 /// let b = a.inverse().expect("5 is invertible");
 /// assert_eq!(a * b, Scalar::ONE);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Scalar(u64);
 
 impl Scalar {
@@ -195,7 +194,7 @@ impl fmt::Display for Scalar {
 /// let y = Scalar::new(17);
 /// assert_eq!(g.pow(x).pow(y), g.pow(x * y));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupElement(u64);
 
 impl GroupElement {

@@ -8,7 +8,6 @@
 //! path (including batch verification) is exercised.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::group::{GroupElement, Scalar};
@@ -18,7 +17,7 @@ const SIGN_DOMAIN: &[u8] = b"mahimahi-schnorr-v1";
 const NONCE_DOMAIN: &[u8] = b"mahimahi-schnorr-nonce-v1";
 
 /// A Schnorr secret key (a scalar).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct SecretKey(Scalar);
 
 impl SecretKey {
@@ -64,7 +63,7 @@ impl fmt::Debug for SecretKey {
 }
 
 /// A Schnorr public key (`g^x`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PublicKey(GroupElement);
 
 impl PublicKey {
@@ -113,7 +112,7 @@ impl fmt::Display for PublicKey {
 }
 
 /// A Schnorr signature `(R, s)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
     commitment: GroupElement,
     response: Scalar,

@@ -6,7 +6,6 @@
 //! validator `i` the evaluation at `x = i + 1`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::group::Scalar;
 use crate::CryptoError;
@@ -14,7 +13,7 @@ use crate::CryptoError;
 /// One share of a Shamir-shared secret: the evaluation of the dealer's
 /// polynomial at `x = index + 1` (indexes are zero-based authority indexes,
 /// shifted so that `x = 0`, the secret itself, is never dealt).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Share {
     /// The zero-based share index (authority index).
     pub index: u64,

@@ -15,10 +15,8 @@ mod cluster;
 mod log;
 mod loopback;
 mod node;
-mod wire;
 
 pub use client::{ClientError, TxClient, CLIENT_PEER};
 pub use cluster::LocalCluster;
 pub use loopback::{LoopbackCluster, LoopbackConfig};
 pub use node::{NodeConfig, NodeHandle, NodeMetrics, RecordedStep, StatusReport, ValidatorNode};
-pub use wire::NodeMessage;

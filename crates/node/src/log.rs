@@ -167,52 +167,36 @@ impl NodeLog {
             errors: 0,
         };
         for record in records {
-            let class = match WalRecord::from_bytes_exact(&record.payload) {
+            let decoded = WalRecord::from_bytes_exact(&record.payload).or_else(|_| {
+                Block::from_bytes_exact(&record.payload)
+                    .map(|block| WalRecord::Block(block.into_arc()))
+            });
+            let class = match decoded {
                 Ok(decoded) => {
                     let class = log.classify(&decoded);
-                    match decoded {
-                        WalRecord::Block(block) => engine.restore_block(block),
-                        WalRecord::Evidence(proof) => engine.restore_evidence(proof),
-                        WalRecord::Checkpoint {
-                            checkpoint,
-                            execution,
-                            resume,
-                        } => {
-                            engine.restore_checkpoint(checkpoint, execution, resume);
-                        }
-                    }
+                    engine.restore(decoded);
                     class
                 }
-                Err(_) => match Block::from_bytes_exact(&record.payload) {
-                    Ok(block) => {
-                        let class = log.classify_block(&block);
-                        engine.restore_block(block.into_arc());
-                        class
-                    }
-                    Err(_) => RecordClass::Unclassified, // corrupt or foreign: skip
-                },
+                Err(_) => RecordClass::Unclassified, // corrupt or foreign: skip
             };
             log.index(record.frame(), class);
         }
         Ok(log)
     }
 
-    /// Appends `record`. Own blocks, convictions and checkpoints are
-    /// *durable* records: they request an fsync, which [`Self::flush`]
-    /// performs before anything leaves the node. Peers' blocks can be
-    /// re-fetched, so they ride the next sync.
+    /// Appends `record`. A durable record ([`WalRecord::is_durable`] — the
+    /// rule and its reasons live there) requests an fsync, which
+    /// [`Self::flush`] performs before anything leaves the node.
     pub(crate) fn append(&mut self, record: &WalRecord) {
         self.append_encoded(&record.to_bytes_vec(), self.classify(record));
+        self.pending_sync |= record.is_durable(self.authority);
     }
 
     /// Appends the encoding `payload` of a record of class `class`. A
     /// failed append is counted and leaves the index as it was.
     fn append_encoded(&mut self, payload: &[u8], class: RecordClass) {
         match self.wal.append(payload) {
-            Ok(offset) => {
-                self.index(FrameRange::new(offset, payload.len()), class);
-                self.pending_sync |= !matches!(class, RecordClass::PeerBlock(_));
-            }
+            Ok(offset) => self.index(FrameRange::new(offset, payload.len()), class),
             Err(_) => self.errors += 1,
         }
     }
@@ -289,9 +273,7 @@ impl NodeLog {
             WalRecord::Checkpoint { resume, .. } => {
                 match SequencerSnapshot::from_bytes_exact(resume) {
                     Ok(snapshot) => RecordClass::Checkpoint {
-                        floor: self
-                            .gc_depth
-                            .map_or(0, |depth| snapshot.next_round.saturating_sub(depth)),
+                        floor: self.gc_depth.map_or(0, |depth| snapshot.gc_floor(depth)),
                     },
                     Err(_) => RecordClass::Unclassified,
                 }

@@ -3,7 +3,7 @@
 //!
 //! [`LoopbackCluster`] drives `n` [`ValidatorEngine`]s exactly the way the
 //! TCP node does — every message is serialized through the real wire codec
-//! ([`NodeMessage`]/`Envelope`), every [`Output::Persist`] lands in a real
+//! ([`Envelope`]), every [`Output::Persist`] lands in a real
 //! (in-memory) write-ahead log — but the transport is a deterministic
 //! event queue with a constant link delay and a virtual clock, so the
 //! whole run is a pure function of its inputs. The cluster records every
@@ -31,8 +31,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
-use crate::wire::NodeMessage;
-
 /// A serialized frame in flight on the loopback "network" (wake-ups ride
 /// the deduplicated `timers` set instead).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -41,7 +39,7 @@ struct Frame {
     from: usize,
     /// The receiving validator.
     to: usize,
-    /// The encoded [`NodeMessage`].
+    /// The encoded [`Envelope`].
     bytes: Vec<u8>,
     /// Virtual send time — the delivery delta is the ingress flight time.
     /// (Heap order is decided by the `(time, sequence)` tuple prefix, so
@@ -248,7 +246,7 @@ impl LoopbackCluster {
                     sent,
                 },
             )) = self.queue.pop().expect("peeked");
-            let Ok(message) = NodeMessage::from_bytes_exact(&bytes) else {
+            let Ok(message) = Envelope::from_bytes_exact(&bytes) else {
                 continue; // torn frame: dropped, like the node
             };
             // Driver-side stage boundaries: the link flight is the ingress
@@ -288,12 +286,11 @@ impl LoopbackCluster {
                     self.timers.insert((time.max(self.now), validator));
                 }
                 Output::Persist(record) => {
+                    // Durability before dissemination: see
+                    // `WalRecord::is_durable`.
                     let wal = &mut self.wals[validator];
                     let _ = wal.append(&record.to_bytes_vec());
-                    if matches!(&record, WalRecord::Block(block)
-                        if block.author() == self.engines[validator].authority())
-                        || matches!(record, WalRecord::Evidence(_))
-                    {
+                    if record.is_durable(self.engines[validator].authority()) {
                         let _ = wal.sync();
                     }
                 }
@@ -405,17 +402,8 @@ impl LoopbackCluster {
     pub fn recover_from_wal(&mut self, validator: usize) -> ValidatorEngine {
         let mut engine = self.fresh_engine(validator);
         for record in self.wals[validator].records().expect("in-memory wal") {
-            match WalRecord::from_bytes_exact(&record.payload) {
-                Ok(WalRecord::Block(block)) => engine.restore_block(block),
-                Ok(WalRecord::Evidence(proof)) => engine.restore_evidence(proof),
-                Ok(WalRecord::Checkpoint {
-                    checkpoint,
-                    execution,
-                    resume,
-                }) => {
-                    engine.restore_checkpoint(checkpoint, execution, resume);
-                }
-                Err(_) => continue,
+            if let Ok(record) = WalRecord::from_bytes_exact(&record.payload) {
+                engine.restore(record);
             }
         }
         engine
@@ -551,6 +539,33 @@ mod tests {
         let text = cluster.registry(0).render_prometheus();
         assert!(text.contains("mahimahi_stage_sequenced_seconds_bucket"));
         assert!(text.contains("le=\"+Inf\""));
+    }
+
+    #[test]
+    fn checkpoint_records_are_synced_like_own_blocks_and_evidence() {
+        let mut cluster = LoopbackCluster::new(config());
+        cluster.run_until(3_000_000);
+        let storage = cluster.wals.swap_remove(0).into_storage();
+        let records: Vec<WalRecord> = Wal::open(storage.clone())
+            .unwrap()
+            .records()
+            .unwrap()
+            .iter()
+            .map(|record| WalRecord::from_bytes_exact(&record.payload).unwrap())
+            .collect();
+        let checkpoints = records
+            .iter()
+            .filter(|record| matches!(record, WalRecord::Checkpoint { .. }))
+            .count();
+        assert!(checkpoints >= 2, "the run must cross checkpoint boundaries");
+        // One sync per durable record, checkpoints included — and none for
+        // the peers' blocks in between.
+        let durable = records
+            .iter()
+            .filter(|record| record.is_durable(AuthorityIndex(0)))
+            .count();
+        assert!(durable < records.len());
+        assert_eq!(storage.sync_count(), durable as u64);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! - [`Output::Broadcast`]/[`Output::SendTo`] → the length-prefixed TCP
 //!   [`Transport`];
-//! - [`Output::Persist`] → the write-ahead log (own blocks and evidence
-//!   are fsynced before dissemination: crash recovery must never cause
-//!   accidental equivocation or lose a conviction);
+//! - [`Output::Persist`] → the write-ahead log, fsynced before the next
+//!   send when [`WalRecord::is_durable`] (durability before
+//!   dissemination — the rule and its reasons are stated there);
 //! - [`Output::Committed`] → the application's commit channel;
 //! - time → [`Input::TimerFired`] from an `Instant`-derived microsecond
 //!   counter, fed once per poll-loop iteration (which bounds every
@@ -900,11 +900,11 @@ impl ValidatorNode {
     }
 
     /// Carries out engine effects against the transport, the WAL, and the
-    /// commit channel. Durable WAL records (own blocks, convictions) defer
-    /// their fsync until just before the next network send — or the end of
-    /// the batch — so consecutive records share one sync without ever
-    /// disseminating an unsynced own block. Errors only when the
-    /// application hung up.
+    /// commit channel. Durable WAL records ([`WalRecord::is_durable`])
+    /// defer their fsync until just before the next network send — or the
+    /// end of the batch — so consecutive records share one sync without
+    /// ever disseminating ahead of one. Errors only when the application
+    /// hung up.
     fn apply(
         &mut self,
         outputs: Vec<Output>,
@@ -922,10 +922,9 @@ impl ValidatorNode {
                     self.transport.send(peer as u32, envelope.to_bytes_vec());
                 }
                 Output::Persist(record) => {
-                    // Durability before dissemination: own blocks (the
-                    // engine emits their Persist ahead of the Broadcast),
-                    // convictions and checkpoints are fsynced before
-                    // anything else leaves this node.
+                    // Durability before dissemination: a durable record
+                    // (`WalRecord::is_durable`) is fsynced by the flush
+                    // ahead of the next send.
                     self.log.append(&record);
                     // A checkpoint marks what it subsumes as dead; once
                     // that outweighs what is live, rewrite the log. The
@@ -982,7 +981,6 @@ impl ValidatorNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::NodeMessage;
     use mahimahi_types::EquivocationProof;
 
     fn wal_dir(tag: &str) -> PathBuf {
@@ -1096,10 +1094,9 @@ mod tests {
             let mut node = ValidatorNode::new(config, transport).unwrap();
             let (commit_tx, _commit_rx) = unbounded();
             let (receipt_tx, _receipt_rx) = unbounded();
-            let outputs = node.engine.handle(Input::from_envelope(
-                1,
-                NodeMessage::Evidence(proof.clone()),
-            ));
+            let outputs = node
+                .engine
+                .handle(Input::from_envelope(1, Envelope::Evidence(proof.clone())));
             assert!(
                 outputs
                     .iter()

@@ -1,9 +1,11 @@
 //! Simulation configuration.
 
 use mahimahi_baselines::{CordialMinersCommitter, CordialMinersOptions, TuskCommitter};
-use mahimahi_core::{Committer, CommitterOptions, IngressConfig, MempoolConfig, ProtocolCommitter};
+use mahimahi_core::{
+    Committer, CommitterOptions, EngineConfig, IngressConfig, MempoolConfig, ProtocolCommitter,
+};
 use mahimahi_net::time::{self, Time};
-use mahimahi_types::{Committee, Round};
+use mahimahi_types::{AuthorityIndex, Committee, Round, TestCommittee};
 
 /// Which consensus protocol a run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,12 +395,6 @@ pub struct SimConfig {
     /// permissive (no rate limit, no forwarding), matching the paper's
     /// open-loop load experiments.
     pub ingress: IngressConfig,
-    /// Whether validators keep the committed-digest set behind the
-    /// `tx-integrity` accounting (duplicate-commit detection). On by
-    /// default; the multi-million-transaction figure sweeps turn it off to
-    /// halve digest-set growth (the mempool's accepted-digest dedup ledger
-    /// remains either way — retention is the replay protection).
-    pub track_tx_integrity: bool,
     /// Delay model.
     pub latency: LatencyChoice,
     /// Adversary model.
@@ -427,7 +423,6 @@ impl Default for SimConfig {
             tx_wire_size: 512,
             mempool: MempoolConfig::default(),
             ingress: IngressConfig::default(),
-            track_tx_integrity: true,
             latency: LatencyChoice::aws_wan(),
             adversary: AdversaryChoice::None,
             cpu: CpuCosts::default(),
@@ -439,6 +434,18 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// The engine configuration of `authority` under this run's protocol,
+    /// mempool, ingress and pacing parameters — the simulator's
+    /// counterpart of `NodeConfig::engine_config`.
+    pub fn engine_config(&self, authority: AuthorityIndex, setup: TestCommittee) -> EngineConfig {
+        let mut config = EngineConfig::new(authority, setup);
+        config.certified = self.protocol.certified();
+        config.mempool = self.mempool;
+        config.ingress = self.ingress;
+        config.inclusion_wait = self.inclusion_wait;
+        config
+    }
+
     /// The behavior of `authority`.
     pub fn behavior_of(&self, authority: usize) -> Behavior {
         self.behaviors
@@ -462,7 +469,6 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mahimahi_types::TestCommittee;
 
     #[test]
     fn batched_block_verify_discounts_every_block_after_the_first() {

@@ -46,7 +46,7 @@ pub use config::{
 pub use mahimahi_core::{
     IngressConfig, IngressReport, MempoolConfig, SubmitResult, TxIntegrityReport,
 };
-pub use message::{SimMessage, WireModel};
+pub use message::WireModel;
 pub use metrics::{LatencySnapshot, LatencyStats, SimReport};
 pub use runner::{SimOutcome, Simulation};
 pub use validator::{Action, SimValidator};

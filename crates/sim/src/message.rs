@@ -2,7 +2,7 @@
 //! model that prices them.
 //!
 //! The simulator speaks the workspace-wide wire vocabulary directly:
-//! [`SimMessage`] *is* [`mahimahi_types::Envelope`], the same enum the TCP
+//! its messages are [`mahimahi_types::Envelope`]s, the same enum the TCP
 //! node serializes over its transport. The simulator never materializes
 //! bytes — it carries envelopes by value through the virtual network — so
 //! the size and round accounting the network model needs lives here as the
@@ -15,9 +15,6 @@
 //! → [`Envelope::Certificate`].
 
 use mahimahi_types::{Block, Encode, Envelope};
-
-/// The wire message of the simulation — the shared driver vocabulary.
-pub type SimMessage = Envelope;
 
 /// Size/round accounting over [`Envelope`] for the simulated network
 /// (bandwidth model and adversary visibility).
@@ -109,14 +106,14 @@ mod tests {
     #[test]
     fn wire_sizes_scale_with_content() {
         let genesis = Block::genesis(AuthorityIndex(0)).into_arc();
-        let block_size = SimMessage::Block(genesis.clone()).wire_size(512);
+        let block_size = Envelope::Block(genesis.clone()).wire_size(512);
         assert!(block_size > 0);
-        let ack = SimMessage::Ack {
+        let ack = Envelope::Ack {
             reference: genesis.reference(),
             voter: AuthorityIndex(1),
         };
         assert!(ack.wire_size(512) < block_size * 10);
-        let cert = SimMessage::Certificate {
+        let cert = Envelope::Certificate {
             reference: genesis.reference(),
             signatures: 7,
         };
@@ -126,10 +123,10 @@ mod tests {
     #[test]
     fn rounds_reported_to_adversary() {
         let genesis = Block::genesis(AuthorityIndex(0)).into_arc();
-        assert_eq!(WireModel::round(&SimMessage::Block(genesis.clone())), 0);
-        assert_eq!(WireModel::round(&SimMessage::Request(vec![])), 0);
+        assert_eq!(WireModel::round(&Envelope::Block(genesis.clone())), 0);
+        assert_eq!(WireModel::round(&Envelope::Request(vec![])), 0);
         assert_eq!(
-            WireModel::round(&SimMessage::Ack {
+            WireModel::round(&Envelope::Ack {
                 reference: genesis.reference(),
                 voter: AuthorityIndex(1)
             }),
@@ -159,8 +156,8 @@ mod tests {
         // anything the sim can say round-trips through the codec.
         use mahimahi_types::{Decode, Encode};
         let genesis = Block::genesis(AuthorityIndex(2)).into_arc();
-        let bytes = SimMessage::Block(genesis.clone()).to_bytes_vec();
-        let decoded = SimMessage::from_bytes_exact(&bytes).unwrap();
-        assert!(matches!(decoded, SimMessage::Block(b) if b.reference() == genesis.reference()));
+        let bytes = Envelope::Block(genesis.clone()).to_bytes_vec();
+        let decoded = Envelope::from_bytes_exact(&bytes).unwrap();
+        assert!(matches!(decoded, Envelope::Block(b) if b.reference() == genesis.reference()));
     }
 }

@@ -6,14 +6,14 @@ use mahimahi_net::{
     PartitionAdversary, RandomSubsetAdversary, RotatingDelayAdversary, SimNetwork, UniformLatency,
 };
 use mahimahi_telemetry::{Stage, StageSnapshot, StageStats};
-use mahimahi_types::{AuthorityIndex, TestCommittee};
+use mahimahi_types::{AuthorityIndex, Envelope, TestCommittee};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::config::{AdversaryChoice, Behavior, LatencyChoice, SimConfig};
-use crate::message::{SimMessage, WireModel};
+use crate::message::WireModel;
 use crate::metrics::{LatencyStats, SimReport};
 use crate::validator::{Action, SimValidator};
 
@@ -105,7 +105,7 @@ pub struct SimOutcome {
 /// A full simulated deployment: committee, network, clients, clock.
 pub struct Simulation {
     config: SimConfig,
-    network: SimNetwork<SimMessage, AnyLatency, AnyAdversary>,
+    network: SimNetwork<Envelope, AnyLatency, AnyAdversary>,
     validators: Vec<SimValidator>,
     /// Deliveries deferred because the recipient's CPU was busy.
     deferred: BinaryHeap<Reverse<DeferredDelivery>>,
@@ -134,9 +134,9 @@ pub struct Simulation {
     observer_commits: Vec<(Time, u64)>,
 }
 
-/// Wrapper making `SimMessage` usable inside the ordered heap (ordering is
+/// Wrapper making `Envelope` usable inside the ordered heap (ordering is
 /// by the tuple prefix only).
-struct SeqMessage(SimMessage);
+struct SeqMessage(Envelope);
 
 impl PartialEq for SeqMessage {
     fn eq(&self, _: &Self) -> bool {
@@ -199,15 +199,9 @@ impl Simulation {
         let validators = (0..nodes)
             .map(|index| {
                 let mut validator = SimValidator::new(
-                    AuthorityIndex::from(index),
-                    setup.clone(),
+                    config.engine_config(AuthorityIndex::from(index), setup.clone()),
                     config.protocol.committer(setup.committee().clone()),
                     config.behavior_of(index),
-                    config.protocol.certified(),
-                    config.mempool,
-                    config.ingress,
-                    config.track_tx_integrity,
-                    config.inclusion_wait,
                     config.protocol.leader_schedule(),
                 );
                 // The engine shares this validator's stage histograms; the
@@ -396,7 +390,7 @@ impl Simulation {
     }
 
     /// Applies CPU gating, then lets the recipient process the message.
-    fn dispatch(&mut self, from: usize, to: usize, message: SimMessage) {
+    fn dispatch(&mut self, from: usize, to: usize, message: Envelope) {
         let busy_until = self.cpu_busy_until[to];
         if busy_until > self.now {
             // The deferred heap is the simulator's resequencer: the message
@@ -416,20 +410,20 @@ impl Simulation {
         self.process_message(from, to, message);
     }
 
-    fn process_message(&mut self, from: usize, to: usize, message: SimMessage) {
+    fn process_message(&mut self, from: usize, to: usize, message: Envelope) {
         // Charge verification CPU.
         let cpu = &self.config.cpu;
         let cost = match &message {
-            SimMessage::Block(block) | SimMessage::Proposal(block) => cpu.block_verify(
+            Envelope::Block(block) | Envelope::Proposal(block) => cpu.block_verify(
                 crate::message::block_wire_size(block, self.config.tx_wire_size),
             ),
-            SimMessage::Ack { .. } => cpu.signature_verify,
-            SimMessage::Certificate { signatures, .. } => cpu.certificate_verify(*signatures),
-            SimMessage::Request(_) => 1,
+            Envelope::Ack { .. } => cpu.signature_verify,
+            Envelope::Certificate { signatures, .. } => cpu.certificate_verify(*signatures),
+            Envelope::Request(_) => 1,
             // Sync replies go through the admission pipeline's batched
             // crypto path: one multi-scalar signature check and a shared
             // per-round coin base across the whole reply.
-            SimMessage::Response(blocks) => {
+            Envelope::Response(blocks) => {
                 let total_bytes: usize = blocks
                     .iter()
                     .map(|block| crate::message::block_wire_size(block, self.config.tx_wire_size))
@@ -438,7 +432,7 @@ impl Simulation {
             }
             // A proof is two block verifications, batched the same way
             // (evidence is only as good as its signatures).
-            SimMessage::Evidence(proof) => {
+            Envelope::Evidence(proof) => {
                 let total_bytes: usize = [proof.first(), proof.second()]
                     .iter()
                     .map(|block| crate::message::block_wire_size(block, self.config.tx_wire_size))
@@ -447,16 +441,16 @@ impl Simulation {
             }
             // Client batches and forwarded mempool frames cost their
             // ingest hashing (digest dedup).
-            SimMessage::TxBatch(transactions) | SimMessage::TxForward(transactions) => {
+            Envelope::TxBatch(transactions) | Envelope::TxForward(transactions) => {
                 1 + cpu.hash_per_kb
                     * ((transactions.len() * self.config.tx_wire_size) as Time / 1024)
             }
             // Receipts carry no signatures; parsing is the only cost.
-            SimMessage::TxReceipt(_) => 1,
+            Envelope::TxReceipt(_) => 1,
             // One signature check per checkpoint attestation.
-            SimMessage::Checkpoint(_) => cpu.signature_verify,
-            SimMessage::CheckpointRequest => 1,
-            SimMessage::CheckpointResponse { checkpoints, .. } => {
+            Envelope::Checkpoint(_) => cpu.signature_verify,
+            Envelope::CheckpointRequest => 1,
+            Envelope::CheckpointResponse { checkpoints, .. } => {
                 cpu.signature_verify * checkpoints.len() as Time
             }
         };
@@ -474,7 +468,7 @@ impl Simulation {
             match action {
                 Action::Broadcast(message) => {
                     // Block creation costs CPU on the producer.
-                    if matches!(message, SimMessage::Block(_) | SimMessage::Proposal(_)) {
+                    if matches!(message, Envelope::Block(_) | Envelope::Proposal(_)) {
                         self.cpu_busy_until[origin] = self.cpu_busy_until[origin].max(self.now)
                             + self.config.cpu.block_creation;
                     }
@@ -525,7 +519,7 @@ impl Simulation {
         // Throughput: committed transactions at the observer over the
         // post-warm-up window, approximated by scaling the total count by
         // the window share (commits are spread evenly in steady state).
-        let committed = observer.committed_transactions();
+        let committed = observer.engine().committed_transactions();
         let throughput = if window_s > 0.0 {
             committed as f64 * (window_s / duration_s) / window_s
         } else {
@@ -557,9 +551,9 @@ impl Simulation {
             latency: self.latencies,
             stages,
             highest_round: observer.store().highest_round(),
-            committed_slots: observer.committed_slots(),
-            skipped_slots: observer.skipped_slots(),
-            sequenced_blocks: observer.sequenced_blocks(),
+            committed_slots: observer.engine().committed_slots(),
+            skipped_slots: observer.engine().skipped_slots(),
+            sequenced_blocks: observer.engine().sequenced_blocks(),
             network_bytes: self.network.bytes_sent(),
         }
     }

@@ -20,26 +20,24 @@
 
 use mahimahi_core::{
     engine::{EngineConfig, Input},
-    EvidencePool, IngressConfig, IngressReport, MempoolConfig, Output, ProtocolCommitter,
-    TxIntegrityReport, ValidatorEngine,
+    EvidencePool, IngressReport, Output, ProtocolCommitter, TxIntegrityReport, ValidatorEngine,
 };
 use mahimahi_dag::BlockStore;
 use mahimahi_net::time::Time;
 use mahimahi_types::{
-    AuthorityIndex, BlockRef, Checkpoint, Round, StateRoot, TestCommittee, Transaction,
+    AuthorityIndex, BlockRef, Checkpoint, Envelope, Round, StateRoot, Transaction,
 };
 
 use crate::config::{Behavior, LeaderSchedule};
-use crate::message::SimMessage;
 use crate::strategy::strategy_for;
 
 /// An effect a validator asks the runner to carry out.
 #[derive(Debug)]
 pub enum Action {
     /// Send `message` to every other validator.
-    Broadcast(SimMessage),
+    Broadcast(Envelope),
     /// Send `message` to one validator.
-    Send(usize, SimMessage),
+    Send(usize, Envelope),
     /// Transactions authored by this validator just committed; each entry
     /// is the client submission time.
     TxsCommitted(Vec<Time>),
@@ -58,27 +56,22 @@ pub struct SimValidator {
 }
 
 impl SimValidator {
-    /// Creates the validator for `authority`.
-    #[allow(clippy::too_many_arguments)] // one call site, the runner, builds this from SimConfig
+    /// Creates the validator `config` describes (see
+    /// [`SimConfig::engine_config`](crate::config::SimConfig::engine_config)),
+    /// playing `behavior`.
     pub fn new(
-        authority: AuthorityIndex,
-        setup: TestCommittee,
+        mut config: EngineConfig,
         committer: Box<dyn ProtocolCommitter>,
         behavior: Behavior,
-        certified: bool,
-        mempool: MempoolConfig,
-        ingress: IngressConfig,
-        track_tx_integrity: bool,
-        inclusion_wait: Time,
         leader_schedule: LeaderSchedule,
     ) -> Self {
-        let strategy = strategy_for(behavior, certified, authority, &setup, leader_schedule);
-        let mut config = EngineConfig::new(authority, setup);
-        config.certified = certified;
-        config.mempool = mempool;
-        config.ingress = ingress;
-        config.track_tx_integrity = track_tx_integrity;
-        config.inclusion_wait = inclusion_wait;
+        let strategy = strategy_for(
+            behavior,
+            config.certified,
+            config.authority,
+            &config.setup,
+            leader_schedule,
+        );
         if let Behavior::Crashed { from_round } = behavior {
             config.halt_from_round = Some(from_round);
         }
@@ -122,11 +115,6 @@ impl SimValidator {
         self.engine.evidence()
     }
 
-    /// Mutable evidence pool access (for registering slashing hooks).
-    pub fn evidence_mut(&mut self) -> &mut EvidencePool {
-        self.engine.evidence_mut()
-    }
-
     /// The authorities this validator has convicted of equivocation, in
     /// index order. Honest validators converge on this set (the
     /// `evidence-attribution` oracle of `mahimahi-scenarios` checks it).
@@ -142,26 +130,6 @@ impl SimValidator {
     /// Transactions waiting for inclusion.
     pub fn queued_transactions(&self) -> usize {
         self.engine.queued_transactions()
-    }
-
-    /// Committed leader slots at this validator.
-    pub(crate) fn committed_slots(&self) -> u64 {
-        self.engine.committed_slots()
-    }
-
-    /// Skipped leader slots at this validator.
-    pub(crate) fn skipped_slots(&self) -> u64 {
-        self.engine.skipped_slots()
-    }
-
-    /// Blocks linearized into the total order at this validator.
-    pub(crate) fn sequenced_blocks(&self) -> u64 {
-        self.engine.sequenced_blocks()
-    }
-
-    /// Transactions committed (across all authors) at this validator.
-    pub(crate) fn committed_transactions(&self) -> u64 {
-        self.engine.committed_transactions()
     }
 
     fn is_crashed(&self, round: Round) -> bool {
@@ -200,7 +168,7 @@ impl SimValidator {
     }
 
     /// Submits a client batch through the shared wire vocabulary
-    /// ([`SimMessage::TxBatch`]) — the same ingestion path the TCP node's
+    /// ([`Envelope::TxBatch`]) — the same ingestion path the TCP node's
     /// client listener and the loopback cluster use.
     pub fn submit_batch(
         &mut self,
@@ -208,7 +176,7 @@ impl SimValidator {
         from: usize,
         transactions: Vec<Transaction>,
     ) -> Vec<Action> {
-        self.on_message(now, from, SimMessage::TxBatch(transactions))
+        self.on_message(now, from, Envelope::TxBatch(transactions))
     }
 
     /// The transaction-pipeline accounting at this validator (mempool
@@ -235,7 +203,7 @@ impl SimValidator {
     }
 
     /// Handles a delivered message, returning follow-up actions.
-    pub fn on_message(&mut self, now: Time, from: usize, message: SimMessage) -> Vec<Action> {
+    pub fn on_message(&mut self, now: Time, from: usize, message: Envelope) -> Vec<Action> {
         if self.is_crashed(self.engine.round() + 1) {
             return Vec::new();
         }
@@ -283,7 +251,7 @@ impl SimValidator {
                 Output::WakeAt(time) => actions.push(Action::WakeAt(time)),
                 Output::CheckpointProduced(checkpoint) => self.checkpoints.push(checkpoint),
                 Output::TxReceipt { peer, receipt } => {
-                    actions.push(Action::Send(peer, SimMessage::TxReceipt(receipt)))
+                    actions.push(Action::Send(peer, Envelope::TxReceipt(receipt)))
                 }
                 Output::Committed(_)
                 | Output::Persist(_)
@@ -298,7 +266,8 @@ impl SimValidator {
 mod tests {
     use super::*;
     use crate::config::ProtocolChoice;
-    use mahimahi_types::Block;
+    use mahimahi_core::MempoolConfig;
+    use mahimahi_types::{Block, TestCommittee};
     use std::collections::{HashMap, HashSet};
     use std::sync::Arc;
 
@@ -320,24 +289,17 @@ mod tests {
             ProtocolChoice::MahiMahi5 { leaders: 2 }
         };
         let committer = protocol.committer(setup.committee().clone());
-        SimValidator::new(
-            AuthorityIndex(authority),
-            setup,
-            committer,
-            behavior,
-            certified,
-            MempoolConfig::test(10_000, 100),
-            IngressConfig::default(),
-            true,
-            0, // no inclusion wait: unit tests drive rounds explicitly
-            protocol.leader_schedule(),
-        )
+        // No inclusion wait: unit tests drive rounds explicitly.
+        let mut config = EngineConfig::new(AuthorityIndex(authority), setup);
+        config.certified = certified;
+        config.mempool = MempoolConfig::test(10_000, 100);
+        SimValidator::new(config, committer, behavior, protocol.leader_schedule())
     }
 
     /// Broadcast block actions (the production path most tests inspect).
     fn broadcast_block(actions: &[Action]) -> Option<Arc<Block>> {
         actions.iter().find_map(|action| match action {
-            Action::Broadcast(SimMessage::Block(block)) => Some(block.clone()),
+            Action::Broadcast(Envelope::Block(block)) => Some(block.clone()),
             _ => None,
         })
     }
@@ -378,10 +340,10 @@ mod tests {
         let (sender, block) = round_one[1].clone();
         let mut target = validators.remove(0);
         // Deliver three peer blocks to validator 0: round 1 quorum complete.
-        target.on_message(1000, sender, SimMessage::Block(block));
+        target.on_message(1000, sender, Envelope::Block(block));
         assert_eq!(target.round(), 1, "needs full quorum at round 1");
         for (sender, block) in round_one.iter().skip(2) {
-            target.on_message(1000, *sender, SimMessage::Block(block.clone()));
+            target.on_message(1000, *sender, Envelope::Block(block.clone()));
         }
         assert_eq!(target.round(), 2);
         assert_eq!(target.store().blocks_at_round(1).len(), 4);
@@ -436,7 +398,7 @@ mod tests {
         let mut v = validator(0, Behavior::Honest, true);
         let actions = v.maybe_advance(0);
         let reference = match &actions[..] {
-            [Action::Broadcast(SimMessage::Proposal(block))] => block.reference(),
+            [Action::Broadcast(Envelope::Proposal(block))] => block.reference(),
             other => panic!("expected proposal broadcast, got {other:?}"),
         };
         // Not in the DAG yet: the round counter advanced but the store has
@@ -446,7 +408,7 @@ mod tests {
         let more = v.on_message(
             10,
             1,
-            SimMessage::Ack {
+            Envelope::Ack {
                 reference,
                 voter: AuthorityIndex(1),
             },
@@ -455,14 +417,14 @@ mod tests {
         let more = v.on_message(
             20,
             2,
-            SimMessage::Ack {
+            Envelope::Ack {
                 reference,
                 voter: AuthorityIndex(2),
             },
         );
         assert!(more
             .iter()
-            .any(|a| matches!(a, Action::Broadcast(SimMessage::Certificate { .. }))));
+            .any(|a| matches!(a, Action::Broadcast(Envelope::Certificate { .. }))));
         assert_eq!(v.store().blocks_at_round(1).len(), 1);
     }
 
@@ -476,9 +438,9 @@ mod tests {
 
         let mut v = validator(0, Behavior::Honest, false);
         // Deliver a round-2 block whose round-1 parents are unknown.
-        let actions = v.on_message(0, 1, SimMessage::Block(block));
+        let actions = v.on_message(0, 1, Envelope::Block(block));
         assert!(actions.iter().any(|a| matches!(a,
-            Action::Send(1, SimMessage::Request(refs)) if !refs.is_empty())));
+            Action::Send(1, Envelope::Request(refs)) if !refs.is_empty())));
     }
 
     #[test]
@@ -491,9 +453,9 @@ mod tests {
             .first()
             .map(|b| b.reference())
             .unwrap();
-        let actions = v.on_message(5, 3, SimMessage::Request(vec![own]));
+        let actions = v.on_message(5, 3, Envelope::Request(vec![own]));
         assert!(
-            matches!(&actions[..], [Action::Send(3, SimMessage::Response(blocks))]
+            matches!(&actions[..], [Action::Send(3, Envelope::Response(blocks))]
             if blocks.len() == 1)
         );
     }
@@ -504,7 +466,7 @@ mod tests {
         let actions = v.maybe_advance(0);
         let mut sent: HashMap<usize, BlockRef> = HashMap::new();
         for action in &actions {
-            if let Action::Send(to, SimMessage::Block(block)) = action {
+            if let Action::Send(to, Envelope::Block(block)) = action {
                 sent.insert(*to, block.reference());
             }
         }
@@ -530,7 +492,7 @@ mod tests {
         let actions = v.maybe_advance(0);
         let mut sent: HashMap<usize, BlockRef> = HashMap::new();
         for action in &actions {
-            if let Action::Send(to, SimMessage::Block(block)) = action {
+            if let Action::Send(to, Envelope::Block(block)) = action {
                 sent.insert(*to, block.reference());
             }
         }
@@ -549,7 +511,7 @@ mod tests {
         let mut digests = HashSet::new();
         let mut receivers = HashSet::new();
         for action in &actions {
-            if let Action::Send(to, SimMessage::Block(block)) = action {
+            if let Action::Send(to, Envelope::Block(block)) = action {
                 receivers.insert(*to);
                 digests.insert(block.reference());
             }
@@ -574,7 +536,7 @@ mod tests {
             let actions = v.maybe_advance(0);
             let mut sent: HashMap<usize, BlockRef> = HashMap::new();
             for action in &actions {
-                if let Action::Send(to, SimMessage::Block(block)) = action {
+                if let Action::Send(to, Envelope::Block(block)) = action {
                     sent.insert(*to, block.reference());
                 }
             }
@@ -589,7 +551,7 @@ mod tests {
             }
             assert!(actions
                 .iter()
-                .all(|a| !matches!(a, Action::Broadcast(SimMessage::Block(_)))));
+                .all(|a| !matches!(a, Action::Broadcast(Envelope::Block(_)))));
         }
     }
 
@@ -606,11 +568,11 @@ mod tests {
             let actions = v.maybe_advance(0);
             let sends = actions
                 .iter()
-                .filter(|a| matches!(a, Action::Send(_, SimMessage::Block(_))))
+                .filter(|a| matches!(a, Action::Send(_, Envelope::Block(_))))
                 .count();
             let broadcasts = actions
                 .iter()
-                .filter(|a| matches!(a, Action::Broadcast(SimMessage::Block(_))))
+                .filter(|a| matches!(a, Action::Broadcast(Envelope::Block(_))))
                 .count();
             if elected {
                 // f = 1 at n = 4: strictly fewer than f + 1 = 2 recipients.
@@ -642,7 +604,7 @@ mod tests {
         let released = v.maybe_advance(600);
         assert!(released
             .iter()
-            .any(|a| matches!(a, Action::Broadcast(SimMessage::Block(b)) if b.round() == 1)));
+            .any(|a| matches!(a, Action::Broadcast(Envelope::Block(b)) if b.round() == 1)));
     }
 
     #[test]
@@ -668,16 +630,13 @@ mod tests {
         let protocol = ProtocolChoice::MahiMahi5 { leaders: 2 };
         let mut validators: Vec<SimValidator> = (0..3)
             .map(|a| {
+                let mut config = EngineConfig::new(AuthorityIndex(a), setup.clone());
+                config.mempool = MempoolConfig::test(10_000, 100);
+                config.inclusion_wait = 1_000; // hold round 2 open until all of round 1 is here
                 SimValidator::new(
-                    AuthorityIndex(a),
-                    setup.clone(),
+                    config,
                     protocol.committer(setup.committee().clone()),
                     Behavior::Honest,
-                    false,
-                    MempoolConfig::test(10_000, 100),
-                    IngressConfig::default(),
-                    true,
-                    1_000, // hold round 2 open until all of round 1 is here
                     protocol.leader_schedule(),
                 )
             })
@@ -690,7 +649,7 @@ mod tests {
         let mut round_one: Vec<(usize, Arc<Block>)> = Vec::new();
         let eq_actions = equivocator.maybe_advance(0);
         for action in &eq_actions {
-            if let Action::Send(_, SimMessage::Block(block)) = action {
+            if let Action::Send(_, Envelope::Block(block)) = action {
                 round_one.push((3, block.clone()));
             }
         }
@@ -705,7 +664,7 @@ mod tests {
             if *from == 0 {
                 continue;
             }
-            target.on_message(100, *from, SimMessage::Block(block.clone()));
+            target.on_message(100, *from, Envelope::Block(block.clone()));
         }
         assert_eq!(target.convicted(), vec![AuthorityIndex(3)]);
         assert!(target.round() >= 2, "round advanced past the conviction");

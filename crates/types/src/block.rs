@@ -14,7 +14,6 @@ use mahimahi_crypto::blake2b::{blake2b_256, Blake2b};
 use mahimahi_crypto::coin::{CoinSecret, CoinShare};
 use mahimahi_crypto::schnorr::{Keypair, Signature};
 use mahimahi_crypto::Digest;
-use serde::{Deserialize, Serialize};
 use std::error::Error as StdError;
 use std::fmt;
 use std::sync::Arc;
@@ -39,7 +38,7 @@ const DIGEST_DOMAIN: &[u8] = b"mahimahi-block-v1";
 /// let reference = genesis.reference();
 /// assert_eq!(reference.round, 0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockRef {
     /// The round of the referenced block.
     pub round: Round,
@@ -98,7 +97,7 @@ impl Decode for BlockRef {
 /// Blocks are immutable once constructed; they are shared widely through
 /// [`Arc`] (see [`Block::into_arc`]). The content digest is computed at
 /// construction and cached in [`Block::reference`].
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Block {
     author: AuthorityIndex,
     round: Round,

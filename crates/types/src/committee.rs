@@ -2,7 +2,6 @@
 
 use mahimahi_crypto::coin::{CoinDealer, CoinPublic, CoinSecret};
 use mahimahi_crypto::schnorr::{Keypair, PublicKey};
-use serde::{Deserialize, Serialize};
 
 use crate::ids::AuthorityIndex;
 
@@ -23,7 +22,7 @@ use crate::ids::AuthorityIndex;
 /// assert_eq!(committee.quorum_threshold(), 7);
 /// assert_eq!(committee.validity_threshold(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Committee {
     /// Signing keys, indexed by [`AuthorityIndex`].
     public_keys: Vec<PublicKey>,

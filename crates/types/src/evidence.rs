@@ -14,7 +14,6 @@
 //! stored first, so two validators that observe the same conflicting pair
 //! build byte-identical proofs and deduplication works across nodes.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error as StdError;
 use std::fmt;
 use std::sync::Arc;
@@ -94,7 +93,7 @@ impl StdError for EvidenceError {}
 /// assert_eq!(proof.author(), AuthorityIndex(1));
 /// assert!(proof.verify(setup.committee()).is_ok());
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct EquivocationProof {
     /// The conflicting block with the smaller digest (canonical order).
     first: Arc<Block>,

@@ -1,6 +1,5 @@
 //! Identifiers for positions in the DAG.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Implements `Debug` by forwarding to `Display` (log-friendly identifiers).
@@ -25,7 +24,7 @@ pub type Round = u64;
 /// vectors.
 ///
 /// [`Committee`]: crate::committee::Committee
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AuthorityIndex(pub u32);
 
 impl AuthorityIndex {
@@ -105,7 +104,7 @@ impl fmt::Debug for AuthorityIndex {
 /// let slot = Slot::new(4, AuthorityIndex(2));
 /// assert_eq!(slot.to_string(), "S(v2,4)");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Slot {
     /// The round of the slot.
     pub round: Round,

@@ -2,7 +2,6 @@
 
 use mahimahi_crypto::blake2b::blake2b_256;
 use mahimahi_crypto::Digest;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An opaque client transaction.
@@ -18,7 +17,7 @@ use std::fmt;
 /// let tx = Transaction::new(vec![1, 2, 3]);
 /// assert_eq!(tx.len(), 3);
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Transaction(Vec<u8>);
 
 impl Transaction {
