@@ -18,7 +18,7 @@
 //!
 //! A second, deliberately oversubscribed **saturation phase** pushes a
 //! burst far past the pool capacity and verifies the subsystem answers
-//! with `SubmitResult::Full` rejections and a bounded pool instead of
+//! with `TxVerdict::Full` rejections and a bounded pool instead of
 //! unbounded memory growth.
 //!
 //! A **fairness phase** aims hundreds of Zipf-skewed clients at a single
@@ -28,16 +28,17 @@
 //! offered rate is within the limit — is starved relative to another
 //! (min/max accepted-throughput ratio ≥ 0.5 among compliant clients).
 //!
-//! By default the cluster is the deterministic loopback driver (virtual
-//! time, real wire codec, in-memory WALs), so the run is reproducible and
-//! CI-friendly; `--tcp` runs the same workload wall-clock against real
-//! TCP nodes. The binary exits non-zero if any transaction is lost or
+//! The cluster is the deterministic loopback driver (virtual time, real
+//! wire codec, in-memory WALs), so the run is reproducible and
+//! CI-friendly — every number here is a protocol-model result; the
+//! wall-clock numbers on real sockets and real fsyncs are the `wallclock/`
+//! benchmark's. The binary exits non-zero if any transaction is lost or
 //! duplicated, the latency histogram is empty, occupancy exceeds
 //! capacity, or the saturation phase sees no rejections — CI's
 //! `load-smoke` gate.
 //!
 //! Flags: `--quick` (short run), `--rate <tx/s per validator>`,
-//! `--tx-bytes <n>`, `--duration-s <n>`, `--capacity <txs>`, `--tcp`.
+//! `--tx-bytes <n>`, `--duration-s <n>`, `--capacity <txs>`.
 
 use mahimahi_core::{
     engine::Input, AdmissionConfig, AdmissionPipeline, CommitterOptions, IngressConfig,
@@ -45,11 +46,10 @@ use mahimahi_core::{
 };
 use mahimahi_dag::DagBuilder;
 use mahimahi_net::time::{self, Time};
-use mahimahi_node::{LocalCluster, LoopbackCluster, LoopbackConfig, TxClient};
+use mahimahi_node::{LoopbackCluster, LoopbackConfig};
 use mahimahi_sim::LatencyStats;
 use mahimahi_telemetry::{Stage, StageSnapshot};
 use mahimahi_types::{Decode, Encode, Envelope, TestCommittee, Transaction, TxReceipt, TxVerdict};
-use std::collections::HashMap;
 use std::io::Write;
 
 const NODES: usize = 4;
@@ -59,7 +59,6 @@ const INCLUSION_WAIT: Time = time::from_millis(20);
 const BATCH_INTERVAL: Time = time::from_millis(5);
 
 struct Args {
-    tcp: bool,
     quick: bool,
     rate_per_validator: u64,
     tx_bytes: usize,
@@ -78,7 +77,6 @@ fn parse_args() -> Args {
     };
     let quick = flag("--quick");
     Args {
-        tcp: flag("--tcp"),
         quick,
         rate_per_validator: value("--rate").unwrap_or(27_000),
         tx_bytes: value("--tx-bytes").unwrap_or(Transaction::BENCHMARK_SIZE as u64) as usize,
@@ -215,6 +213,23 @@ fn check_stage_decomposition(stages: &StageSnapshot, e2e_p99_s: f64, violations:
     }
 }
 
+/// `(commit time, batch tag)` for every batch `validator` reported
+/// committed: one client-observed latency sample per `Committed` tag. Tags
+/// are engine receive times; the client submitted one link delay earlier.
+fn committed_batches(
+    cluster: &LoopbackCluster,
+    validator: usize,
+) -> impl Iterator<Item = (Time, u64)> + '_ {
+    cluster
+        .receipts(validator)
+        .iter()
+        .filter_map(|(at, _, receipt)| match receipt {
+            TxReceipt::Committed { tags } => Some(tags.iter().map(move |&tag| (*at, tag))),
+            TxReceipt::Admission { .. } => None,
+        })
+        .flatten()
+}
+
 /// The sustained-load phase on the deterministic loopback cluster.
 fn loopback_load_phase(args: &Args) -> PhaseReport {
     let mut cluster = LoopbackCluster::new(LoopbackConfig {
@@ -264,9 +279,7 @@ fn loopback_load_phase(args: &Args) -> PhaseReport {
     let mut last_commit: Time = 0;
     let mut violations = Vec::new();
     for validator in 0..NODES {
-        for &(at, tag) in cluster.tx_commits(validator) {
-            // Tags are engine receive times; the client submitted one link
-            // delay earlier.
+        for (at, tag) in committed_batches(&cluster, validator) {
             latency.record(at - tag + LINK_DELAY);
             last_commit = last_commit.max(at);
         }
@@ -361,7 +374,7 @@ fn loopback_saturation_phase() -> PhaseReport {
 
     let integrity = cluster.engine(0).tx_integrity();
     let mut latency = LatencyStats::default();
-    for &(at, tag) in cluster.tx_commits(0) {
+    for (at, tag) in committed_batches(&cluster, 0) {
         latency.record(at - tag + LINK_DELAY);
     }
     let mut violations = integrity.violations();
@@ -374,7 +387,7 @@ fn loopback_saturation_phase() -> PhaseReport {
         integrity.rejected_duplicate + integrity.rejected_full + integrity.rejected_rate_limited;
     if cluster.rejections(0) != engine_rejections {
         violations.push(format!(
-            "driver saw {} rejections (TxRejected outputs + receipt verdicts), \
+            "driver saw {} rejections (admission-receipt verdicts), \
              engine counted {engine_rejections}",
             cluster.rejections(0),
         ));
@@ -513,7 +526,7 @@ fn loopback_fairness_phase(quick: bool) -> FairnessReport {
     // Tally the receipts validator 0 addressed to each client.
     let mut admissions = vec![0u64; CLIENTS];
     let mut accepted = vec![0u64; CLIENTS];
-    for (peer, receipt) in cluster.receipts(0) {
+    for (_, peer, receipt) in cluster.receipts(0) {
         let Some(client) = peer.checked_sub(NODES).filter(|&c| c < CLIENTS) else {
             continue;
         };
@@ -698,111 +711,6 @@ fn verify_stage_phase(quick: bool) -> VerifyReport {
     }
 }
 
-/// Wall-clock load against real TCP nodes through `TxClient` connections.
-fn tcp_load_phase(args: &Args) -> PhaseReport {
-    use std::time::{Duration, Instant};
-    let cluster = LocalCluster::start(NODES, 0x7cb).expect("cluster starts");
-    let mut clients: Vec<TxClient> = (0..NODES)
-        .map(|validator| TxClient::connect(cluster.address(validator)).expect("client connects"))
-        .collect();
-    let started = Instant::now();
-    let window = Duration::from_secs(args.duration_s);
-    let mut submitted_at: HashMap<u64, Instant> = HashMap::new();
-    let mut next_id = 0u64;
-    let mut per_validator_due = 0u64;
-    let mut latency = LatencyStats::default();
-    let mut committed = 0u64;
-    // Observe commits as they land (timestamping at receipt), while
-    // submitting the open-loop schedule.
-    let observe =
-        |latency: &mut LatencyStats, committed: &mut u64, submitted_at: &HashMap<u64, Instant>| {
-            while let Ok(sub_dag) = cluster.commits(0).try_recv() {
-                let now = Instant::now();
-                for block in &sub_dag.blocks {
-                    for tx in block.transactions() {
-                        if let Some(at) = tx.benchmark_id().and_then(|id| submitted_at.get(&id)) {
-                            *committed += 1;
-                            latency.record(now.duration_since(*at).as_micros() as Time);
-                        }
-                    }
-                }
-            }
-        };
-    while started.elapsed() < window {
-        let due = (started.elapsed().as_micros() * args.rate_per_validator as u128 / 1_000_000u128)
-            as u64;
-        let count = due.saturating_sub(per_validator_due);
-        per_validator_due = due;
-        if count > 0 {
-            let now = Instant::now();
-            for client in clients.iter_mut() {
-                let batch: Vec<Transaction> = (0..count)
-                    .map(|_| {
-                        next_id += 1;
-                        submitted_at.insert(next_id, now);
-                        load_tx(next_id, args.tx_bytes)
-                    })
-                    .collect();
-                let _ = client.submit(&batch);
-            }
-        }
-        observe(&mut latency, &mut committed, &submitted_at);
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // Drain the in-flight tail.
-    let drain_deadline = Instant::now() + Duration::from_secs(5);
-    while committed < next_id && Instant::now() < drain_deadline {
-        observe(&mut latency, &mut committed, &submitted_at);
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let mut peak = 0;
-    let mut rejected_full = 0;
-    let mut verify_peak_depth = 0;
-    let mut verify_verified = 0;
-    let mut verify_rejected = 0;
-    let mut stages = StageSnapshot::default();
-    for validator in 0..NODES {
-        let metrics = cluster.handle(validator).metrics();
-        peak = peak.max(metrics.peak_occupancy());
-        rejected_full += metrics.rejected_full();
-        verify_peak_depth = verify_peak_depth.max(metrics.verify_peak_depth());
-        verify_verified += metrics.verified();
-        verify_rejected += metrics.rejected();
-        stages.merge(&metrics.stage_snapshot());
-    }
-    cluster.stop();
-    println!(
-        "tcp verify: verified={verify_verified} | rejected={verify_rejected} | \
-         peak depth={verify_peak_depth}"
-    );
-    let mut violations = Vec::new();
-    if latency.is_empty() {
-        violations.push("empty commit-latency histogram (tcp)".into());
-    }
-    if verify_verified == 0 {
-        violations.push("verify stage admitted no inputs (tcp)".into());
-    }
-    if verify_rejected > 0 {
-        violations.push(format!(
-            "verify stage rejected {verify_rejected} inputs from honest peers (tcp)"
-        ));
-    }
-    if !stages.all_stages_populated() {
-        violations.push("commit-path stage histograms left empty (tcp)".into());
-    }
-    PhaseReport {
-        offered_tps: args.rate_per_validator * NODES as u64,
-        committed,
-        throughput_tps: committed as f64 / started.elapsed().as_secs_f64(),
-        latency,
-        stages: Some(stages),
-        peak_occupancy: peak,
-        capacity: u64::MAX,
-        rejected_full,
-        violations,
-    }
-}
-
 fn main() {
     let args = parse_args();
     bench::banner(
@@ -812,38 +720,21 @@ fn main() {
          occupancy within capacity, Full rejections under saturation",
     );
 
-    let mut reports = Vec::new();
-    let mut verify_report = None;
-    let mut fairness_report = None;
-    if args.tcp {
-        let report = tcp_load_phase(&args);
-        report.print("tcp-load  ");
-        reports.push(("tcp-load", report));
-    } else {
-        let report = loopback_load_phase(&args);
-        report.print("load      ");
-        reports.push(("load", report));
-        let report = loopback_saturation_phase();
-        report.print("saturation");
-        reports.push(("saturation", report));
-        let report = loopback_fairness_phase(args.quick);
-        report.print();
-        fairness_report = Some(report);
-        let report = verify_stage_phase(args.quick);
-        report.print();
-        verify_report = Some(report);
-    }
+    let load = loopback_load_phase(&args);
+    load.print("load      ");
+    let saturation = loopback_saturation_phase();
+    saturation.print("saturation");
+    let fairness = loopback_fairness_phase(args.quick);
+    fairness.print();
+    let verify = verify_stage_phase(args.quick);
+    verify.print();
 
-    let mut rows: Vec<String> = reports
-        .iter()
-        .map(|(phase, report)| report.json(phase))
-        .collect();
-    if let Some(report) = &fairness_report {
-        rows.push(report.json());
-    }
-    if let Some(report) = &verify_report {
-        rows.push(report.json());
-    }
+    let rows = [
+        load.json("load"),
+        saturation.json("saturation"),
+        fairness.json(),
+        verify.json(),
+    ];
     let path = bench::results_dir().join("load.json");
     let mut file = std::fs::File::create(&path).expect("create json report");
     writeln!(
@@ -854,16 +745,10 @@ fn main() {
     .expect("write json report");
     println!("\n→ wrote {}", path.display());
 
-    let failed: usize = reports
-        .iter()
-        .map(|(_, report)| report.violations.len())
-        .sum::<usize>()
-        + fairness_report
-            .as_ref()
-            .map_or(0, |report| report.violations.len())
-        + verify_report
-            .as_ref()
-            .map_or(0, |report| report.violations.len());
+    let failed = load.violations.len()
+        + saturation.violations.len()
+        + fairness.violations.len()
+        + verify.violations.len();
     if failed > 0 {
         println!("{failed} violation(s)");
         std::process::exit(1);

@@ -603,10 +603,6 @@ mod tests {
         let committee = setup.committee();
         let inputs = [
             Input::TimerFired { now: 9 },
-            Input::TxSubmitted {
-                transaction: Transaction::benchmark(1),
-                tag: 4,
-            },
             Input::TxBatchReceived {
                 from: 0,
                 transactions: vec![Transaction::benchmark(2)],

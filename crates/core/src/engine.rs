@@ -15,8 +15,8 @@
 //!
 //! | concern | file | state it owns | inputs that reach it |
 //! |---|---|---|---|
-//! | consensus kernel — admission, production, commit rule, linearisation | `engine.rs` (the [`ProposerStrategy`] seam in `engine/proposer.rs`) | local DAG ([`BlockStore`]), [`EvidencePool`], [`CommitSequencer`], proposer strategy, round pacing, [`Mempool`], unreferenced tips, verified-block set, execution state, commit history | `BlockReceived`, `SyncRequest`, `SyncReply`, `EvidenceReceived`, `TxSubmitted`, `TxForwardReceived`, `TimerFired` |
-//! | client ledger — receipts, forwarding, exactly-once accounting | `ingress.rs` ([`ClientLedger`]) | token buckets, receipt counters, commit notes, forwarded digests, own-block tags, committed-digest ledger | `TxBatchReceived`; every own block built; every block sequenced |
+//! | consensus kernel — admission, production, commit rule, linearisation | `engine.rs` (the [`ProposerStrategy`] seam in `engine/proposer.rs`) | local DAG ([`BlockStore`]), [`EvidencePool`], [`CommitSequencer`], proposer strategy, round pacing, unreferenced tips, verified-block set, execution state, commit history | `BlockReceived`, `SyncRequest`, `SyncReply`, `EvidenceReceived`, `TimerFired` |
+//! | client ledger — the pool, receipts, forwarding, exactly-once accounting | `ingress.rs` ([`ClientLedger`]) | the bounded transaction pool (`mempool.rs`), token buckets, receipt counters, commit notes, forwarded digests, own-block tags, committed-digest ledger | `TxBatchReceived`, `TxForwardReceived`; every own block built (it hands over the payload); every block sequenced |
 //! | checkpoint book — certification and state-sync material | `checkpointing.rs` ([`CheckpointBook`]) | archived cuts with their snapshots, attestations per position, latest certified position, commit frontier | `CheckpointReceived`, `CheckpointRequested`, `CheckpointSyncReceived`; every checkpoint boundary; checkpoint records at recovery |
 //! | certified broadcast — Tusk's proposal/ack/certificate pipeline | `certified.rs` ([`CertifiedBroadcast`]) | parked proposals, ack tallies, certified own proposals | `ProposalReceived`, `AckReceived`, `CertificateReceived` — only when [`EngineConfig::certified`]; otherwise the component does not exist and the three are dropped |
 //!
@@ -25,14 +25,24 @@
 //! Three drivers share this core:
 //!
 //! - the **simulator** (`mahimahi-sim`) maps `Broadcast`/`SendTo` onto its
-//!   virtual network, `WakeAt` onto its event heap, and `TxsCommitted`
-//!   onto its latency books;
+//!   virtual network and `WakeAt` onto its event heap;
 //! - the **TCP node** (`mahimahi-node`) maps `Broadcast`/`SendTo` onto the
 //!   length-prefixed transport, `Persist` onto its write-ahead log, and
 //!   `Committed` onto the application channel;
 //! - the **loopback harness** (`mahimahi-node::LoopbackCluster`) maps
 //!   everything onto a deterministic in-memory event queue and records the
 //!   input trace for replay.
+//!
+//! A client transaction has one way in and one way out, in all three: a
+//! batch enters as [`Input::TxBatchReceived`] — `from` is the wire client's
+//! connection id, or the validator's own index for the local client (the
+//! node's handle, the simulator's open-loop clients, the harness's
+//! `submit`) — and is answered through [`Output::TxReceipt`], which every
+//! driver reads: an `Admission` at once, a `Committed` when the batch is
+//! sequenced. Each tag of a `Committed` receipt is the batch's receive
+//! time, so `now − tag` is the client-observed commit latency — the one
+//! quantity the simulator's latency column, the load generator and the
+//! wall-clock benchmark all report.
 //!
 //! The two that persist follow one rule, stated at
 //! [`WalRecord::is_durable`], and recover through one entry point,
@@ -85,7 +95,7 @@ use crate::checkpointing::CheckpointBook;
 use crate::evidence::EvidencePool;
 use crate::execution::{BalanceLedger, ExecutionState};
 use crate::ingress::{ClientLedger, IngressConfig, IngressReport};
-use crate::mempool::{Mempool, MempoolConfig, SubmitResult, TxIntegrityReport};
+use crate::mempool::{Mempool, MempoolConfig, TxIntegrityReport};
 use crate::protocol::ProtocolCommitter;
 use crate::sequencer::{CommitDecision, CommitSequencer, CommittedSubDag, SequencerSnapshot};
 use crate::telemetry::{NoopSink, TelemetrySink};
@@ -156,26 +166,19 @@ pub enum Input {
         /// The (untrusted, re-verified) proof.
         proof: EquivocationProof,
     },
-    /// A client transaction enters the bounded mempool. `tag` is opaque
-    /// client metadata echoed back through [`Output::TxsCommitted`] when
-    /// the transaction commits in an own block (the simulator stores the
-    /// submission time there). Enqueue-only: inclusion happens at the next
-    /// production, driven by a timer or message input; rejections surface
-    /// as [`Output::TxRejected`].
-    TxSubmitted {
-        /// The transaction payload.
-        transaction: Transaction,
-        /// Opaque client metadata returned at commit time.
-        tag: u64,
-    },
-    /// A client transaction batch arrived on the wire
-    /// ([`Envelope::TxBatch`] — the client-ingress frame). Every
-    /// transaction is submitted to the mempool tagged with the engine's
-    /// current time, so [`Output::TxsCommitted`] doubles as a
-    /// client-observed commit-latency probe. Enqueue-only, like
-    /// [`Input::TxSubmitted`].
+    /// A client transaction batch arrived — the only way a client
+    /// transaction enters: an [`Envelope::TxBatch`] frame off the wire, or
+    /// the driver's local client submitting under the validator's own
+    /// index. Every transaction is submitted to the bounded mempool tagged
+    /// with the engine's current time, and the batch is answered through
+    /// [`Output::TxReceipt`] — admission verdicts at once, a commit notice
+    /// carrying that tag later — so the tag doubles as a client-observed
+    /// commit-latency probe. Enqueue-only: inclusion happens at the next
+    /// production, driven by a timer or message input, so batch
+    /// submissions do not fragment across blocks.
     TxBatchReceived {
-        /// The submitting peer or client connection.
+        /// The submitting client connection, or the validator's own index
+        /// for its local client (a committee member — never rate-limited).
         from: usize,
         /// The batched transaction payloads.
         transactions: Vec<Transaction>,
@@ -288,9 +291,6 @@ pub enum Output {
     SendTo(usize, Envelope),
     /// A leader slot committed; the sub-DAG extends the total order.
     Committed(CommittedSubDag),
-    /// Client tags (see [`Input::TxSubmitted`]) of own transactions that
-    /// just committed.
-    TxsCommitted(Vec<u64>),
     /// Append the record to durable storage. Drivers without persistence
     /// (the simulator) drop this; the others sync it before their next
     /// send when [`WalRecord::is_durable`] says so.
@@ -300,22 +300,14 @@ pub enum Output {
     /// A new authority was convicted of equivocation (fired once per
     /// author, after the proof was verified, recorded, and persisted).
     Convicted(EquivocationProof),
-    /// Backpressure: a submitted transaction was rejected by the mempool
-    /// (duplicate or pool at capacity). `tag` is the submission's client
-    /// tag (the engine's receive time for wire batches). Drivers relay
-    /// this to the submitting client or count it in their load books.
-    TxRejected {
-        /// The rejected submission's client tag.
-        tag: u64,
-        /// Why the mempool refused it.
-        reason: SubmitResult,
-    },
-    /// A client-ingress receipt to render back to the submitting
-    /// connection: per-transaction admission verdicts for every received
-    /// wire batch ([`Input::TxBatchReceived`]), and later the commit
-    /// notification once all accepted transactions of a batch are
-    /// sequenced. The TCP node frames it down the client's connection;
-    /// the simulator and loopback drivers record it in their books.
+    /// A client-ingress receipt to render back to the submitter:
+    /// per-transaction admission verdicts for every received batch
+    /// ([`Input::TxBatchReceived`]) — backpressure (a duplicate, a pool at
+    /// capacity, an exhausted token bucket) surfaces here — and later the
+    /// commit notification once all accepted transactions of a batch are
+    /// sequenced. The TCP node frames it down the client's connection (or
+    /// its local handle's channel when `peer` is its own index); the
+    /// simulator and loopback drivers record it in their books.
     TxReceipt {
         /// The client/peer id the receipt addresses (the batch's `from`).
         peer: usize,
@@ -541,8 +533,6 @@ pub struct ValidatorEngine {
     /// Messages built but deliberately held back (slow-proposer pacing):
     /// (release time, message), in release order.
     pending_out: VecDeque<(Time, Envelope)>,
-    /// The bounded client-transaction pool feeding block production.
-    mempool: Mempool,
     /// Blocks in the local DAG that no stored block references yet —
     /// candidates for the next block's parent list.
     unreferenced: BTreeSet<BlockRef>,
@@ -589,7 +579,6 @@ impl ValidatorEngine {
             quorum_since: None,
             last_production: None,
             pending_out: VecDeque::new(),
-            mempool: Mempool::new(config.mempool),
             unreferenced: Block::all_genesis(committee.size())
                 .iter()
                 .map(Block::reference)
@@ -598,7 +587,12 @@ impl ValidatorEngine {
             signature_checks: 0,
             execution: Box::new(BalanceLedger::new()),
             history: CommitHistory::default(),
-            clients: ClientLedger::new(config.ingress, config.authority, committee.size()),
+            clients: ClientLedger::new(
+                config.ingress,
+                config.mempool,
+                config.authority,
+                committee.size(),
+            ),
             certified: config
                 .certified
                 .then(|| CertifiedBroadcast::new(config.authority, committee.quorum_threshold())),
@@ -640,20 +634,6 @@ impl ValidatorEngine {
         }
         let mut outputs = Vec::new();
         match input {
-            Input::TxSubmitted { transaction, tag } => {
-                // Enqueue-only: inclusion happens at the next production so
-                // batch submissions do not fragment across blocks.
-                // Locally submitted transactions belong to this validator's
-                // own client id (a committee member — never rate-limited).
-                let client = self.config.authority.as_usize();
-                let reason = self.mempool.submit(transaction, tag, client, self.now);
-                if reason.is_accepted() {
-                    self.arm_forward_timer(&mut outputs);
-                } else {
-                    outputs.push(Output::TxRejected { tag, reason });
-                }
-                return outputs;
-            }
             Input::TxBatchReceived {
                 from: peer,
                 transactions,
@@ -661,9 +641,9 @@ impl ValidatorEngine {
                 if transactions.is_empty() {
                     return outputs; // cannot arrive via the wire codec
                 }
-                let (receipt, accepted) =
-                    self.clients
-                        .admit_batch(&mut self.mempool, peer, transactions, self.now);
+                // Enqueue-only: returns ahead of `advance`, so a run of
+                // batches lands in one block at the next production.
+                let (receipt, accepted) = self.clients.admit_batch(peer, transactions, self.now);
                 if accepted {
                     self.arm_forward_timer(&mut outputs);
                 }
@@ -671,13 +651,7 @@ impl ValidatorEngine {
                 return outputs;
             }
             Input::TxForwardReceived { from, transactions } => {
-                // A peer moved these out of its pool: plain admission
-                // (dedup + capacity), no receipt, no rate limit, no
-                // second forwarding hop.
-                let tag = self.now;
-                for transaction in transactions {
-                    let _ = self.mempool.submit_forwarded(transaction, tag, from, tag);
-                }
+                self.clients.admit_forwarded(from, transactions, self.now);
                 return outputs;
             }
             Input::TxReceiptReceived { .. } => {
@@ -747,10 +721,7 @@ impl ValidatorEngine {
         // Forwarding runs after advance: anything production could drain
         // into an own block stays local; only what this validator cannot
         // propose (halted, paced out) moves to a peer.
-        if let Some((peer, transactions)) =
-            self.clients
-                .forward_aged(&mut self.mempool, &self.evidence, self.now)
-        {
+        if let Some((peer, transactions)) = self.clients.forward_aged(&self.evidence, self.now) {
             outputs.push(Output::SendTo(peer, Envelope::TxForward(transactions)));
         }
         self.arm_forward_timer(&mut outputs);
@@ -880,14 +851,9 @@ impl ValidatorEngine {
         self.round
     }
 
-    /// Transactions waiting for inclusion.
-    pub fn queued_transactions(&self) -> usize {
-        self.mempool.len()
-    }
-
     /// The bounded client-transaction pool (occupancy, rejection counters).
     pub fn mempool(&self) -> &Mempool {
-        &self.mempool
+        self.clients.mempool()
     }
 
     /// A point-in-time accounting of the transaction pipeline: accepted vs
@@ -898,7 +864,7 @@ impl ValidatorEngine {
     /// [`TxIntegrityReport::occupancy_bounded`], and a zero
     /// `duplicate_committed` count.
     pub fn tx_integrity(&self) -> TxIntegrityReport {
-        self.clients.tx_integrity(&self.mempool)
+        self.clients.tx_integrity()
     }
 
     /// A point-in-time accounting of the client-ingress subsystem:
@@ -907,7 +873,7 @@ impl ValidatorEngine {
     /// oracle holds every correct validator to
     /// [`IngressReport::violations`] being empty.
     pub fn ingress_report(&self) -> IngressReport {
-        self.clients.ingress_report(&self.mempool)
+        self.clients.ingress_report()
     }
 
     /// The committed leader sequence so far (`None` entries are skipped
@@ -1230,7 +1196,7 @@ impl ValidatorEngine {
     /// transaction (no-op when forwarding is disabled or nothing is
     /// pending).
     fn arm_forward_timer(&self, outputs: &mut Vec<Output>) {
-        if let Some(due) = self.clients.forward_wake(&self.mempool) {
+        if let Some(due) = self.clients.forward_wake() {
             outputs.push(Output::WakeAt(due));
         }
     }
@@ -1356,9 +1322,9 @@ impl ValidatorEngine {
             }
         }
 
-        // Pull the next budgeted payload from the mempool (FIFO, bounded
-        // in transactions and bytes).
-        let (transactions, tags) = self.mempool.next_payload();
+        // Pull the next budgeted payload from the client ledger's pool
+        // (FIFO, bounded in transactions and bytes).
+        let (transactions, tags) = self.clients.next_payload();
 
         let mut strategy = self.strategy.take().expect("strategy present");
         let mut ctx = ProposeCtx {
@@ -1399,10 +1365,10 @@ impl ValidatorEngine {
         }
     }
 
-    /// Runs the commit rule, emitting sub-DAGs and own-transaction tags,
-    /// folding every commit into the execution state, signing checkpoints
-    /// at boundary crossings, then compacting once the GC floor moved far
-    /// enough. Allocates nothing when nothing commits.
+    /// Runs the commit rule, emitting sub-DAGs and the commit receipts
+    /// they close, folding every commit into the execution state, signing
+    /// checkpoints at boundary crossings, then compacting once the GC floor
+    /// moved far enough. Allocates nothing when nothing commits.
     fn commit(&mut self, outputs: &mut Vec<Output>) {
         let decisions = self.sequencer.try_commit(&self.store);
         // Boundary snapshots captured during try_commit, oldest first; the
@@ -1424,20 +1390,10 @@ impl ValidatorEngine {
                 // zero keeps the stage populated for the wiring day it
                 // moves off-path.
                 self.telemetry.record_stage(Stage::Executed, 0);
-                let mut tags = Vec::new();
                 for block in &sub_dag.blocks {
-                    self.clients.on_sequenced(block, &mut tags);
+                    self.clients.on_sequenced(block);
                 }
                 outputs.push(Output::Committed(sub_dag));
-                if !tags.is_empty() {
-                    // Tags are submission times (engine clock), so the
-                    // delta is the submit→linearize latency.
-                    for &tag in &tags {
-                        self.telemetry
-                            .record_stage(Stage::Sequenced, self.now.saturating_sub(tag));
-                    }
-                    outputs.push(Output::TxsCommitted(tags));
-                }
             }
             while boundaries
                 .peek()
@@ -1450,6 +1406,14 @@ impl ValidatorEngine {
         debug_assert!(boundaries.peek().is_none(), "unpaired boundary snapshot");
         // Deliver the commit notifications closed by this sweep.
         for (peer, receipt) in self.clients.take_commit_receipts() {
+            if let TxReceipt::Committed { tags } = &receipt {
+                // Tags are batch receive times (engine clock), so the
+                // delta is the submit→linearize latency of each batch.
+                for &tag in tags {
+                    self.telemetry
+                        .record_stage(Stage::Sequenced, self.now.saturating_sub(tag));
+                }
+            }
             // The receipt leaves with this output batch; the driver owns
             // any further queueing, so the engine's share is zero.
             self.telemetry.record_stage(Stage::ReceiptSent, 0);
@@ -1593,21 +1557,30 @@ mod tests {
     #[test]
     fn transactions_flow_into_blocks_with_tags_returned_at_commit() {
         let mut engines: Vec<ValidatorEngine> = (0..4).map(|a| engine(a, false)).collect();
-        engines[0].handle(Input::TxSubmitted {
-            transaction: Transaction::benchmark(9),
-            tag: 555,
-        });
-        assert_eq!(engines[0].queued_transactions(), 1);
-        // Flood-deliver every broadcast block (up to a round horizon) so
-        // validator 0's round-1 block commits; the submission tag must come
-        // back through TxsCommitted on engine 0.
-        let mut tags = Vec::new();
         let mut inflight: VecDeque<(usize, Arc<Block>)> = VecDeque::new();
         for engine in engines.iter_mut() {
             let from = engine.authority().as_usize();
-            let outputs = engine.handle(Input::TimerFired { now: 0 });
+            let outputs = engine.handle(Input::TimerFired { now: 555 });
             inflight.extend(broadcast_blocks(&outputs).into_iter().map(|b| (from, b)));
         }
+        // The local client submits under the validator's own index; the
+        // batch is tagged with the engine's receive time.
+        let mut receipts: Vec<TxReceipt> = Vec::new();
+        let mut inbox = |outputs: &[Output]| {
+            for output in outputs {
+                if let Output::TxReceipt { peer: 0, receipt } = output {
+                    receipts.push(receipt.clone());
+                }
+            }
+        };
+        inbox(&engines[0].handle(Input::TxBatchReceived {
+            from: 0,
+            transactions: vec![Transaction::benchmark(9)],
+        }));
+        assert_eq!(engines[0].mempool().len(), 1);
+        // Flood-deliver every broadcast block (up to a round horizon) so
+        // validator 0's round-2 block commits; the batch tag must come back
+        // in a Committed receipt on engine 0.
         while let Some((from, block)) = inflight.pop_front() {
             if block.round() > 12 {
                 continue; // bound the lockstep flood
@@ -1621,18 +1594,24 @@ mod tests {
                     block: block.clone(),
                 });
                 if to == 0 {
-                    for output in &outputs {
-                        if let Output::TxsCommitted(mine) = output {
-                            tags.extend(mine.iter().copied());
-                        }
-                    }
+                    inbox(&outputs);
                 }
                 inflight.extend(broadcast_blocks(&outputs).into_iter().map(|b| (to, b)));
             }
         }
-        assert_eq!(engines[0].queued_transactions(), 0, "transaction included");
+        assert_eq!(engines[0].mempool().len(), 0, "transaction included");
         assert!(engines[0].committed_transactions() > 0);
-        assert_eq!(tags, vec![555], "client tag returned exactly once");
+        assert_eq!(
+            receipts,
+            [
+                TxReceipt::Admission {
+                    tag: 555,
+                    verdicts: vec![TxVerdict::Accepted]
+                },
+                TxReceipt::Committed { tags: vec![555] },
+            ],
+            "one admission, then the batch tag returned exactly once"
+        );
         // The transaction pipeline conserved the submission: accepted 1,
         // committed 1, nothing pending or in flight, no duplicate commits.
         let integrity = engines[0].tx_integrity();
@@ -1653,38 +1632,28 @@ mod tests {
             config,
             Box::new(Committer::new(committee, CommitterOptions::mahi_mahi_5(2))),
         );
-        // First two submissions are accepted silently.
+        let mut submit = |now, id| {
+            engine.handle(Input::TimerFired { now });
+            let outputs = engine.handle(Input::TxBatchReceived {
+                from: 0,
+                transactions: vec![Transaction::benchmark(id)],
+            });
+            match &outputs[..] {
+                [Output::TxReceipt {
+                    peer: 0,
+                    receipt: TxReceipt::Admission { tag, verdicts },
+                }] if *tag == now => verdicts.clone(),
+                other => panic!("expected one admission receipt, got {other:?}"),
+            }
+        };
+        // The first two submissions fill the pool (round 1 was produced
+        // before either arrived, and round 2 needs a quorum).
         for id in 0..2 {
-            assert!(engine
-                .handle(Input::TxSubmitted {
-                    transaction: Transaction::benchmark(id),
-                    tag: id,
-                })
-                .is_empty());
+            assert_eq!(submit(id, id), [TxVerdict::Accepted]);
         }
         // A digest resubmission is a Duplicate, a fresh one overflows.
-        let outputs = engine.handle(Input::TxSubmitted {
-            transaction: Transaction::benchmark(0),
-            tag: 9,
-        });
-        assert!(matches!(
-            &outputs[..],
-            [Output::TxRejected {
-                tag: 9,
-                reason: SubmitResult::Duplicate
-            }]
-        ));
-        let outputs = engine.handle(Input::TxSubmitted {
-            transaction: Transaction::benchmark(2),
-            tag: 10,
-        });
-        assert!(matches!(
-            &outputs[..],
-            [Output::TxRejected {
-                tag: 10,
-                reason: SubmitResult::Full
-            }]
-        ));
+        assert_eq!(submit(9, 0), [TxVerdict::Duplicate]);
+        assert_eq!(submit(10, 2), [TxVerdict::Full]);
         let integrity = engine.tx_integrity();
         assert_eq!(integrity.accepted, 2);
         assert_eq!(integrity.rejected_duplicate, 1);
@@ -1707,7 +1676,7 @@ mod tests {
                 receipt: TxReceipt::Admission { tag: 42, verdicts },
             }] if verdicts[..] == [TxVerdict::Accepted, TxVerdict::Accepted]
         ));
-        assert_eq!(engine.queued_transactions(), 2);
+        assert_eq!(engine.mempool().len(), 2);
         // A duplicate inside a later batch earns a Duplicate verdict under
         // the engine's receive time.
         let outputs = engine.handle(Input::TxBatchReceived {

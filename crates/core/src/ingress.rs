@@ -9,7 +9,13 @@
 //! and a recorded trace replays the exact same verdicts.
 //!
 //! [`ClientLedger`] is the engine's component for everything a client is
-//! owed. It holds the two mechanisms below as fields, plus the commit
+//! owed, from the one way in — a transaction batch
+//! (`Input::TxBatchReceived`, whether it came over the wire, from the
+//! node's local handle or from a simulated client) — to the one way out,
+//! `Output::TxReceipt`. It owns the [`Mempool`] outright: the kernel asks
+//! it to admit a batch, to hand over the next block payload, and to move
+//! aged transactions to a peer, and never touches the pool itself. Beside
+//! the pool it holds the two mechanisms below as fields, plus the commit
 //! notes, the forwarded-transaction digests, the tags of transactions in
 //! own blocks, and the exactly-once digest ledger:
 //!
@@ -27,12 +33,12 @@
 //!   committed more often than it was forwarded.
 //!
 //! The deficit-round-robin fair queue — the other half of the ingress
-//! policy — lives in the [`Mempool`] itself,
-//! where the per-client queues are.
+//! policy — lives in the [`Mempool`] itself, where the per-client queues
+//! are.
 
 use crate::engine::{usize_gauge, Time};
 use crate::evidence::EvidencePool;
-use crate::mempool::{Mempool, SubmitResult, TxIntegrityReport};
+use crate::mempool::{Mempool, MempoolConfig, TxIntegrityReport};
 use mahimahi_crypto::Digest;
 use mahimahi_types::{
     AuthorityIndex, Block, BlockRef, Round, Transaction, TxReceipt, TxVerdict, MAX_RECEIPT_TAGS,
@@ -203,21 +209,24 @@ impl IngressReport {
 const NOTE_RETENTION: Time = 600_000_000;
 
 /// What one validator owes its clients and how it accounts for their
-/// transactions: admission verdicts, commit notices, one-hop forwarding,
-/// and the exactly-once ledger of transactions committed in own blocks.
+/// transactions: the pool they wait in, admission verdicts, commit
+/// notices, one-hop forwarding, and the exactly-once ledger of
+/// transactions committed in own blocks.
 ///
 /// The ledger never decides when a block is produced or what commits; the
-/// engine tells it what was admitted, built and sequenced, and renders the
-/// receipts it hands back.
+/// engine tells it what arrived, when it builds a block and what was
+/// sequenced, and renders the receipts it hands back.
 #[derive(Default)]
 pub struct ClientLedger {
     authority: AuthorityIndex,
     committee_size: usize,
+    /// The bounded client-transaction pool feeding block production.
+    mempool: Mempool,
     /// Per-client token buckets (external clients only; committee peers
     /// are exempt by construction).
     policy: IngressPolicy,
-    /// Receipt/forwarding counters (the `forwarded`/`rate_limited` fields
-    /// are filled from the mempool at report time).
+    /// Receipt/forwarding counters (`forwarded` is filled from the pool at
+    /// report time).
     counters: IngressReport,
     /// Commit notifications owed to clients: `(batch tag, client)` → how
     /// many accepted transactions of that batch are still unsequenced.
@@ -264,19 +273,26 @@ pub struct ClientLedger {
 }
 
 impl ClientLedger {
-    /// An empty ledger for `authority` in a committee of `committee_size`.
-    pub fn new(config: IngressConfig, authority: AuthorityIndex, committee_size: usize) -> Self {
+    /// An empty ledger, over an empty pool, for `authority` in a committee
+    /// of `committee_size`.
+    pub fn new(
+        config: IngressConfig,
+        mempool: MempoolConfig,
+        authority: AuthorityIndex,
+        committee_size: usize,
+    ) -> Self {
         ClientLedger {
             authority,
             committee_size,
+            mempool: Mempool::new(mempool),
             policy: IngressPolicy::new(config),
             forward_cursor: authority.as_usize() + 1,
             ..ClientLedger::default()
         }
     }
 
-    /// Admits a wire batch from `from` into `mempool` at engine time
-    /// `now`. Wire batches carry no per-transaction tag; the receive time
+    /// Admits a client batch from `from` into the pool at engine time
+    /// `now`. Batches carry no per-transaction tag; the receive time
     /// stands in, turning the receipt tag (and the commit tags) into
     /// client-observed commit latencies. Returns the admission receipt —
     /// exactly one per batch — and whether anything was accepted, in which
@@ -285,7 +301,6 @@ impl ClientLedger {
     /// a forwarding target).
     pub fn admit_batch(
         &mut self,
-        mempool: &mut Mempool,
         from: usize,
         transactions: Vec<Transaction>,
         now: Time,
@@ -300,17 +315,12 @@ impl ClientLedger {
             .into_iter()
             .map(|transaction| {
                 if external && !self.policy.admit(from, now) {
-                    mempool.note_rate_limited();
+                    self.counters.rate_limited += 1;
                     return TxVerdict::RateLimited;
                 }
-                match mempool.submit(transaction, now, from, now) {
-                    SubmitResult::Accepted => {
-                        accepted += 1;
-                        TxVerdict::Accepted
-                    }
-                    SubmitResult::Duplicate => TxVerdict::Duplicate,
-                    SubmitResult::Full => TxVerdict::Full,
-                }
+                let verdict = self.mempool.submit(transaction, now, from, now);
+                accepted += u64::from(verdict.is_accepted());
+                verdict
             })
             .collect();
         if accepted > 0 {
@@ -321,6 +331,23 @@ impl ClientLedger {
         (TxReceipt::Admission { tag: now, verdicts }, accepted > 0)
     }
 
+    /// Admits transactions `from` — a committee peer — moved out of its
+    /// pool: digest dedup and capacity apply, the rate limiter does not,
+    /// no receipt is owed (the forwarding pool keeps the client
+    /// relationship) and nothing is forwarded a second hop.
+    pub fn admit_forwarded(&mut self, from: usize, transactions: Vec<Transaction>, now: Time) {
+        for transaction in transactions {
+            let _ = self.mempool.submit_forwarded(transaction, now, from, now);
+        }
+    }
+
+    /// Drains the next block payload from the pool (FIFO per client,
+    /// bounded in transactions and bytes): the transactions and their
+    /// `(tag, client)` pairs, index-parallel.
+    pub fn next_payload(&mut self) -> (Vec<Transaction>, Vec<(u64, usize)>) {
+        self.mempool.next_payload()
+    }
+
     /// Records the `(tag, client)` pairs of the transactions in an own
     /// block just built, for commit accounting.
     pub fn register_own(&mut self, reference: BlockRef, tags: Vec<(u64, usize)>) {
@@ -329,13 +356,13 @@ impl ClientLedger {
 
     /// When the oldest pending forwardable transaction falls due (`None`
     /// when forwarding is disabled or nothing is pending).
-    pub fn forward_wake(&self, mempool: &Mempool) -> Option<Time> {
+    pub fn forward_wake(&self) -> Option<Time> {
         let age = self.policy.config.forward_age?;
-        Some(mempool.oldest_enqueued()?.saturating_add(age))
+        Some(self.mempool.oldest_enqueued()?.saturating_add(age))
     }
 
     /// Moves transactions that sat unproposed past the configured age out
-    /// of `mempool`, returning them with the peer to send them to
+    /// of the pool, returning them with the peer to send them to
     /// (`Envelope::TxForward`): pop from pending (digests stay in the
     /// dedup set), remember each digest so the client's commit note can
     /// close when *any* sequenced block carries it, and rotate the target
@@ -343,16 +370,17 @@ impl ClientLedger {
     /// time, which is what keeps the global commit count at one.
     pub fn forward_aged(
         &mut self,
-        mempool: &mut Mempool,
         evidence: &EvidencePool,
         now: Time,
     ) -> Option<(usize, Vec<Transaction>)> {
         let cutoff = now.saturating_sub(self.policy.config.forward_age?);
-        if mempool.oldest_enqueued().is_none_or(|t| t > cutoff) {
+        if self.mempool.oldest_enqueued().is_none_or(|t| t > cutoff) {
             return None;
         }
         let peer = self.next_forward_peer(evidence)?;
-        let aged = mempool.take_aged(cutoff, self.policy.config.forward_max);
+        let aged = self
+            .mempool
+            .take_aged(cutoff, self.policy.config.forward_max);
         let mut transactions = Vec::with_capacity(aged.len());
         for (transaction, tag, client) in aged {
             self.forwarded_out
@@ -379,9 +407,10 @@ impl ClientLedger {
         None
     }
 
-    /// Accounts one block the commit rule just sequenced, appending the
-    /// tags of own transactions it committed to `tags`.
-    pub fn on_sequenced(&mut self, block: &Block, tags: &mut Vec<u64>) {
+    /// Accounts one block the commit rule just sequenced: closes the
+    /// commit notes of the transactions it carries (own ones, and ones this
+    /// validator forwarded) and feeds the exactly-once digest ledger.
+    pub fn on_sequenced(&mut self, block: &Block) {
         // Transactions this validator forwarded commit in *other* authors'
         // blocks; spot them by digest to close their batches' commit
         // notes. Gated on the map being non-empty — the digest per
@@ -412,7 +441,6 @@ impl ClientLedger {
             self.own_committed += usize_gauge(mine.len());
             for (tag, client) in mine {
                 self.close_note(tag, client);
-                tags.push(tag);
             }
         }
     }
@@ -474,13 +502,19 @@ impl ClientLedger {
         self.committed_digests.len()
     }
 
-    /// The transaction-pipeline accounting over `mempool` and this ledger.
-    pub fn tx_integrity(&self, mempool: &Mempool) -> TxIntegrityReport {
+    /// The bounded client-transaction pool (occupancy, rejection counters).
+    pub fn mempool(&self) -> &Mempool {
+        &self.mempool
+    }
+
+    /// The transaction-pipeline accounting over the pool and this ledger.
+    pub fn tx_integrity(&self) -> TxIntegrityReport {
+        let mempool = &self.mempool;
         TxIntegrityReport {
             accepted: mempool.accepted(),
             rejected_duplicate: mempool.rejected_duplicate(),
             rejected_full: mempool.rejected_full(),
-            rejected_rate_limited: mempool.rejected_rate_limited(),
+            rejected_rate_limited: self.counters.rate_limited,
             forwarded: mempool.forwarded(),
             pending: usize_gauge(mempool.len()),
             in_flight: self
@@ -497,11 +531,10 @@ impl ClientLedger {
         }
     }
 
-    /// The receipt/forwarding counters, completed from `mempool`.
-    pub fn ingress_report(&self, mempool: &Mempool) -> IngressReport {
+    /// The receipt/forwarding counters, completed from the pool.
+    pub fn ingress_report(&self) -> IngressReport {
         IngressReport {
-            forwarded: mempool.forwarded(),
-            rate_limited: mempool.rejected_rate_limited(),
+            forwarded: self.mempool.forwarded(),
             ..self.counters
         }
     }
@@ -580,15 +613,13 @@ mod tests {
         assert_eq!(phantom.violations().len(), 2);
     }
 
-    use crate::mempool::MempoolConfig;
     use mahimahi_types::{BlockBuilder, TestCommittee};
 
     const ME: AuthorityIndex = AuthorityIndex(0);
     const CLIENT: usize = 9;
 
-    fn ledger(config: IngressConfig) -> (ClientLedger, Mempool) {
-        let ledger = ClientLedger::new(config, ME, 4);
-        (ledger, Mempool::new(MempoolConfig::test(100_000, 100_000)))
+    fn ledger(config: IngressConfig) -> ClientLedger {
+        ClientLedger::new(config, MempoolConfig::test(100_000, 100_000), ME, 4)
     }
 
     /// A block by `author` at `round` carrying the benchmark transactions
@@ -602,10 +633,10 @@ mod tests {
     #[test]
     fn ledger_note_closes_exactly_when_its_last_accepted_transaction_is_sequenced() {
         let setup = TestCommittee::new(4, 7);
-        let (mut ledger, mut mempool) = ledger(IngressConfig::default());
+        let mut ledger = ledger(IngressConfig::default());
         // Three submissions, one a duplicate: two accepted, one note.
         let batch = [1, 2, 1].map(Transaction::benchmark).to_vec();
-        let (receipt, accepted) = ledger.admit_batch(&mut mempool, CLIENT, batch, 100);
+        let (receipt, accepted) = ledger.admit_batch(CLIENT, batch, 100);
         assert!(accepted);
         let TxReceipt::Admission { tag: 100, verdicts } = receipt else {
             panic!("admission receipt tagged with the receive time");
@@ -623,29 +654,27 @@ mod tests {
         let second = block(&setup, 0, 2, &[2]);
         ledger.register_own(first.reference(), vec![(100, CLIENT)]);
         ledger.register_own(second.reference(), vec![(100, CLIENT)]);
-        assert_eq!(ledger.tx_integrity(&mempool).in_flight, 2);
+        assert_eq!(ledger.tx_integrity().in_flight, 2);
 
-        let mut tags = Vec::new();
-        ledger.on_sequenced(&first, &mut tags);
-        assert_eq!(tags, [100]);
+        ledger.on_sequenced(&first);
+        assert_eq!(ledger.tx_integrity().own_committed, 1);
         assert!(ledger.take_commit_receipts().is_empty(), "one still owed");
         // A peer's block with the same payload closes nothing: only own
         // blocks (and forwarded digests) count.
-        ledger.on_sequenced(&block(&setup, 1, 2, &[2]), &mut tags);
+        ledger.on_sequenced(&block(&setup, 1, 2, &[2]));
         assert!(ledger.take_commit_receipts().is_empty());
-        ledger.on_sequenced(&second, &mut tags);
-        assert_eq!(tags, [100, 100]);
+        ledger.on_sequenced(&second);
         assert_eq!(
             ledger.take_commit_receipts(),
             [(CLIENT, TxReceipt::Committed { tags: vec![100] })]
         );
         assert!(ledger.take_commit_receipts().is_empty(), "delivered once");
 
-        let report = ledger.ingress_report(&mempool);
+        let report = ledger.ingress_report();
         assert_eq!((report.batches_received, report.receipts_emitted), (1, 1));
         assert_eq!((report.notes_opened, report.commit_notices), (1, 1));
         assert!(report.violations().is_empty());
-        let integrity = ledger.tx_integrity(&mempool);
+        let integrity = ledger.tx_integrity();
         assert_eq!((integrity.own_committed, integrity.in_flight), (2, 0));
     }
 
@@ -653,45 +682,40 @@ mod tests {
     fn ledger_note_of_a_forwarded_transaction_closes_in_any_authors_block() {
         let setup = TestCommittee::new(4, 7);
         let evidence = EvidencePool::new(setup.committee().clone());
-        let (mut ledger, mut mempool) = ledger(IngressConfig {
+        let mut ledger = ledger(IngressConfig {
             forward_age: Some(1_000),
             ..IngressConfig::default()
         });
         let batch = vec![Transaction::benchmark(5)];
-        assert!(ledger.admit_batch(&mut mempool, CLIENT, batch, 500).1);
-        assert_eq!(ledger.forward_wake(&mempool), Some(1_500));
-        assert!(ledger
-            .forward_aged(&mut mempool, &evidence, 1_499)
-            .is_none());
+        assert!(ledger.admit_batch(CLIENT, batch, 500).1);
+        assert_eq!(ledger.forward_wake(), Some(1_500));
+        assert!(ledger.forward_aged(&evidence, 1_499).is_none());
         // Past the age it moves to the next peer in rotation — never self.
-        let (peer, moved) = ledger
-            .forward_aged(&mut mempool, &evidence, 1_500)
-            .expect("aged out");
+        let (peer, moved) = ledger.forward_aged(&evidence, 1_500).expect("aged out");
         assert_eq!((peer, moved.len()), (1, 1));
-        assert!(mempool.is_empty());
-        assert_eq!(ledger.forward_wake(&mempool), None);
+        assert!(ledger.mempool().is_empty());
+        assert_eq!(ledger.forward_wake(), None);
 
-        let mut tags = Vec::new();
-        ledger.on_sequenced(&block(&setup, 2, 3, &[5]), &mut tags);
-        assert!(tags.is_empty(), "not an own block: no tag echoed");
+        ledger.on_sequenced(&block(&setup, 2, 3, &[5]));
+        assert_eq!(ledger.tx_integrity().own_committed, 0, "not an own block");
         assert_eq!(
             ledger.take_commit_receipts(),
             [(CLIENT, TxReceipt::Committed { tags: vec![500] })]
         );
-        assert_eq!(ledger.ingress_report(&mempool).forwarded_committed, 1);
+        assert_eq!(ledger.ingress_report().forwarded_committed, 1);
         assert!(ledger.forwarded_out.is_empty());
     }
 
     #[test]
     fn ledger_receipts_chunk_at_the_wire_tag_bound() {
         let setup = TestCommittee::new(4, 7);
-        let (mut ledger, mut mempool) = ledger(IngressConfig::default());
+        let mut ledger = ledger(IngressConfig::default());
         // One single-transaction batch per engine microsecond: as many
         // notes, all closed by one own block.
         let count = MAX_RECEIPT_TAGS as u64 + 5;
         for now in 0..count {
             let batch = vec![Transaction::benchmark(now)];
-            assert!(ledger.admit_batch(&mut mempool, CLIENT, batch, now).1);
+            assert!(ledger.admit_batch(CLIENT, batch, now).1);
         }
         let ids: Vec<u64> = (0..count).collect();
         let own = block(&setup, 0, 1, &ids);
@@ -699,7 +723,7 @@ mod tests {
             own.reference(),
             (0..count).map(|tag| (tag, CLIENT)).collect(),
         );
-        ledger.on_sequenced(&own, &mut Vec::new());
+        ledger.on_sequenced(&own);
         let receipts = ledger.take_commit_receipts();
         let lengths: Vec<usize> = receipts
             .iter()
@@ -709,13 +733,13 @@ mod tests {
             })
             .collect();
         assert_eq!(lengths, [MAX_RECEIPT_TAGS, 5]);
-        assert_eq!(ledger.ingress_report(&mempool).commit_notices, count);
+        assert_eq!(ledger.ingress_report().commit_notices, count);
     }
 
     #[test]
     fn ledger_retention_sweep_drops_from_the_front_only() {
         let evidence = EvidencePool::new(TestCommittee::new(4, 7).committee().clone());
-        let (mut ledger, mut mempool) = ledger(IngressConfig {
+        let mut ledger = ledger(IngressConfig {
             forward_age: Some(0),
             forward_max: 1,
             ..IngressConfig::default()
@@ -725,8 +749,8 @@ mod tests {
         let recent = old + NOTE_RETENTION;
         for (now, id) in [(old, 1), (recent, 2)] {
             let batch = vec![Transaction::benchmark(id)];
-            assert!(ledger.admit_batch(&mut mempool, CLIENT, batch, now).1);
-            assert!(ledger.forward_aged(&mut mempool, &evidence, now).is_some());
+            assert!(ledger.admit_batch(CLIENT, batch, now).1);
+            assert!(ledger.forward_aged(&evidence, now).is_some());
         }
         assert_eq!(ledger.notes.len(), 2);
         // Too soon after the last sweep (time zero): nothing happens.
@@ -745,17 +769,16 @@ mod tests {
     #[test]
     fn ledger_digest_ledger_counts_a_duplicate_and_is_pruned_at_the_floor() {
         let setup = TestCommittee::new(4, 7);
-        let (mut ledger, mempool) = ledger(IngressConfig::default());
-        let mut tags = Vec::new();
-        ledger.on_sequenced(&block(&setup, 0, 1, &[1, 2]), &mut tags);
-        ledger.on_sequenced(&block(&setup, 0, 5, &[3]), &mut tags);
+        let mut ledger = ledger(IngressConfig::default());
+        ledger.on_sequenced(&block(&setup, 0, 1, &[1, 2]));
+        ledger.on_sequenced(&block(&setup, 0, 5, &[3]));
         // Peers' blocks never enter the exactly-once ledger.
-        ledger.on_sequenced(&block(&setup, 1, 5, &[4]), &mut tags);
+        ledger.on_sequenced(&block(&setup, 1, 5, &[4]));
         assert_eq!(ledger.digest_ledger_len(), 3);
-        assert_eq!(ledger.tx_integrity(&mempool).duplicate_committed, 0);
+        assert_eq!(ledger.tx_integrity().duplicate_committed, 0);
         // Transaction 2 commits again in a later own block.
-        ledger.on_sequenced(&block(&setup, 0, 6, &[2, 5]), &mut tags);
-        assert_eq!(ledger.tx_integrity(&mempool).duplicate_committed, 1);
+        ledger.on_sequenced(&block(&setup, 0, 6, &[2, 5]));
+        assert_eq!(ledger.tx_integrity().duplicate_committed, 1);
         assert_eq!(ledger.digest_ledger_len(), 4);
         // Round 1's digests go with the floor; rounds 5 and 6 stay.
         ledger.prune_digests(5);

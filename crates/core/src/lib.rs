@@ -64,7 +64,7 @@ pub use engine::{
 pub use evidence::{EvidencePool, RecordingSlashingHook, SlashingHook};
 pub use execution::{BalanceLedger, ExecutionState, BLOCK_REWARD};
 pub use ingress::{ClientLedger, IngressConfig, IngressPolicy, IngressReport};
-pub use mempool::{Mempool, MempoolConfig, SubmitResult, TxIntegrityReport};
+pub use mempool::{Mempool, MempoolConfig, TxIntegrityReport};
 pub use protocol::ProtocolCommitter;
 pub use sequencer::{CommitDecision, CommitSequencer, CommittedSubDag, SequencerSnapshot};
 pub use status::LeaderStatus;

@@ -10,11 +10,11 @@
 //!
 //! - **bounded occupancy**: capacities in transactions *and* bytes
 //!   ([`MempoolConfig::capacity_txs`], [`MempoolConfig::capacity_bytes`]);
-//!   a full pool rejects with [`SubmitResult::Full`] instead of growing —
-//!   the backpressure signal clients and load generators key off;
+//!   a full pool answers [`TxVerdict::Full`] instead of growing — the
+//!   backpressure signal clients and load generators key off;
 //! - **digest-based dedup**: every accepted transaction's content digest is
 //!   remembered; resubmissions (client retries, duplicate gossip) come back
-//!   as [`SubmitResult::Duplicate`] and are never included twice;
+//!   as [`TxVerdict::Duplicate`] and are never included twice;
 //! - **per-block payload budget**: [`Mempool::next_payload`] drains at most
 //!   [`MempoolConfig::max_block_txs`] transactions and
 //!   [`MempoolConfig::max_block_bytes`] payload bytes per produced block,
@@ -30,51 +30,31 @@
 //!   the forwarded transaction can never re-enter this pool and be
 //!   proposed as "own" by two validators at once.
 //!
-//! The pool is transport-free and clock-free, like the engine that owns
-//! it (callers pass in the engine's virtual time): determinism (same
+//! The pool answers every submission with the receipt vocabulary's own
+//! [`TxVerdict`] — what the owning
+//! [`ClientLedger`](crate::ingress::ClientLedger) puts in the client's
+//! admission receipt. It is transport-free and clock-free, like the engine
+//! around it (callers pass in the engine's virtual time): determinism (same
 //! submissions ⇒ same payloads) is what lets the recorded-trace replay and
 //! driver-equivalence tests cover the ingestion path end to end.
 //!
 //! [`Envelope::TxForward`]: mahimahi_types::Envelope::TxForward
 
 use mahimahi_crypto::Digest;
-use mahimahi_types::Transaction;
+use mahimahi_types::{Transaction, TxVerdict};
 use std::collections::{BTreeMap, HashSet, VecDeque};
-
-/// The outcome of one transaction submission — the backpressure signal
-/// surfaced to clients (and, through `Output::TxReceipt`, to drivers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitResult {
-    /// The transaction entered the pool and will be included in a future
-    /// own block.
-    Accepted,
-    /// A transaction with the same content digest was already accepted
-    /// (pending, in flight, or committed); the submission is dropped.
-    Duplicate,
-    /// The pool is at capacity (in transactions or bytes); the client
-    /// should back off and retry. One case is permanent: a single
-    /// transaction larger than [`MempoolConfig::capacity_bytes`] can
-    /// never be admitted, so a client seeing `Full` for the same
-    /// transaction across an otherwise-draining pool should give up
-    /// rather than retry forever.
-    Full,
-}
-
-impl SubmitResult {
-    /// Whether the submission was accepted.
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, SubmitResult::Accepted)
-    }
-}
 
 /// Capacity and per-block budget knobs of a [`Mempool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MempoolConfig {
     /// Maximum transactions held pending. Submissions past this bound are
-    /// rejected with [`SubmitResult::Full`].
+    /// rejected with [`TxVerdict::Full`].
     pub capacity_txs: usize,
     /// Maximum pending payload bytes. Submissions that would exceed it are
-    /// rejected with [`SubmitResult::Full`].
+    /// rejected with [`TxVerdict::Full`]. A single transaction larger than
+    /// this can never be admitted: a client seeing `Full` for the same
+    /// transaction across an otherwise-draining pool should give up rather
+    /// than retry forever.
     pub capacity_bytes: usize,
     /// Maximum transactions drained into one produced block.
     pub max_block_txs: usize,
@@ -130,7 +110,7 @@ struct PoolTx {
 /// A bounded transaction pool with digest dedup, per-block payload
 /// budgeting, and a deficit-round-robin fair drain across client queues.
 /// See the [module docs](self) for the design.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Mempool {
     config: MempoolConfig,
     /// Pending transactions, one FIFO queue per client id.
@@ -151,7 +131,6 @@ pub struct Mempool {
     accepted: u64,
     rejected_duplicate: u64,
     rejected_full: u64,
-    rejected_rate_limited: u64,
     forwarded: u64,
     peak_txs: usize,
     peak_bytes: usize,
@@ -162,19 +141,7 @@ impl Mempool {
     pub fn new(config: MempoolConfig) -> Self {
         Mempool {
             config,
-            queues: BTreeMap::new(),
-            rotation: VecDeque::new(),
-            deficits: BTreeMap::new(),
-            txs: 0,
-            bytes: 0,
-            seen: HashSet::new(),
-            accepted: 0,
-            rejected_duplicate: 0,
-            rejected_full: 0,
-            rejected_rate_limited: 0,
-            forwarded: 0,
-            peak_txs: 0,
-            peak_bytes: 0,
+            ..Mempool::default()
         }
     }
 
@@ -193,7 +160,7 @@ impl Mempool {
         tag: u64,
         client: usize,
         now: u64,
-    ) -> SubmitResult {
+    ) -> TxVerdict {
         self.admit(transaction, tag, client, now, true)
     }
 
@@ -208,7 +175,7 @@ impl Mempool {
         tag: u64,
         client: usize,
         now: u64,
-    ) -> SubmitResult {
+    ) -> TxVerdict {
         self.admit(transaction, tag, client, now, false)
     }
 
@@ -219,17 +186,17 @@ impl Mempool {
         client: usize,
         now: u64,
         forwardable: bool,
-    ) -> SubmitResult {
+    ) -> TxVerdict {
         let digest = transaction.digest();
         if self.seen.contains(&digest) {
             self.rejected_duplicate += 1;
-            return SubmitResult::Duplicate;
+            return TxVerdict::Duplicate;
         }
         if self.txs >= self.config.capacity_txs
             || self.bytes + transaction.len() > self.config.capacity_bytes
         {
             self.rejected_full += 1;
-            return SubmitResult::Full;
+            return TxVerdict::Full;
         }
         self.seen.insert(digest);
         self.bytes += transaction.len();
@@ -248,13 +215,7 @@ impl Mempool {
         self.accepted += 1;
         self.peak_txs = self.peak_txs.max(self.txs);
         self.peak_bytes = self.peak_bytes.max(self.bytes);
-        SubmitResult::Accepted
-    }
-
-    /// Counts a submission the engine's ingress policy turned away before
-    /// it reached admission (per-client token bucket exhausted).
-    pub fn note_rate_limited(&mut self) {
-        self.rejected_rate_limited += 1;
+        TxVerdict::Accepted
     }
 
     /// Drains the next block payload with deficit round-robin across the
@@ -443,11 +404,6 @@ impl Mempool {
         self.rejected_full
     }
 
-    /// Submissions turned away by the per-client rate limit so far.
-    pub fn rejected_rate_limited(&self) -> u64 {
-        self.rejected_rate_limited
-    }
-
     /// Transactions handed to a peer by age-based forwarding so far.
     pub fn forwarded(&self) -> u64 {
         self.forwarded
@@ -470,7 +426,7 @@ pub struct TxIntegrityReport {
     pub accepted: u64,
     /// Submissions rejected as digest duplicates.
     pub rejected_duplicate: u64,
-    /// Submissions rejected for capacity ([`SubmitResult::Full`]).
+    /// Submissions rejected for capacity ([`TxVerdict::Full`]).
     pub rejected_full: u64,
     /// Submissions turned away by the per-client token bucket before
     /// admission (`TxVerdict::RateLimited`).
@@ -561,7 +517,7 @@ mod tests {
     }
 
     /// Single-client submission shorthand (client 0, enqueued at `tag`).
-    fn put(pool: &mut Mempool, transaction: Transaction, tag: u64) -> SubmitResult {
+    fn put(pool: &mut Mempool, transaction: Transaction, tag: u64) -> TxVerdict {
         pool.submit(transaction, tag, 0, tag)
     }
 
@@ -569,7 +525,7 @@ mod tests {
     fn fifo_order_and_tags_are_preserved() {
         let mut pool = Mempool::new(MempoolConfig::test(10, 2));
         for id in 0..3u64 {
-            assert_eq!(put(&mut pool, tx(id), 100 + id), SubmitResult::Accepted);
+            assert_eq!(put(&mut pool, tx(id), 100 + id), TxVerdict::Accepted);
         }
         let (txs, tags) = pool.next_payload();
         assert_eq!(txs, vec![tx(0), tx(1)]);
@@ -583,27 +539,27 @@ mod tests {
     #[test]
     fn duplicates_are_rejected_even_after_inclusion() {
         let mut pool = Mempool::new(MempoolConfig::test(10, 10));
-        assert_eq!(put(&mut pool, tx(7), 0), SubmitResult::Accepted);
-        assert_eq!(put(&mut pool, tx(7), 1), SubmitResult::Duplicate);
+        assert_eq!(put(&mut pool, tx(7), 0), TxVerdict::Accepted);
+        assert_eq!(put(&mut pool, tx(7), 1), TxVerdict::Duplicate);
         let _ = pool.next_payload();
         // Drained into a block: a retry must still be deduplicated, or the
         // transaction would commit twice.
-        assert_eq!(put(&mut pool, tx(7), 2), SubmitResult::Duplicate);
+        assert_eq!(put(&mut pool, tx(7), 2), TxVerdict::Duplicate);
         assert_eq!(pool.rejected_duplicate(), 2);
     }
 
     #[test]
     fn tx_capacity_bounds_occupancy() {
         let mut pool = Mempool::new(MempoolConfig::test(2, 10));
-        assert_eq!(put(&mut pool, tx(0), 0), SubmitResult::Accepted);
-        assert_eq!(put(&mut pool, tx(1), 0), SubmitResult::Accepted);
-        assert_eq!(put(&mut pool, tx(2), 0), SubmitResult::Full);
+        assert_eq!(put(&mut pool, tx(0), 0), TxVerdict::Accepted);
+        assert_eq!(put(&mut pool, tx(1), 0), TxVerdict::Accepted);
+        assert_eq!(put(&mut pool, tx(2), 0), TxVerdict::Full);
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.peak_txs(), 2);
         assert_eq!(pool.rejected_full(), 1);
         // Draining frees capacity.
         let _ = pool.next_payload();
-        assert_eq!(put(&mut pool, tx(2), 0), SubmitResult::Accepted);
+        assert_eq!(put(&mut pool, tx(2), 0), TxVerdict::Accepted);
     }
 
     #[test]
@@ -615,9 +571,9 @@ mod tests {
             max_block_bytes: 1_000,
         };
         let mut pool = Mempool::new(config);
-        assert_eq!(put(&mut pool, tx(0), 0), SubmitResult::Accepted); // 8 bytes
-        assert_eq!(put(&mut pool, tx(1), 0), SubmitResult::Accepted); // 16 bytes
-        assert_eq!(put(&mut pool, tx(2), 0), SubmitResult::Full); // would be 24
+        assert_eq!(put(&mut pool, tx(0), 0), TxVerdict::Accepted); // 8 bytes
+        assert_eq!(put(&mut pool, tx(1), 0), TxVerdict::Accepted); // 16 bytes
+        assert_eq!(put(&mut pool, tx(2), 0), TxVerdict::Full); // would be 24
         assert_eq!(pool.pending_bytes(), 16);
         assert_eq!(pool.peak_bytes(), 16);
     }
@@ -712,7 +668,7 @@ mod tests {
         assert_eq!(pool.forwarded(), 2);
         // Forwarded digests stay seen: re-submission is a duplicate, so
         // the transaction can never be proposed by two pools as "own".
-        assert_eq!(pool.submit(tx(1), 9, 7, 9_500), SubmitResult::Duplicate);
+        assert_eq!(pool.submit(tx(1), 9, 7, 9_500), TxVerdict::Duplicate);
         assert_eq!(pool.oldest_enqueued(), Some(9_000));
         // Conservation bookkeeping: accepted = pending + forwarded here.
         assert_eq!(pool.accepted(), 3);

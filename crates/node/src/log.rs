@@ -187,29 +187,40 @@ impl NodeLog {
     /// Appends `record`. A durable record ([`WalRecord::is_durable`] — the
     /// rule and its reasons live there) requests an fsync, which
     /// [`Self::flush`] performs before anything leaves the node.
-    pub(crate) fn append(&mut self, record: &WalRecord) {
-        self.append_encoded(&record.to_bytes_vec(), self.classify(record));
+    ///
+    /// # Errors
+    ///
+    /// The append failed (and was counted). For a durable record the caller
+    /// must then send nothing that depends on it — see [`Self::flush`].
+    pub(crate) fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
+        self.append_encoded(&record.to_bytes_vec(), self.classify(record))?;
         self.pending_sync |= record.is_durable(self.authority);
+        Ok(())
     }
 
     /// Appends the encoding `payload` of a record of class `class`. A
     /// failed append is counted and leaves the index as it was.
-    fn append_encoded(&mut self, payload: &[u8], class: RecordClass) {
-        match self.wal.append(payload) {
-            Ok(offset) => self.index(FrameRange::new(offset, payload.len()), class),
-            Err(_) => self.errors += 1,
-        }
+    fn append_encoded(&mut self, payload: &[u8], class: RecordClass) -> Result<(), WalError> {
+        let offset = self.wal.append(payload).inspect_err(|_| self.errors += 1)?;
+        self.index(FrameRange::new(offset, payload.len()), class);
+        Ok(())
     }
 
     /// Performs the deferred fsync, if one is pending. A failed sync stays
     /// pending: the next flush tries again.
-    pub(crate) fn flush(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// The sync failed (and was counted): a durable record is not on
+    /// stable storage, so nothing may leave the node — sending anyway would
+    /// void durability before dissemination, and a restart could then
+    /// produce again a round it already sent.
+    pub(crate) fn flush(&mut self) -> Result<(), WalError> {
         if self.pending_sync {
-            match self.wal.sync() {
-                Ok(()) => self.pending_sync = false,
-                Err(_) => self.errors += 1,
-            }
+            self.wal.sync().inspect_err(|_| self.errors += 1)?;
+            self.pending_sync = false;
         }
+        Ok(())
     }
 
     /// Whether dead bytes outweigh live ones — the rewrite trigger. Only a
@@ -225,8 +236,7 @@ impl NodeLog {
     /// an error, and is retried when the next checkpoint finds the log
     /// still due.
     pub(crate) fn compact(&mut self) {
-        self.flush();
-        if self.pending_sync {
+        if self.flush().is_err() {
             return;
         }
         let mut kept = self.live.clone();
@@ -536,8 +546,8 @@ mod tests {
                     if durable {
                         plain.sync().unwrap();
                     }
-                    log.append(&record);
-                    log.flush();
+                    log.append(&record).unwrap();
+                    log.flush().unwrap();
                     if matches!(record, WalRecord::Checkpoint { .. }) && log.compaction_due() {
                         check(&compacted, &reference, "with the rewrite abandoned");
                         log.compact();
@@ -579,7 +589,7 @@ mod tests {
         for round in 1..=2_500u64 {
             let mut step = |log: &mut NodeLog, len: u64, class: RecordClass| {
                 let payload = vec![0xab; len as usize];
-                log.append_encoded(&payload, class);
+                log.append_encoded(&payload, class).unwrap();
                 let frame_len = FrameRange::new(0, payload.len()).len;
                 appended += frame_len;
                 records += 1;
@@ -631,7 +641,7 @@ mod tests {
             let round = index as Round + 1;
             for block in round_blocks {
                 if block.author() != OWN || round <= 3 {
-                    log.append(&WalRecord::Block(block.clone()));
+                    log.append(&WalRecord::Block(block.clone())).unwrap();
                 }
             }
             if round.is_multiple_of(4) {
@@ -641,7 +651,8 @@ mod tests {
                     round,
                     round,
                     round_blocks,
-                ));
+                ))
+                .unwrap();
                 if log.compaction_due() {
                     log.compact();
                     assert_compacted_shape(&storage, Some(3));
@@ -688,7 +699,7 @@ mod tests {
         for (index, round_blocks) in rounds.iter().enumerate() {
             let round = index as Round + 1;
             for block in round_blocks {
-                log.append(&WalRecord::Block(block.clone()));
+                log.append(&WalRecord::Block(block.clone())).unwrap();
             }
             if !round.is_multiple_of(4) {
                 continue;
@@ -699,7 +710,8 @@ mod tests {
                 round,
                 round,
                 round_blocks,
-            ));
+            ))
+            .unwrap();
             if !log.compaction_due() {
                 continue;
             }

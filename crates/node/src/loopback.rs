@@ -24,7 +24,7 @@ use mahimahi_core::{
 };
 use mahimahi_telemetry::{Registry, Stage, StageSnapshot, StageStats};
 use mahimahi_types::{
-    AuthorityIndex, Decode, Encode, Envelope, TestCommittee, Transaction, TxReceipt, TxVerdict,
+    AuthorityIndex, Decode, Encode, Envelope, TestCommittee, Transaction, TxReceipt,
 };
 use mahimahi_wal::{MemStorage, Wal};
 use std::cmp::Reverse;
@@ -88,16 +88,16 @@ pub struct LoopbackCluster {
     rendered: Vec<Vec<String>>,
     /// Per-validator committed sub-DAGs, in commit order.
     commits: Vec<Vec<CommittedSubDag>>,
-    /// Per-validator `(commit time, tag)` pairs from `TxsCommitted` — the
-    /// client-observed commit-latency samples of the load generator.
-    tx_commits: Vec<Vec<(Time, u64)>>,
-    /// Per-validator mempool rejections observed: `TxRejected` outputs
-    /// plus non-`Accepted` verdicts in emitted `Admission` receipts.
+    /// Per-validator mempool rejections observed: non-`Accepted` verdicts
+    /// in emitted `Admission` receipts.
     rejections: Vec<u64>,
-    /// Per-validator emitted receipts, `(destination peer, receipt)` in
-    /// emission order — what the TCP node would frame down the client's
-    /// connection (or the local handle's channel).
-    receipts: Vec<Vec<(usize, TxReceipt)>>,
+    /// Per-validator emitted receipts, `(emission time, destination peer,
+    /// receipt)` in emission order — what the TCP node would frame down
+    /// the client's connection (or the local handle's channel). Each tag
+    /// of a `Committed` receipt is a batch's receive time, so with the
+    /// emission time beside it every tag is one client-observed
+    /// commit-latency sample.
+    receipts: Vec<Vec<(Time, usize, TxReceipt)>>,
     /// Per-validator metric registries (stage histograms live here).
     registries: Vec<Arc<Registry>>,
     /// Per-validator commit-path stage histograms: the cluster records the
@@ -142,7 +142,6 @@ impl LoopbackCluster {
             traces: vec![Vec::new(); config.nodes],
             rendered: vec![Vec::new(); config.nodes],
             commits: vec![Vec::new(); config.nodes],
-            tx_commits: vec![Vec::new(); config.nodes],
             rejections: vec![0; config.nodes],
             receipts: vec![Vec::new(); config.nodes],
             registries,
@@ -174,10 +173,19 @@ impl LoopbackCluster {
         )
     }
 
-    /// Submits a client transaction to `validator` (virtual time 0 if
-    /// called before the run; the current virtual time otherwise).
-    pub fn submit(&mut self, validator: usize, transaction: Transaction, tag: u64) {
-        self.feed(validator, Input::TxSubmitted { transaction, tag });
+    /// Submits a client transaction to `validator` as its local client —
+    /// a one-transaction batch under the validator's own index, fed
+    /// directly (no frame, no link delay, no clock tick), so a workload
+    /// submitted before the run lands ahead of round 1. The engine tags it
+    /// with its current time.
+    pub fn submit(&mut self, validator: usize, transaction: Transaction) {
+        self.feed(
+            validator,
+            Input::TxBatchReceived {
+                from: validator,
+                transactions: vec![transaction],
+            },
+        );
     }
 
     /// Submits a client batch to `validator` through the real wire codec —
@@ -297,24 +305,15 @@ impl LoopbackCluster {
                 Output::Committed(sub_dag) => {
                     self.commits[validator].push(sub_dag);
                 }
-                Output::TxsCommitted(tags) => {
-                    let now = self.now;
-                    self.tx_commits[validator].extend(tags.into_iter().map(|tag| (now, tag)));
-                }
-                Output::TxRejected { .. } => {
-                    self.rejections[validator] += 1;
-                }
                 Output::TxReceipt { peer, receipt } => {
                     // Clients live outside the fabric (like the TCP node's
                     // client connections): receipts are recorded at the
                     // emitting validator, never re-enqueued as frames.
                     if let TxReceipt::Admission { verdicts, .. } = &receipt {
-                        self.rejections[validator] += verdicts
-                            .iter()
-                            .filter(|verdict| !matches!(verdict, TxVerdict::Accepted))
-                            .count() as u64;
+                        self.rejections[validator] +=
+                            verdicts.iter().filter(|v| !v.is_accepted()).count() as u64;
                     }
-                    self.receipts[validator].push((peer, receipt));
+                    self.receipts[validator].push((self.now, peer, receipt));
                 }
                 Output::Convicted(_) | Output::CheckpointProduced(_) => {}
             }
@@ -356,23 +355,15 @@ impl LoopbackCluster {
         &self.commits[validator]
     }
 
-    /// `(commit time, tag)` pairs for `validator`'s own committed
-    /// transactions — with time-valued tags (wire batches, or `submit`
-    /// tagged with the submission time), each pair is one client-observed
-    /// commit-latency sample.
-    pub fn tx_commits(&self, validator: usize) -> &[(Time, u64)] {
-        &self.tx_commits[validator]
-    }
-
-    /// Mempool rejections observed at `validator`: `TxRejected` outputs
-    /// plus non-`Accepted` verdicts in its `Admission` receipts.
+    /// Mempool rejections observed at `validator`: non-`Accepted` verdicts
+    /// in its `Admission` receipts.
     pub fn rejections(&self, validator: usize) -> u64 {
         self.rejections[validator]
     }
 
-    /// Every receipt `validator` emitted, as `(destination peer, receipt)`
-    /// pairs in emission order.
-    pub fn receipts(&self, validator: usize) -> &[(usize, TxReceipt)] {
+    /// Every receipt `validator` emitted, as `(emission time, destination
+    /// peer, receipt)` in emission order.
+    pub fn receipts(&self, validator: usize) -> &[(Time, usize, TxReceipt)] {
         &self.receipts[validator]
     }
 
@@ -430,7 +421,7 @@ mod tests {
     fn cluster_advances_and_commits_in_lockstep() {
         let mut cluster = LoopbackCluster::new(config());
         for validator in 0..4 {
-            cluster.submit(validator, Transaction::benchmark(validator as u64), 0);
+            cluster.submit(validator, Transaction::benchmark(validator as u64));
         }
         cluster.run_until(3_000_000); // 3 s of virtual time, 30 ms links
         for validator in 0..4 {
@@ -459,9 +450,18 @@ mod tests {
             vec![Transaction::benchmark(1), Transaction::benchmark(2)],
         );
         cluster.run_until(3_000_000);
-        let samples = cluster.tx_commits(0);
-        assert_eq!(samples.len(), 2, "both batched transactions committed");
-        for &(committed, tag) in samples {
+        // One batch, one note: a single Committed tag once both of its
+        // transactions are sequenced.
+        let samples: Vec<(Time, u64)> = cluster
+            .receipts(0)
+            .iter()
+            .filter_map(|(at, _, receipt)| match receipt {
+                TxReceipt::Committed { tags } => Some((*at, tags[0])),
+                TxReceipt::Admission { .. } => None,
+            })
+            .collect();
+        assert_eq!(samples.len(), 1, "the batch committed");
+        for &(committed, tag) in &samples {
             assert!(tag >= submitted_at, "tag is the engine receive time");
             assert!(committed > tag, "commit strictly after submission");
         }
@@ -493,17 +493,17 @@ mod tests {
         let to_client: Vec<_> = cluster
             .receipts(0)
             .iter()
-            .filter(|(peer, _)| *peer == 9)
+            .filter(|(_, peer, _)| *peer == 9)
             .collect();
         let admissions = to_client
             .iter()
-            .filter(|(_, receipt)| matches!(receipt, TxReceipt::Admission { .. }))
+            .filter(|(_, _, receipt)| matches!(receipt, TxReceipt::Admission { .. }))
             .count();
         assert_eq!(admissions, 4, "one admission receipt per batch");
         assert!(
             to_client
                 .iter()
-                .any(|(_, receipt)| matches!(receipt, TxReceipt::Committed { .. })),
+                .any(|(_, _, receipt)| matches!(receipt, TxReceipt::Committed { .. })),
             "accepted transactions owe the client a commit notice"
         );
         let report = cluster.ingress_report(0);

@@ -72,7 +72,7 @@ pub struct NodeConfig {
     /// transactions and bytes, plus the `max_block_txs`/`max_block_bytes`
     /// drained into each produced block (see
     /// [`MempoolConfig`]). Submissions past the capacity are rejected with
-    /// `SubmitResult::Full` instead of growing the queue.
+    /// `TxVerdict::Full` instead of growing the queue.
     pub mempool: MempoolConfig,
     /// Client-ingress policy: per-client token buckets, the fair-queue
     /// admission order, and age-based mempool forwarding (see
@@ -366,7 +366,7 @@ impl NodeMetrics {
         self.mempool_rejected_duplicate.get()
     }
 
-    /// Submissions rejected for capacity (`SubmitResult::Full`) so far.
+    /// Submissions rejected for capacity (`TxVerdict::Full`) so far.
     pub fn rejected_full(&self) -> u64 {
         self.mempool_rejected_full.get()
     }
@@ -872,12 +872,17 @@ impl ValidatorNode {
             for input in pipeline.drain_ready_at(now) {
                 self.handle_verified(input, &mut outputs);
             }
-            if self.apply(outputs, &commits, &receipts).is_err() {
-                return;
-            }
+            let applied = self.apply(outputs, &commits, &receipts);
             self.metrics.update_engine(&self.engine);
             self.metrics.update_pipeline(&pipeline);
             self.metrics.update_wal(self.log.stats());
+            if applied.is_err() {
+                // The application hung up, or the log failed under a
+                // durable record: either way this validator stops, like a
+                // crash (the gauges above keep the `wal_errors` that say
+                // which).
+                return;
+            }
         }
         // Inputs still in flight inside the verify stage are dropped with
         // the pipeline: never applied, never traced.
@@ -903,8 +908,12 @@ impl ValidatorNode {
     /// commit channel. Durable WAL records ([`WalRecord::is_durable`])
     /// defer their fsync until just before the next network send — or the
     /// end of the batch — so consecutive records share one sync without
-    /// ever disseminating ahead of one. Errors only when the application
-    /// hung up.
+    /// ever disseminating ahead of one. Errors when the application hung
+    /// up, or when a durable record could not be appended or synced: the
+    /// rest of the batch is then dropped unsent — disseminating what a
+    /// restart would not remember risks producing the same round twice —
+    /// and the caller stops the node (a crash fault, which the protocol
+    /// tolerates `f` of).
     fn apply(
         &mut self,
         outputs: Vec<Output>,
@@ -914,18 +923,22 @@ impl ValidatorNode {
         for output in outputs {
             match output {
                 Output::Broadcast(envelope) => {
-                    self.log.flush();
+                    self.log.flush().map_err(drop)?;
                     self.transport.broadcast(envelope.to_bytes_vec());
                 }
                 Output::SendTo(peer, envelope) => {
-                    self.log.flush();
+                    self.log.flush().map_err(drop)?;
                     self.transport.send(peer as u32, envelope.to_bytes_vec());
                 }
                 Output::Persist(record) => {
                     // Durability before dissemination: a durable record
                     // (`WalRecord::is_durable`) is fsynced by the flush
-                    // ahead of the next send.
-                    self.log.append(&record);
+                    // ahead of the next send. Peers' blocks can be fetched
+                    // again, so only a durable record's failure stops the
+                    // node.
+                    if self.log.append(&record).is_err() && record.is_durable(self.authority) {
+                        return Err(());
+                    }
                     // A checkpoint marks what it subsumes as dead; once
                     // that outweighs what is live, rewrite the log. The
                     // clock is read here: the engine stays clock-free.
@@ -954,27 +967,18 @@ impl ValidatorNode {
                         // A wire client's batch: the transport routes ids
                         // in the client range down the client's own
                         // connection (gone connections drop the frame).
-                        self.log.flush();
+                        self.log.flush().map_err(drop)?;
                         self.transport
                             .send(peer as u32, Envelope::TxReceipt(receipt).to_bytes_vec());
                     }
                 }
                 // The 2 ms poll loop revisits the engine well within any
-                // requested wake-up; commit tags and conviction notices
+                // requested wake-up; conviction and checkpoint notices
                 // have no node-side consumer beyond the gauges.
-                // `TxRejected` is only produced by the `TxSubmitted` input
-                // path, which this driver never feeds — both the local
-                // handle and the wire submit batches, and batches answer
-                // with `TxReceipt` verdicts instead.
-                Output::WakeAt(_)
-                | Output::TxsCommitted(_)
-                | Output::Convicted(_)
-                | Output::TxRejected { .. }
-                | Output::CheckpointProduced(_) => {}
+                Output::WakeAt(_) | Output::Convicted(_) | Output::CheckpointProduced(_) => {}
             }
         }
-        self.log.flush();
-        Ok(())
+        self.log.flush().map_err(drop)
     }
 }
 
@@ -1117,6 +1121,90 @@ mod tests {
             "conviction must survive the restart"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Node 0 of a fresh committee logging to `storage`, and the one peer
+    /// its transport is connected to (to observe what it sends).
+    fn node_logging_to(storage: &MemStorage) -> (ValidatorNode, Transport) {
+        let peer = Transport::bind(1, "127.0.0.1:0").unwrap();
+        let transport = Transport::bind(0, "127.0.0.1:0").unwrap();
+        transport.connect(1, peer.local_addr());
+        let config = NodeConfig::local(0, TestCommittee::new(4, 5));
+        let mut node = ValidatorNode::new(config.clone(), transport).unwrap();
+        let wal = AnyWal::Memory(Wal::open(storage.clone()).unwrap());
+        node.log =
+            NodeLog::recover(wal, config.authority, config.gc_depth, &mut node.engine).unwrap();
+        (node, peer)
+    }
+
+    #[test]
+    fn an_own_block_whose_sync_fails_is_never_handed_to_the_transport() {
+        let storage = MemStorage::new();
+        let (mut node, peer) = node_logging_to(&storage);
+        let (commit_tx, _commit_rx) = unbounded();
+        let (receipt_tx, _receipt_rx) = unbounded();
+        storage.fail_syncs(true);
+        let outputs = node.engine.handle(Input::TimerFired { now: 0 });
+        assert!(matches!(
+            &outputs[..],
+            [Output::Persist(WalRecord::Block(_)), Output::Broadcast(_)]
+        ));
+        assert!(node.apply(outputs, &commit_tx, &receipt_tx).is_err());
+        assert_eq!(node.log.stats().errors, 1);
+        assert!(storage.durable_snapshot().is_empty(), "nothing was synced");
+        // Frames to one peer are FIFO: had the block reached the transport,
+        // it would arrive ahead of this marker.
+        node.transport.send(1, b"marker".to_vec());
+        let first = peer.incoming().recv_timeout(Duration::from_secs(10));
+        assert_eq!(first, Ok((0, b"marker".to_vec())));
+    }
+
+    #[test]
+    fn a_peers_block_that_fails_to_append_does_not_stop_the_node() {
+        let storage = MemStorage::new();
+        let (mut node, _peer) = node_logging_to(&storage);
+        let (commit_tx, _commit_rx) = unbounded();
+        let (receipt_tx, _receipt_rx) = unbounded();
+        // Round 1 goes out on a healthy log; round 2 needs a quorum, so the
+        // next input produces nothing of this node's own.
+        let outputs = node.engine.handle(Input::TimerFired { now: 0 });
+        node.apply(outputs, &commit_tx, &receipt_tx).unwrap();
+        let mut dag = mahimahi_dag::DagBuilder::new(TestCommittee::new(4, 5));
+        let round_one = dag.add_full_round();
+        let block = dag.store().get(&round_one[1]).unwrap().clone();
+
+        storage.fail_appends(true);
+        let outputs = node.engine.handle(Input::BlockReceived { from: 1, block });
+        assert!(matches!(
+            &outputs[..],
+            [Output::Persist(WalRecord::Block(block))] if block.author() != node.authority
+        ));
+        // Not durable — the synchronizer can fetch it again — so the
+        // failure is counted and the node carries on.
+        assert!(node.apply(outputs, &commit_tx, &receipt_tx).is_ok());
+        assert_eq!(node.log.stats().errors, 1);
+    }
+
+    #[test]
+    fn a_failed_wal_sync_stops_the_run_loop_and_stays_on_the_metrics() {
+        let storage = MemStorage::new();
+        let (node, _peer) = node_logging_to(&storage);
+        storage.fail_syncs(true);
+        let handle = node.start();
+        // The first tick produces round 1, which cannot be made durable:
+        // the loop exits as if the application had hung up, dropping its
+        // end of the commit channel.
+        let closed = handle.commits().recv_timeout(Duration::from_secs(10));
+        assert!(matches!(
+            closed,
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected)
+        ));
+        assert_eq!(handle.metrics().wal_errors(), 1);
+        assert!(handle
+            .metrics()
+            .status()
+            .to_json()
+            .contains("\"wal_errors\":1"));
     }
 
     #[test]

@@ -43,9 +43,7 @@ mod validator;
 pub use config::{
     AdversaryChoice, Behavior, CpuCosts, LatencyChoice, LeaderSchedule, ProtocolChoice, SimConfig,
 };
-pub use mahimahi_core::{
-    IngressConfig, IngressReport, MempoolConfig, SubmitResult, TxIntegrityReport,
-};
+pub use mahimahi_core::{IngressConfig, IngressReport, MempoolConfig, TxIntegrityReport};
 pub use message::WireModel;
 pub use metrics::{LatencySnapshot, LatencyStats, SimReport};
 pub use runner::{SimOutcome, Simulation};

@@ -6,7 +6,7 @@ use mahimahi_net::{
     PartitionAdversary, RandomSubsetAdversary, RotatingDelayAdversary, SimNetwork, UniformLatency,
 };
 use mahimahi_telemetry::{Stage, StageSnapshot, StageStats};
-use mahimahi_types::{AuthorityIndex, Envelope, TestCommittee};
+use mahimahi_types::{AuthorityIndex, Envelope, TestCommittee, Transaction};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -124,7 +124,9 @@ pub struct Simulation {
     next_tx_id: u64,
     /// Transactions due so far per honest validator (exact-rate clients).
     txs_due_per_validator: u64,
-    /// Committed-transaction latency samples (post-warm-up submissions).
+    /// Client-observed commit latency: one sample per batch (submitted
+    /// after the warm-up) whose `Committed` receipt reached the entry
+    /// validator's local client — receive there → receipt there.
     latencies: LatencyStats,
     /// Per-validator commit-path stage histograms: the runner records the
     /// verify/resequence boundaries it owns (CPU cost, deferred wait), the
@@ -229,16 +231,12 @@ impl Simulation {
         }
     }
 
-    /// Enqueues client transactions `(id, submit time)` at `validator`
-    /// before the run starts — seeded-workload injection for the
+    /// Enqueues `transactions` at `validator` before the run starts (so
+    /// they ride in its first block) — seeded-workload injection for the
     /// driver-equivalence tests (the open-loop clients use
     /// `txs_per_second_per_validator` instead).
-    pub fn preload_transactions(
-        &mut self,
-        validator: usize,
-        txs: impl IntoIterator<Item = (u64, Time)>,
-    ) {
-        self.validators[validator].submit_transactions(txs);
+    pub fn preload_transactions(&mut self, validator: usize, transactions: Vec<Transaction>) {
+        self.validators[validator].preload(transactions);
     }
 
     /// The first honest validator (identical commit sequences make any
@@ -375,12 +373,16 @@ impl Simulation {
             if !matches!(self.config.behavior_of(index), Behavior::Honest) {
                 continue;
             }
-            let ids = (0..count).map(|_| {
-                let id = self.next_tx_id;
-                self.next_tx_id += 1;
-                (id, self.now)
-            });
-            self.validators[index].submit_transactions(ids);
+            let batch: Vec<Transaction> = (self.next_tx_id..self.next_tx_id + count)
+                .map(|id| Transaction::new(id.to_le_bytes().to_vec()))
+                .collect();
+            self.next_tx_id += count;
+            if !batch.is_empty() {
+                // The validator's local client: the batch goes in under
+                // the validator's own index, tagged with its receive time.
+                let actions = self.validators[index].submit_batch(self.now, index, batch);
+                self.perform(index, actions);
+            }
             // Inclusion happens at the next block production; nudge the
             // validator in case it is idle at a round boundary.
             let actions = self.validators[index].maybe_advance(self.now);
@@ -463,7 +465,6 @@ impl Simulation {
 
     /// Executes validator actions: network sends and latency bookkeeping.
     fn perform(&mut self, origin: usize, actions: Vec<Action>) {
-        let observer = self.observer();
         for action in actions {
             match action {
                 Action::Broadcast(message) => {
@@ -490,15 +491,14 @@ impl Simulation {
                     self.network
                         .send(self.now, origin, to, size, round, message);
                 }
-                Action::TxsCommitted(submits) => {
+                Action::BatchesCommitted(received) => {
                     let warmup =
                         (self.config.duration as f64 * self.config.warmup_fraction) as Time;
-                    for submitted in submits {
-                        if submitted >= warmup {
-                            self.latencies.record(self.now - submitted);
+                    for received in received {
+                        if received >= warmup {
+                            self.latencies.record(self.now - received);
                         }
                     }
-                    let _ = observer;
                 }
                 Action::WakeAt(time) => {
                     self.wakeup_sequence += 1;

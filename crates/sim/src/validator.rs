@@ -13,7 +13,9 @@
 //!   [`Behavior`] (Byzantine attack strategies live in
 //!   [`crate::strategy`]);
 //! - maps engine [`Output`]s onto runner [`Action`]s (virtual network
-//!   sends, wake-ups, latency bookkeeping).
+//!   sends, wake-ups) and plays the validator's local client: batches go
+//!   in under the validator's own index, and the `Committed` receipts
+//!   addressed to that index are the client's latency samples.
 //!
 //! [`ValidatorEngine`]: mahimahi_core::ValidatorEngine
 //! [`ProposerStrategy`]: mahimahi_core::ProposerStrategy
@@ -25,7 +27,7 @@ use mahimahi_core::{
 use mahimahi_dag::BlockStore;
 use mahimahi_net::time::Time;
 use mahimahi_types::{
-    AuthorityIndex, BlockRef, Checkpoint, Envelope, Round, StateRoot, Transaction,
+    AuthorityIndex, BlockRef, Checkpoint, Envelope, Round, StateRoot, Transaction, TxReceipt,
 };
 
 use crate::config::{Behavior, LeaderSchedule};
@@ -38,9 +40,10 @@ pub enum Action {
     Broadcast(Envelope),
     /// Send `message` to one validator.
     Send(usize, Envelope),
-    /// Transactions authored by this validator just committed; each entry
-    /// is the client submission time.
-    TxsCommitted(Vec<Time>),
+    /// Batches this validator's local client submitted just committed
+    /// (a `Committed` receipt addressed to the validator's own index); each
+    /// entry is one batch's receive time.
+    BatchesCommitted(Vec<Time>),
     /// Call `maybe_advance` again no earlier than the given time (a
     /// pacing wait is pending).
     WakeAt(Time),
@@ -129,7 +132,7 @@ impl SimValidator {
 
     /// Transactions waiting for inclusion.
     pub fn queued_transactions(&self) -> usize {
-        self.engine.queued_transactions()
+        self.engine.mempool().len()
     }
 
     fn is_crashed(&self, round: Round) -> bool {
@@ -141,35 +144,23 @@ impl SimValidator {
             if (from..until).contains(&now))
     }
 
-    /// Enqueues client transactions (id, submission time) through the
-    /// bounded mempool. Rejections (duplicates, a full pool) surface as
-    /// `Output::TxRejected` and are absorbed here — open-loop clients do
-    /// not retry; the rejection counters stay visible through
-    /// [`Self::tx_integrity`].
-    pub fn submit_transactions(&mut self, txs: impl IntoIterator<Item = (u64, Time)>) {
-        if self.is_crashed(self.engine.round()) {
-            return;
-        }
-        for (id, submitted) in txs {
-            // Enqueue-only input: inclusion happens at the next
-            // production, exactly as the runner's follow-up
-            // `maybe_advance` expects.
-            let outputs = self.engine.handle(Input::TxSubmitted {
-                transaction: Transaction::new(id.to_le_bytes().to_vec()),
-                tag: submitted,
-            });
-            // An accepted submission may also arm the forward timer; the
-            // wake-up is safe to drop here because the caller's follow-up
-            // `maybe_advance` re-arms it through the engine's timer path.
-            debug_assert!(outputs
-                .iter()
-                .all(|output| matches!(output, Output::TxRejected { .. } | Output::WakeAt(_))));
-        }
+    /// Enqueues the local client's workload before the run starts, with
+    /// no clock tick ahead of it — a tick at time zero would produce round
+    /// 1 first, and a preloaded workload is meant to ride in it. The
+    /// receipt and the forwarding wake-up are dropped: nothing reads an
+    /// admission verdict here, and the run's first `maybe_advance` re-arms
+    /// the timer.
+    pub fn preload(&mut self, transactions: Vec<Transaction>) {
+        let from = self.authority().as_usize();
+        self.engine
+            .handle(Input::TxBatchReceived { from, transactions });
     }
 
     /// Submits a client batch through the shared wire vocabulary
     /// ([`Envelope::TxBatch`]) — the same ingestion path the TCP node's
-    /// client listener and the loopback cluster use.
+    /// client listener and the loopback cluster use. `from` is the
+    /// submitting connection; the validator's own index is its local
+    /// client, whose receipts come back as [`Action::BatchesCommitted`].
     pub fn submit_batch(
         &mut self,
         now: Time,
@@ -238,25 +229,30 @@ impl SimValidator {
     }
 
     /// Maps engine outputs onto runner actions. Persistence, commit, and
-    /// backpressure notifications have no simulator-side effect (metrics
+    /// conviction notifications have no simulator-side effect (metrics
     /// read the engine's counters directly); checkpoints are recorded for
-    /// the `state-root-agreement` oracle; everything else forwards
-    /// one-to-one.
+    /// the `state-root-agreement` oracle; receipts addressed to this
+    /// validator's own index are its local client's inbox (open-loop
+    /// clients do not retry, so admission verdicts stop here — the
+    /// rejection counters stay visible through [`Self::tx_integrity`]);
+    /// everything else forwards one-to-one.
     fn apply(&mut self, outputs: Vec<Output>, actions: &mut Vec<Action>) {
+        let own = self.authority().as_usize();
         for output in outputs {
             match output {
                 Output::Broadcast(envelope) => actions.push(Action::Broadcast(envelope)),
                 Output::SendTo(peer, envelope) => actions.push(Action::Send(peer, envelope)),
-                Output::TxsCommitted(submits) => actions.push(Action::TxsCommitted(submits)),
                 Output::WakeAt(time) => actions.push(Action::WakeAt(time)),
                 Output::CheckpointProduced(checkpoint) => self.checkpoints.push(checkpoint),
+                Output::TxReceipt { peer, receipt } if peer == own => {
+                    if let TxReceipt::Committed { tags } = receipt {
+                        actions.push(Action::BatchesCommitted(tags));
+                    }
+                }
                 Output::TxReceipt { peer, receipt } => {
                     actions.push(Action::Send(peer, Envelope::TxReceipt(receipt)))
                 }
-                Output::Committed(_)
-                | Output::Persist(_)
-                | Output::Convicted(_)
-                | Output::TxRejected { .. } => {}
+                Output::Committed(_) | Output::Persist(_) | Output::Convicted(_) => {}
             }
         }
     }
@@ -318,7 +314,9 @@ mod tests {
         let mut v = validator(0, Behavior::Crashed { from_round: 0 }, false);
         assert!(v.maybe_advance(0).is_empty());
         assert_eq!(v.round(), 0);
-        v.submit_transactions([(1, 0)]);
+        assert!(v
+            .submit_batch(0, 0, vec![Transaction::benchmark(1)])
+            .is_empty());
         assert_eq!(v.queued_transactions(), 0);
     }
 
@@ -352,7 +350,7 @@ mod tests {
     #[test]
     fn transactions_flow_into_blocks() {
         let mut v = validator(2, Behavior::Honest, false);
-        v.submit_transactions([(10, 5), (11, 6)]);
+        v.preload([10, 11].map(Transaction::benchmark).to_vec());
         let actions = v.maybe_advance(10);
         let block = broadcast_block(&actions).expect("expected block broadcast");
         assert_eq!(block.transactions().len(), 2);
@@ -362,7 +360,7 @@ mod tests {
     #[test]
     fn block_capacity_is_respected() {
         let mut v = validator(2, Behavior::Honest, false);
-        v.submit_transactions((0..500u64).map(|i| (i, 0)));
+        v.preload((0..500).map(Transaction::benchmark).collect());
         let actions = v.maybe_advance(10);
         let block = broadcast_block(&actions).expect("expected block broadcast");
         assert_eq!(block.transactions().len(), 100);
@@ -379,8 +377,8 @@ mod tests {
             vec![Transaction::benchmark(1), Transaction::benchmark(2)],
         );
         assert_eq!(v.queued_transactions(), 2);
-        // …and the same digests submitted locally afterwards deduplicate.
-        v.submit_transactions([(0, 0)]);
+        // …as does one the validator's own client submits afterwards.
+        v.submit_batch(5, 1, vec![Transaction::benchmark(3)]);
         assert_eq!(v.queued_transactions(), 3);
         let integrity = v.tx_integrity();
         assert_eq!(integrity.accepted, 3);

@@ -42,7 +42,9 @@ pub enum Stage {
     Resequenced = 3,
     /// The sequential engine core applied the item.
     EngineApplied = 4,
-    /// The transaction was linearized into the committed total order.
+    /// Every accepted transaction of a client batch was linearized into
+    /// the committed total order (one sample per batch: receive → the
+    /// batch's commit note closing).
     Sequenced = 5,
     /// The execution layer applied the committed sub-DAG.
     Executed = 6,

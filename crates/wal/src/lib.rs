@@ -35,7 +35,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crc32::crc32;
@@ -283,6 +283,11 @@ pub struct MemStorage {
     /// Length of the buffer when it was last made durable (a
     /// [`Storage::sync`], a truncation or a compaction): what a crash keeps.
     synced_len: Arc<AtomicU64>,
+    /// Test fault injection, shared across clones: while set, every append
+    /// (resp. sync) fails with an I/O error and changes nothing — a full or
+    /// failing disk.
+    failing_appends: Arc<AtomicBool>,
+    failing_syncs: Arc<AtomicBool>,
 }
 
 impl MemStorage {
@@ -301,6 +306,18 @@ impl MemStorage {
         *self.buffer.lock() = bytes;
     }
 
+    /// Makes every append fail (or succeed again) from now on (test fault
+    /// injection).
+    pub fn fail_appends(&self, fail: bool) {
+        self.failing_appends.store(fail, Ordering::SeqCst);
+    }
+
+    /// Makes every sync fail (or succeed again) from now on (test fault
+    /// injection). A failed sync makes nothing durable.
+    pub fn fail_syncs(&self, fail: bool) {
+        self.failing_syncs.store(fail, Ordering::SeqCst);
+    }
+
     /// Number of [`Storage::sync`] calls observed so far.
     pub fn sync_count(&self) -> u64 {
         self.syncs.load(Ordering::SeqCst)
@@ -317,6 +334,9 @@ impl MemStorage {
 
 impl Storage for MemStorage {
     fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+        if self.failing_appends.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("injected append failure").into());
+        }
         self.buffer.lock().extend_from_slice(bytes);
         Ok(())
     }
@@ -340,6 +360,9 @@ impl Storage for MemStorage {
     }
 
     fn sync(&mut self) -> Result<(), WalError> {
+        if self.failing_syncs.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("injected sync failure").into());
+        }
         self.syncs.fetch_add(1, Ordering::SeqCst);
         let len = self.buffer.lock().len() as u64;
         self.synced_len.store(len, Ordering::SeqCst);

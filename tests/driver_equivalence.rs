@@ -43,8 +43,9 @@ fn no_cpu() -> CpuCosts {
     }
 }
 
-fn workload(validator: usize) -> impl Iterator<Item = u64> {
-    (0..TXS_PER_VALIDATOR).map(move |i| validator as u64 * 100_000 + i)
+fn workload(validator: usize) -> impl Iterator<Item = Transaction> {
+    (0..TXS_PER_VALIDATOR)
+        .map(move |i| Transaction::new((validator as u64 * 100_000 + i).to_le_bytes().to_vec()))
 }
 
 /// Serializes a committed-leader log (None = skipped slot) into bytes.
@@ -81,7 +82,7 @@ fn run_sim() -> Vec<Vec<Option<BlockRef>>> {
     };
     let mut sim = Simulation::new(config);
     for validator in 0..4 {
-        sim.preload_transactions(validator, workload(validator).map(|id| (id, 0)));
+        sim.preload_transactions(validator, workload(validator).collect());
     }
     sim.run_full().logs
 }
@@ -97,8 +98,8 @@ fn run_loopback() -> LoopbackCluster {
         ingress: mahi_mahi::core::IngressConfig::default(),
     });
     for validator in 0..4 {
-        for id in workload(validator) {
-            cluster.submit(validator, Transaction::new(id.to_le_bytes().to_vec()), 0);
+        for transaction in workload(validator) {
+            cluster.submit(validator, transaction);
         }
     }
     cluster.run_until(DURATION);
@@ -157,7 +158,7 @@ fn sim_and_loopback_node_drivers_commit_identically() {
         .any(|input| matches!(input, Input::TimerFired { .. })));
     assert!(trace
         .iter()
-        .any(|input| matches!(input, Input::TxSubmitted { .. })));
+        .any(|input| matches!(input, Input::TxBatchReceived { .. })));
 }
 
 /// The determinism contract against a *live* TCP run: four real nodes run
@@ -244,7 +245,7 @@ fn recorded_input_trace_replays_to_identical_outputs() {
             ingress: mahi_mahi::core::IngressConfig::default(),
         });
         for validator in 0..4 {
-            cluster.submit(validator, Transaction::benchmark(validator as u64), 7);
+            cluster.submit(validator, Transaction::benchmark(validator as u64));
         }
         cluster.run_until(time::from_secs(2));
         cluster

@@ -54,18 +54,21 @@ fn engine_with_ingress(setup: &TestCommittee, ingress: IngressConfig) -> Validat
     ValidatorEngine::honest(config, Box::new(committer))
 }
 
-/// Builds a random trace: duplicate-prone transaction submissions (local
-/// and wire-batch), non-monotone timers, and peer blocks delivered in
-/// random order with repeats.
+/// Builds a random trace: duplicate-prone transaction batches (from the
+/// validator's own client and from committee peers), non-monotone timers,
+/// and peer blocks delivered in random order with repeats.
 fn random_trace(script_seed: u64, steps: usize, pool: &[Arc<Block>]) -> Vec<Input> {
     let mut rng = script_seed;
     let mut trace = Vec::with_capacity(steps);
     for _ in 0..steps {
         let input = match splitmix(&mut rng) % 4 {
-            0 => Input::TxSubmitted {
+            // The validator's own client, one transaction at a time.
+            0 => Input::TxBatchReceived {
+                from: 0,
                 // Ids drawn from a tiny range: duplicates are common.
-                transaction: Transaction::new((splitmix(&mut rng) % 24).to_le_bytes().to_vec()),
-                tag: splitmix(&mut rng) % 1_000,
+                transactions: vec![Transaction::new(
+                    (splitmix(&mut rng) % 24).to_le_bytes().to_vec(),
+                )],
             },
             1 => Input::TxBatchReceived {
                 from: (splitmix(&mut rng) % 4) as usize,
@@ -92,8 +95,8 @@ fn random_trace(script_seed: u64, steps: usize, pool: &[Arc<Block>]) -> Vec<Inpu
 
 /// Builds a client-ingress trace: wire batches from `clients` external ids
 /// (all past the committee range, so the rate limiter applies), forwarded
-/// batches from committee peers, ignored receipt frames, local
-/// submissions, peer blocks, and non-monotone timers. The tiny transaction
+/// batches from committee peers, ignored receipt frames, the validator's
+/// own client, peer blocks, and non-monotone timers. The tiny transaction
 /// id range makes duplicates common, so all four admission verdicts fire.
 fn random_ingress_trace(
     script_seed: u64,
@@ -128,9 +131,9 @@ fn random_ingress_trace(
                     verdicts: vec![TxVerdict::Accepted],
                 },
             },
-            5 => Input::TxSubmitted {
-                transaction: tiny_tx(&mut rng),
-                tag: splitmix(&mut rng) % 1_000,
+            5 => Input::TxBatchReceived {
+                from: 0,
+                transactions: vec![tiny_tx(&mut rng)],
             },
             6 => Input::TimerFired {
                 now: splitmix(&mut rng) % 5_000_000,
@@ -462,12 +465,11 @@ proptest! {
         // own blocks keep carrying payloads across the whole run.
         let mut rng = tx_seed;
         for engine in engines.iter_mut() {
-            for _ in 0..1_000 {
-                engine.handle(Input::TxSubmitted {
-                    transaction: Transaction::new(splitmix(&mut rng).to_le_bytes().to_vec()),
-                    tag: 0,
-                });
-            }
+            let from = engine.authority().as_usize();
+            let transactions = (0..1_000)
+                .map(|_| Transaction::new(splitmix(&mut rng).to_le_bytes().to_vec()))
+                .collect();
+            engine.handle(Input::TxBatchReceived { from, transactions });
         }
         // Lockstep flood: deliver every broadcast envelope until the DAG
         // reaches the horizon. 160 rounds crosses the engine's 64-round GC

@@ -259,3 +259,22 @@ fn partition_cells_exercise_mempool_forwarding() {
         "no forwarded transaction was observed committed"
     );
 }
+
+#[test]
+fn every_committed_batch_is_one_latency_sample_at_its_entry_validator() {
+    // The same forwarding cell, with no warm-up cut: the latency column
+    // must hold exactly one sample per `Committed` tag a validator handed
+    // its local client. A forwarded batch is therefore sampled once, at
+    // the validator that received it and from its original receive time —
+    // never at the forward target, from the (later) forward-receive time.
+    let mut scenario = full_matrix()
+        .into_iter()
+        .find(|s| s.name == "Tusk/mute/partition")
+        .expect("matrix covers Tusk × mute × partition");
+    scenario.config.warmup_fraction = 0.0;
+    let run = scenario.run();
+    let forwarded_committed: u64 = run.ingress.iter().map(|r| r.forwarded_committed).sum();
+    assert!(forwarded_committed > 0, "the cell must forward");
+    let notices: u64 = run.ingress.iter().map(|r| r.commit_notices).sum();
+    assert_eq!(run.report.latency.len() as u64, notices);
+}
