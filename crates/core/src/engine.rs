@@ -17,7 +17,7 @@
 //! |---|---|---|---|
 //! | consensus kernel — admission, production, commit rule, linearisation | `engine.rs` (the [`ProposerStrategy`] seam in `engine/proposer.rs`) | local DAG ([`BlockStore`]), [`EvidencePool`], [`CommitSequencer`], proposer strategy, round pacing, unreferenced tips, verified-block set, execution state, commit history | `BlockReceived`, `SyncRequest`, `SyncReply`, `EvidenceReceived`, `TimerFired` |
 //! | client ledger — the pool, receipts, forwarding, exactly-once accounting | `ingress.rs` ([`ClientLedger`]) | the bounded transaction pool (`mempool.rs`), token buckets, receipt counters, commit notes, forwarded digests, own-block tags, committed-digest ledger | `TxBatchReceived`, `TxForwardReceived`; every own block built (it hands over the payload); every block sequenced |
-//! | checkpoint book — certification and state-sync material | `checkpointing.rs` ([`CheckpointBook`]) | archived cuts with their snapshots, attestations per position, latest certified position, commit frontier | `CheckpointReceived`, `CheckpointRequested`, `CheckpointSyncReceived`; every checkpoint boundary; checkpoint records at recovery |
+//! | checkpoint book — certification and state-sync material | `checkpointing.rs` ([`CheckpointBook`]) | the newest cut stood on, attestations per position inside a fixed window, latest certified position, commit frontier, who asked for state-sync and the one snapshot taken for them | `CheckpointReceived`, `CheckpointRequested`, `CheckpointSyncReceived`; every checkpoint boundary; checkpoint records at recovery |
 //! | certified broadcast — Tusk's proposal/ack/certificate pipeline | `certified.rs` ([`CertifiedBroadcast`]) | parked proposals, ack tallies, certified own proposals | `ProposalReceived`, `AckReceived`, `CertificateReceived` — only when [`EngineConfig::certified`]; otherwise the component does not exist and the three are dropped |
 //!
 //! # Drivers
@@ -47,6 +47,33 @@
 //! The two that persist follow one rule, stated at
 //! [`WalRecord::is_durable`], and recover through one entry point,
 //! [`ValidatorEngine::restore`].
+//!
+//! # Cuts and snapshots
+//!
+//! Every [`EngineConfig::checkpoint_interval`] sequencing decisions the
+//! engine signs a *cut* — position, frontier, execution root, sequencer
+//! resume digest — broadcasts it and surfaces it as
+//! [`Output::CheckpointProduced`]. Signing reads the incrementally kept
+//! root and costs O(what changed since the last cut); an ordinary cut is
+//! neither persisted nor snapshotted. It needs no durability: the cut is a
+//! function of the committed prefix, so a restarted validator re-derives
+//! and re-signs the identical bytes — there is nothing to equivocate on.
+//!
+//! The state behind a cut is encoded (`ExecutionState::snapshot`, O(state))
+//! only at the cuts where someone needs it, and both triggers are functions
+//! of the engine's inputs, so traces still replay byte for byte:
+//!
+//! - **the log**, when the encoded bytes of the blocks sequenced since the
+//!   last persisted snapshot reach [`SNAPSHOT_BLOCK_BYTES_RATIO`] times
+//!   that snapshot's size. Such a cut emits
+//!   [`Output::Persist`]`(`[`WalRecord::Checkpoint`]`)` ahead of its
+//!   broadcast, and the driver's log marks what it subsumes. The rule reads
+//!   the committed sequence alone, so correct validators snapshot the same
+//!   cuts;
+//! - **a joiner**, when a committee member sent
+//!   [`Input::CheckpointRequested`] since the last response: the next cut's
+//!   snapshot goes to the [`CheckpointBook`], and the
+//!   [`Envelope::CheckpointResponse`] leaves when that cut has its quorum.
 //!
 //! # Determinism contract
 //!
@@ -80,6 +107,7 @@
 //!     if b.round() == 1));
 //! ```
 
+use mahimahi_crypto::blake2b::blake2b_256;
 use mahimahi_crypto::Digest;
 use mahimahi_dag::{BlockStore, InsertResult};
 use mahimahi_types::{
@@ -315,7 +343,9 @@ pub enum Output {
         receipt: TxReceipt,
     },
     /// A checkpoint boundary was crossed: the engine signed and broadcast
-    /// the attestation (and persisted it with its snapshots). Surfaced so
+    /// the cut. Only a cut whose snapshot the log needs is also persisted —
+    /// its [`Output::Persist`] then precedes this in the same batch; every
+    /// other cut can be signed again from the committed prefix. Surfaced so
     /// drivers can gauge checkpoint progress; no action required.
     CheckpointProduced(Checkpoint),
 }
@@ -328,7 +358,9 @@ pub enum WalRecord {
     Block(Arc<Block>),
     /// A verified equivocation conviction.
     Evidence(EquivocationProof),
-    /// A checkpoint with the snapshots it attests — the recovery cut.
+    /// A checkpoint with the snapshots it attests — the recovery cut,
+    /// written at the cuts the log-size rule picks (see the module docs)
+    /// and when a cut is adopted from a quorum.
     /// Once this record is durable, every block *below* the snapshot's GC
     /// floor is redundant for recovery: restart restores the snapshots
     /// and re-sequences only the trailing rounds, which is what makes WAL
@@ -337,7 +369,8 @@ pub enum WalRecord {
     Checkpoint {
         /// The signed attestation of the cut.
         checkpoint: Checkpoint,
-        /// Execution snapshot hashing to the checkpoint's state root.
+        /// Execution snapshot whose rebuilt state has the checkpoint's
+        /// state root.
         execution: Vec<u8>,
         /// Sequencer snapshot hashing to the checkpoint's resume digest.
         resume: Vec<u8>,
@@ -356,10 +389,12 @@ impl WalRecord {
     /// Durable are: this validator's *own blocks* (a restart that forgot a
     /// round it already broadcast would produce it again under different
     /// parents — accidental equivocation), *evidence* (conviction gossip is
-    /// flood-once: a lost conviction is not re-sent) and *checkpoints*
-    /// (the log below the cut is truncated on the strength of this
+    /// flood-once: a lost conviction is not re-sent) and *checkpoint
+    /// records* (the log below the cut is truncated on the strength of this
     /// record). Peers' blocks can be fetched again through the
-    /// synchronizer, so they ride the next sync.
+    /// synchronizer, so they ride the next sync. A cut that produced no
+    /// record needs no rule: it is never logged, and losing it loses
+    /// nothing — the same committed prefix signs the same cut again.
     pub fn is_durable(&self, authority: AuthorityIndex) -> bool {
         !matches!(self, WalRecord::Block(block) if block.author() != authority)
     }
@@ -450,12 +485,12 @@ pub struct EngineConfig {
     ///
     /// The boundary is pinned to the decision count — which every correct
     /// validator agrees on — so all of them checkpoint the same cuts and
-    /// their attestations aggregate into quorum certificates. Each
-    /// boundary also persists a [`WalRecord::Checkpoint`] carrying the
-    /// execution and sequencer snapshots: once that record is durable, the
-    /// write-ahead log may be truncated below the snapshot's GC floor
-    /// (recovery restores the snapshots and re-sequences only the trailing
-    /// rounds).
+    /// their attestations aggregate into quorum certificates. The cuts the
+    /// log-size rule picks (see the module docs) also persist a
+    /// [`WalRecord::Checkpoint`] carrying the execution and sequencer
+    /// snapshots: once that record is durable, the write-ahead log may be
+    /// truncated below the snapshot's GC floor (recovery restores the
+    /// snapshots and re-sequences only the trailing rounds).
     pub checkpoint_interval: u64,
 }
 
@@ -475,6 +510,43 @@ impl EngineConfig {
             halt_from_round: None,
             checkpoint_interval: 32,
         }
+    }
+}
+
+/// The log takes a snapshot at the first cut where the encoded bytes of the
+/// blocks sequenced since its last one reach this many times that
+/// snapshot's size. The bound it buys: every snapshot but the newest is
+/// followed by sixteen times its size in blocks, so all snapshots together
+/// stay under 1/16 of the block bytes logged plus the newest one — and
+/// under the 1/8 aimed at even while the state grows by another 1/16 of
+/// the block bytes between two of them (a 16-byte account per 256 bytes of
+/// block). What it costs: a restart replays at most that much log above
+/// the snapshot. Measured against the last snapshot rather than the live
+/// state so that the rule always fires, and needs no O(1) size from
+/// `ExecutionState`; counted in block bytes, not transaction bytes, so an
+/// idle cluster's empty blocks still compact.
+pub const SNAPSHOT_BLOCK_BYTES_RATIO: u64 = 16;
+
+/// The snapshot cadence of one engine's log (see
+/// [`SNAPSHOT_BLOCK_BYTES_RATIO`]).
+#[derive(Default)]
+struct SnapshotCadence {
+    /// Encoded bytes of the blocks sequenced since the last snapshot this
+    /// engine persisted, adopted or restored.
+    block_bytes_since: u64,
+    /// Size of that snapshot, both encodings; 0 before the first.
+    last_bytes: u64,
+}
+
+impl SnapshotCadence {
+    fn due(&self) -> bool {
+        self.block_bytes_since >= SNAPSHOT_BLOCK_BYTES_RATIO.saturating_mul(self.last_bytes)
+    }
+
+    /// Restarts the count at a snapshot of the given encodings.
+    fn taken(&mut self, execution: &[u8], resume: &[u8]) {
+        self.block_bytes_since = 0;
+        self.last_bytes = usize_gauge(execution.len() + resume.len());
     }
 }
 
@@ -547,6 +619,7 @@ pub struct ValidatorEngine {
     /// The deterministic state machine folded over the commit stream.
     execution: Box<dyn ExecutionState>,
     history: CommitHistory,
+    cadence: SnapshotCadence,
     clients: ClientLedger,
     checkpoints: CheckpointBook,
     /// `Some` exactly when [`EngineConfig::certified`].
@@ -587,6 +660,7 @@ impl ValidatorEngine {
             signature_checks: 0,
             execution: Box::new(BalanceLedger::new()),
             history: CommitHistory::default(),
+            cadence: SnapshotCadence::default(),
             clients: ClientLedger::new(
                 config.ingress,
                 config.mempool,
@@ -596,7 +670,11 @@ impl ValidatorEngine {
             certified: config
                 .certified
                 .then(|| CertifiedBroadcast::new(config.authority, committee.quorum_threshold())),
-            checkpoints: CheckpointBook::new(committee),
+            checkpoints: CheckpointBook::new(
+                committee,
+                config.authority,
+                config.checkpoint_interval,
+            ),
             telemetry: Arc::new(NoopSink),
             config,
         }
@@ -702,12 +780,11 @@ impl ValidatorEngine {
             // `handle_verified` stays byte-identical to `handle`.
             Input::CheckpointReceived { checkpoint, .. } => {
                 self.checkpoints.ingest(checkpoint);
+                self.answer_state_sync(&mut outputs);
             }
-            Input::CheckpointRequested { from } => {
-                if let Some(envelope) = self.checkpoints.response() {
-                    outputs.push(Output::SendTo(from, envelope));
-                }
-            }
+            // Remembered, not answered: the next cut is taken with a
+            // snapshot, and the response leaves when it has its quorum.
+            Input::CheckpointRequested { from } => self.checkpoints.request(from),
             Input::CheckpointSyncReceived {
                 checkpoints,
                 execution,
@@ -799,17 +876,20 @@ impl ValidatorEngine {
 
     /// Restores a persisted checkpoint: installed if its snapshots match
     /// the signed roots and it advances the local sequence. No quorum is
-    /// required — the record came from this validator's own durable log.
+    /// required — the record came from this validator's own durable log,
+    /// which is also why a record written before the tree root existed is
+    /// still accepted (see [`Self::install_cut`]). Nothing is archived: the
+    /// snapshot stays in the log it came from.
     fn restore_checkpoint(
         &mut self,
         checkpoint: Checkpoint,
         execution: Vec<u8>,
         resume: Vec<u8>,
     ) -> bool {
-        if !self.install_cut(&checkpoint, &execution, &resume) {
+        if !self.install_cut(&checkpoint, &execution, &resume, true) {
             return false;
         }
-        self.checkpoints.archive(checkpoint, execution, resume);
+        self.checkpoints.stand_on(checkpoint, false);
         true
     }
 
@@ -913,11 +993,20 @@ impl ValidatorEngine {
     /// The execution state root after every sub-DAG committed so far. Two
     /// correct validators with equal commit logs report equal roots — the
     /// `state-root-agreement` oracle's invariant.
-    pub fn state_root(&self) -> StateRoot {
+    /// Takes `&mut self` because the root is kept incrementally (see
+    /// [`ExecutionState::state_root`]).
+    pub fn state_root(&mut self) -> StateRoot {
         self.execution.state_root()
     }
 
-    /// The engine's own latest signed (or adopted) checkpoint, if any.
+    /// Size in bytes of the last snapshot that went to this engine's log
+    /// — taken at a cut, adopted or restored; 0 before the first.
+    pub fn last_snapshot_bytes(&self) -> u64 {
+        self.cadence.last_bytes
+    }
+
+    /// The newest cut this engine stands on — signed, adopted or restored
+    /// — if any.
     pub fn latest_checkpoint(&self) -> Option<&Checkpoint> {
         self.checkpoints.latest()
     }
@@ -1090,10 +1179,10 @@ impl ValidatorEngine {
     /// Verifies and adopts a state-sync payload: a position strictly ahead
     /// of the local sequence (the cheap check, before any signature is
     /// verified), a quorum of matching valid attestations, and snapshots
-    /// hashing to the certified roots. On success the execution and
-    /// sequencer state jump to the cut, the quorum is collected so this
-    /// validator can serve the same payload, and the checkpoint is
-    /// persisted so a later restart recovers from it instead of genesis.
+    /// matching the certified roots — for the execution state the tree
+    /// root only. On success the execution and sequencer state jump to the
+    /// cut, and the checkpoint is persisted so a later restart recovers
+    /// from it instead of genesis.
     fn adopt_checkpoint(
         &mut self,
         checkpoints: Vec<Checkpoint>,
@@ -1110,14 +1199,10 @@ impl ValidatorEngine {
         let Some(first) = self.checkpoints.verify_quorum(&checkpoints).cloned() else {
             return;
         };
-        if !self.install_cut(&first, &execution, &resume) {
+        if !self.install_cut(&first, &execution, &resume, false) {
             return;
         }
-        for checkpoint in checkpoints {
-            self.checkpoints.attest(checkpoint);
-        }
-        self.checkpoints
-            .archive(first.clone(), execution.clone(), resume.clone());
+        self.checkpoints.stand_on(first.clone(), true);
         outputs.push(Output::Persist(WalRecord::Checkpoint {
             checkpoint: first,
             execution,
@@ -1133,17 +1218,39 @@ impl ValidatorEngine {
     /// Jumps the execution and sequencer state to a cut (shared by
     /// state-sync adoption and WAL recovery), if it is ahead of the local
     /// sequence and [`CheckpointBook::verify_cut`] accepts its snapshots.
-    fn install_cut(&mut self, checkpoint: &Checkpoint, execution: &[u8], resume: &[u8]) -> bool {
+    /// The state is rebuilt from the snapshot beside the live one, which is
+    /// replaced only after the rebuilt root matched the signed one.
+    ///
+    /// `own_log`: the record comes from this validator's own log. A log
+    /// written before the tree root existed signs `blake2b(snapshot)`;
+    /// under the validator's own signature either commitment pins the same
+    /// bytes, so recovery accepts both. A peer's payload gets no such
+    /// latitude.
+    fn install_cut(
+        &mut self,
+        checkpoint: &Checkpoint,
+        execution: &[u8],
+        resume: &[u8],
+        own_log: bool,
+    ) -> bool {
         if !self.is_ahead(checkpoint) {
             return false;
         }
-        let Some(snapshot) = CheckpointBook::verify_cut(checkpoint, execution, resume) else {
+        let Ok(mut state) = self.execution.restore(execution) else {
             return false;
         };
-        if self.execution.restore(execution).is_err() || self.sequencer.restore(&snapshot).is_err()
-        {
+        let mut root = state.state_root();
+        if own_log && root != checkpoint.state_root() {
+            root = StateRoot(blake2b_256(execution));
+        }
+        let Some(snapshot) = CheckpointBook::verify_cut(checkpoint, root, resume) else {
+            return false;
+        };
+        if self.sequencer.restore(&snapshot).is_err() {
             return false;
         }
+        self.execution = state;
+        self.cadence.taken(execution, resume);
         self.history.log.clear();
         // Everything below the snapshot's floor is outside any future
         // sub-DAG: compact it away.
@@ -1153,29 +1260,50 @@ impl ValidatorEngine {
         true
     }
 
-    /// Signs, persists, broadcasts, and archives the checkpoint for a
-    /// boundary the sequencer just crossed. Called from `commit` with the
-    /// execution state exactly at the boundary.
+    /// Signs and broadcasts the cut for a boundary the sequencer just
+    /// crossed, with a snapshot only if the log or a joiner needs one (see
+    /// the module docs). Called from `commit` with the execution state
+    /// exactly at the boundary.
     fn emit_checkpoint(&mut self, snapshot: SequencerSnapshot, outputs: &mut Vec<Output>) {
-        let authority = self.config.authority;
-        let execution = self.execution.snapshot();
         let resume = snapshot.to_bytes_vec();
         let checkpoint = self.checkpoints.sign_own(
-            authority,
-            self.config.setup.keypair(authority),
+            self.config.setup.keypair(self.config.authority),
             snapshot.position,
-            &execution,
-            &resume,
+            self.execution.state_root(),
+            blake2b_256(&resume),
         );
-        debug_assert_eq!(checkpoint.resume_digest(), snapshot.digest());
-        // Durability before dissemination, like blocks and evidence.
-        outputs.push(Output::Persist(WalRecord::Checkpoint {
-            checkpoint: checkpoint.clone(),
-            execution,
-            resume,
-        }));
+        let for_log = self.cadence.due();
+        let for_joiner = self.checkpoints.snapshot_wanted();
+        if for_log || for_joiner {
+            let execution = self.execution.snapshot();
+            if for_joiner {
+                self.checkpoints
+                    .archive(snapshot.position, execution.clone(), resume.clone());
+            }
+            if for_log {
+                self.cadence.taken(&execution, &resume);
+                // Durability before dissemination, like blocks and evidence.
+                outputs.push(Output::Persist(WalRecord::Checkpoint {
+                    checkpoint: checkpoint.clone(),
+                    execution,
+                    resume,
+                }));
+            }
+        }
         outputs.push(Output::Broadcast(Envelope::Checkpoint(checkpoint.clone())));
         outputs.push(Output::CheckpointProduced(checkpoint));
+        // The own attestation may be the one that completes a quorum.
+        self.answer_state_sync(outputs);
+    }
+
+    /// Sends the state-sync payload to everyone owed it, once the cut
+    /// archived for them has its quorum.
+    fn answer_state_sync(&mut self, outputs: &mut Vec<Output>) {
+        if let Some((requesters, response)) = self.checkpoints.take_response() {
+            for peer in requesters.iter() {
+                outputs.push(Output::SendTo(peer.as_usize(), response.clone()));
+            }
+        }
     }
 
     /// Drops everything held for rounds below `floor` — the one place
@@ -1385,6 +1513,11 @@ impl ValidatorEngine {
             self.history.record(&decision);
             if let CommitDecision::Commit(sub_dag) = decision {
                 self.checkpoints.set_frontier(sub_dag.leader);
+                self.cadence.block_bytes_since += sub_dag
+                    .blocks
+                    .iter()
+                    .map(|block| usize_gauge(block.serialized_size()))
+                    .sum::<u64>();
                 self.execution.apply(&sub_dag);
                 // Execution is synchronous inside commit(): the honest
                 // zero keeps the stage populated for the wiring day it
@@ -2164,43 +2297,110 @@ mod tests {
         )
     }
 
-    /// Flood-delivers every broadcast envelope (blocks, checkpoints,
-    /// evidence) between the engines until quiescent, bounding block
-    /// production at `round_horizon`. Returns every `CheckpointProduced`
-    /// per engine, in order.
-    fn flood(engines: &mut [ValidatorEngine], round_horizon: Round) -> Vec<Vec<Checkpoint>> {
-        let mut produced: Vec<Vec<Checkpoint>> = vec![Vec::new(); engines.len()];
-        let mut inflight: VecDeque<(usize, Envelope)> = VecDeque::new();
-        for engine in engines.iter_mut() {
-            let from = engine.authority().as_usize();
-            let outputs = engine.handle(Input::TimerFired { now: 0 });
-            for output in outputs {
-                if let Output::Broadcast(envelope) = output {
-                    inflight.push_back((from, envelope));
-                }
-            }
-        }
-        while let Some((from, envelope)) = inflight.pop_front() {
-            if let Envelope::Block(block) = &envelope {
-                if block.round() > round_horizon {
-                    continue;
-                }
-            }
+    /// A lockstep fabric for broadcasts (blocks, checkpoints, evidence):
+    /// every one is delivered to every other engine until nothing is in
+    /// flight. It can be run again to a further horizon, with inputs fed by
+    /// hand in between.
+    #[derive(Default)]
+    struct Flood {
+        inflight: VecDeque<(usize, Envelope)>,
+        /// Blocks above the last horizon, delivered when it is raised.
+        held: Vec<(usize, Envelope)>,
+        /// An engine that peers' attestations are kept from, and the ones
+        /// kept from it so far.
+        withhold_checkpoints_to: Option<usize>,
+        withheld: Vec<(usize, Envelope)>,
+        /// Every `CheckpointProduced` per engine, in order.
+        produced: Vec<Vec<Checkpoint>>,
+        /// Every `Persist(WalRecord::Checkpoint)` per engine, in order.
+        snapshots: Vec<Vec<WalRecord>>,
+        /// Every `SendTo` as `(from, to, envelope)`; not delivered.
+        sent: Vec<(usize, usize, Envelope)>,
+    }
+
+    impl Flood {
+        /// Delivers until quiescent, holding back blocks above
+        /// `round_horizon`.
+        fn run(&mut self, engines: &mut [ValidatorEngine], round_horizon: Round) {
+            self.inflight.extend(self.held.drain(..));
             for to in 0..engines.len() {
-                if to == from {
+                self.feed(engines, to, Input::TimerFired { now: 0 });
+            }
+            while let Some((from, envelope)) = self.inflight.pop_front() {
+                if matches!(&envelope, Envelope::Block(block) if block.round() > round_horizon) {
+                    self.held.push((from, envelope));
                     continue;
                 }
-                let outputs = engines[to].handle(Input::from_envelope(from, envelope.clone()));
-                for output in outputs {
-                    match output {
-                        Output::Broadcast(envelope) => inflight.push_back((to, envelope)),
-                        Output::CheckpointProduced(checkpoint) => produced[to].push(checkpoint),
-                        _ => {}
+                for to in (0..engines.len()).filter(|&to| to != from) {
+                    if matches!(envelope, Envelope::Checkpoint(_))
+                        && self.withhold_checkpoints_to == Some(to)
+                    {
+                        self.withheld.push((from, envelope.clone()));
+                        continue;
                     }
+                    self.feed(engines, to, Input::from_envelope(from, envelope.clone()));
                 }
             }
         }
-        produced
+
+        /// Hands `input` to engine `to` and renders what it answers.
+        fn feed(&mut self, engines: &mut [ValidatorEngine], to: usize, input: Input) {
+            self.produced.resize(engines.len(), Vec::new());
+            self.snapshots.resize(engines.len(), Vec::new());
+            for output in engines[to].handle(input) {
+                match output {
+                    Output::Broadcast(envelope) => self.inflight.push_back((to, envelope)),
+                    Output::SendTo(peer, envelope) => self.sent.push((to, peer, envelope)),
+                    Output::CheckpointProduced(checkpoint) => self.produced[to].push(checkpoint),
+                    Output::Persist(record @ WalRecord::Checkpoint { .. }) => {
+                        self.snapshots[to].push(record);
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        /// The state-sync responses sent so far: sender, receiver, payload.
+        fn responses(&self) -> Vec<(usize, usize, SyncPayload)> {
+            self.sent
+                .iter()
+                .filter_map(|(from, to, envelope)| match envelope {
+                    Envelope::CheckpointResponse {
+                        checkpoints,
+                        execution,
+                        resume,
+                    } => {
+                        let payload = (checkpoints.clone(), execution.clone(), resume.clone());
+                        Some((*from, *to, payload))
+                    }
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    /// What a state-sync response carries: the quorum, the execution
+    /// snapshot, the sequencer snapshot.
+    type SyncPayload = (Vec<Checkpoint>, Vec<u8>, Vec<u8>);
+
+    /// Floods four fresh engines (interval 4) to round 12, has authority 3
+    /// ask engine 0 for state-sync, floods on until the response left, and
+    /// returns what it carried.
+    fn state_sync_response() -> SyncPayload {
+        let mut engines: Vec<ValidatorEngine> =
+            (0..4).map(|a| engine_with_interval(a, 4)).collect();
+        let mut flood = Flood::default();
+        flood.run(&mut engines, 12);
+        assert!(engines[0]
+            .handle(Input::CheckpointRequested { from: 3 })
+            .is_empty());
+        flood.run(&mut engines, 20);
+        let (from, to, payload) = flood
+            .responses()
+            .pop()
+            .expect("the request is answered once the next cut has its quorum");
+        assert_eq!((from, to), (0, 3));
+        payload
     }
 
     #[test]
@@ -2208,13 +2408,14 @@ mod tests {
         let setup = TestCommittee::new(4, 7);
         let mut engines: Vec<ValidatorEngine> =
             (0..4).map(|a| engine_with_interval(a, 4)).collect();
-        let produced = flood(&mut engines, 12);
+        let mut flood = Flood::default();
+        flood.run(&mut engines, 12);
 
         // Every validator reached at least one boundary, every signature
         // verifies, and positions land exactly on multiples of the
         // interval.
         let mut by_position: HashMap<u64, Checkpoint> = HashMap::new();
-        for (validator, checkpoints) in produced.iter().enumerate() {
+        for (validator, checkpoints) in flood.produced.iter().enumerate() {
             assert!(
                 !checkpoints.is_empty(),
                 "validator {validator} produced no checkpoint"
@@ -2238,43 +2439,289 @@ mod tests {
             }
         }
         // Gossiped attestations certified a quorum at every engine.
-        // Snapshots below the certified cut serve nothing: they are gone.
-        for engine in &engines {
+        // Attestations below the certified cut tell nothing: they are gone.
+        // Nobody asked for state-sync: no snapshot is held.
+        for engine in &mut engines {
             let certified = engine
                 .checkpoints
                 .latest_certified()
                 .unwrap_or_else(|| panic!("no certified checkpoint at {:?}", engine.authority()));
             assert!(certified > 4, "several positions certified in turn");
-            assert_eq!(engine.checkpoints.archived().first(), Some(&certified));
+            assert_eq!(engine.checkpoints.collected().first(), Some(&certified));
+            assert_eq!(engine.checkpoints.archived(), None);
             assert_ne!(engine.state_root(), StateRoot::genesis());
+            // The newest cut signs the current root of a prefix that ends
+            // on it, or an older one: never a root this engine cannot
+            // reproduce.
+            let latest = engine.latest_checkpoint().expect("signed").clone();
+            if engine.sequencer.sequenced_slots() == latest.position() {
+                assert_eq!(engine.state_root(), latest.state_root());
+            }
         }
+    }
+
+    /// An [`ExecutionState`] double over the reference ledger that counts
+    /// the O(state) calls and the bytes the root hashes. Rebuilt states
+    /// share the counters.
+    #[derive(Clone, Default)]
+    struct CountingLedger {
+        ledger: BalanceLedger,
+        snapshots: Arc<std::sync::atomic::AtomicU64>,
+        hashed_bytes: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl ExecutionState for CountingLedger {
+        fn apply(&mut self, sub_dag: &CommittedSubDag) {
+            self.ledger.apply(sub_dag);
+        }
+
+        fn state_root(&mut self) -> StateRoot {
+            let before = self.ledger.hashed_bytes();
+            let root = self.ledger.state_root();
+            self.hashed_bytes.fetch_add(
+                self.ledger.hashed_bytes() - before,
+                std::sync::atomic::Ordering::Relaxed,
+            );
+            root
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            self.snapshots
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.ledger.snapshot()
+        }
+
+        fn restore(&self, snapshot: &[u8]) -> Result<Box<dyn ExecutionState>, CodecError> {
+            Ok(Box::new(CountingLedger {
+                ledger: BalanceLedger::from_snapshot(snapshot)?,
+                ..self.clone()
+            }))
+        }
+    }
+
+    fn count(counter: &std::sync::atomic::AtomicU64) -> u64 {
+        counter.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Four engines (interval 4) over [`CountingLedger`]s, each with
+    /// counters of its own and recovered from a log that held the cut at
+    /// position 4 over a ledger of `accounts` accounts — the way a large
+    /// state arrives. Also returns that ledger's snapshot. Sixteen times
+    /// its size is more than the tests below ever sequence, so the log asks
+    /// for no snapshot in them.
+    fn preloaded_engines(accounts: u64) -> (Vec<ValidatorEngine>, Vec<CountingLedger>, Vec<u8>) {
+        // Spread over every key range: an odd multiplier permutes `u64`.
+        let mut keys: Vec<u64> = (1..=accounts)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        keys.sort_unstable();
+        let mut encoder = Encoder::new();
+        encoder.put_u64(accounts);
+        for account in keys {
+            encoder.put_u64(account);
+            encoder.put_u64(1);
+        }
+        let execution = encoder.into_bytes();
+        let state_root = BalanceLedger::from_snapshot(&execution)
+            .expect("canonical")
+            .state_root();
+        let resume = SequencerSnapshot {
+            position: 4,
+            next_round: 1,
+            consumed_in_round: 0,
+            emitted: Vec::new(),
+        };
+        let setup = TestCommittee::new(4, 7);
+        let counters: Vec<CountingLedger> = (0..4).map(|_| CountingLedger::default()).collect();
+        let engines = counters
+            .iter()
+            .zip(0..)
+            .map(|(counter, authority)| {
+                let mut engine =
+                    engine_with_interval(authority, 4).with_execution(Box::new(counter.clone()));
+                let checkpoint = Checkpoint::sign(
+                    AuthorityIndex(authority),
+                    4,
+                    BlockRef::default(),
+                    state_root,
+                    resume.digest(),
+                    setup.keypair(AuthorityIndex(authority)),
+                );
+                assert!(engine.restore(WalRecord::Checkpoint {
+                    checkpoint,
+                    execution: execution.clone(),
+                    resume: resume.to_bytes_vec(),
+                }));
+                // Building the tree once is O(state), and is not counted.
+                counter
+                    .hashed_bytes
+                    .store(0, std::sync::atomic::Ordering::Relaxed);
+                engine
+            })
+            .collect();
+        (engines, counters, execution)
+    }
+
+    /// The acceptance test of "checkpoints in O(change)": a ledger of
+    /// 100,000 accounts crosses ten cuts without one `snapshot()` call, and
+    /// what the ten roots hash follows the accounts the commits touched —
+    /// the four authors — not the ledger. Counts, not timings: they repeat
+    /// exactly.
+    #[test]
+    fn ordinary_cuts_read_no_snapshot_and_hash_what_changed() {
+        let run = || {
+            let (mut engines, counters, execution) = preloaded_engines(100_000);
+            let mut flood = Flood::default();
+            flood.run(&mut engines, 30);
+            let cuts = flood.produced[0].len() as u64;
+            assert!(cuts >= 10, "only {cuts} cuts crossed");
+            assert!(flood.snapshots.iter().all(Vec::is_empty));
+            for counter in &counters {
+                assert_eq!(
+                    count(&counter.snapshots),
+                    0,
+                    "an ordinary cut took a snapshot"
+                );
+            }
+            (
+                cuts,
+                count(&counters[0].hashed_bytes),
+                execution.len() as u64,
+            )
+        };
+        let (cuts, hashed, ledger_bytes) = run();
+        // Every commit credits the four authors, all in the first key
+        // range: per cut one leaf — theirs and the half a dozen preloaded
+        // pairs that share it — and its seven ancestors. The ledger is
+        // 1.6 MB; ten roots over its bytes would hash sixteen.
+        let per_cut = hashed / cuts;
+        assert!(
+            per_cut <= 16 * 16 + 7 * 128,
+            "{per_cut} bytes hashed per cut"
+        );
+        assert!(hashed < ledger_bytes / 100);
+        assert_eq!(
+            run(),
+            (cuts, hashed, ledger_bytes),
+            "the counts repeat exactly"
+        );
+    }
+
+    #[test]
+    fn state_sync_is_served_on_demand_from_the_next_cut() {
+        let (mut engines, counters, _) = preloaded_engines(2_000);
+        let mut flood = Flood::default();
+        flood.run(&mut engines, 12);
+        let certified = engines[0]
+            .checkpoints
+            .latest_certified()
+            .expect("certified");
+        assert_eq!(count(&counters[0].snapshots), 0, "nobody asked");
+
+        // A request from outside the committee costs nothing, ever.
+        engines[0].handle(Input::CheckpointRequested { from: 4 });
+        engines[0].handle(Input::CheckpointRequested { from: 1 << 20 });
+        // Two members ask, one of them twice: remembered, not answered —
+        // the certified cut behind them carries no snapshot.
+        for from in [3, 2, 3] {
+            let outputs = engines[0].handle(Input::CheckpointRequested { from });
+            assert!(outputs.is_empty(), "{outputs:?}");
+        }
+        assert_eq!(count(&counters[0].snapshots), 0);
+
+        // The next cut takes one snapshot for all of them, and the
+        // response leaves when that cut has its quorum.
+        flood.run(&mut engines, 14);
+        let responses = flood.responses();
+        let served: Vec<(usize, usize)> = responses.iter().map(|r| (r.0, r.1)).collect();
+        assert_eq!(served, [(0, 2), (0, 3)], "one response per member owed");
+        assert_eq!(count(&counters[0].snapshots), 1, "one snapshot, shared");
+        let (_, _, (checkpoints, execution, resume)) = responses.into_iter().next().unwrap();
+        let position = checkpoints[0].position();
+        assert!(position > certified, "a cut taken after the request");
+        assert_eq!(position % 4, 0);
+        assert_eq!(
+            engines[0].checkpoints.archived(),
+            None,
+            "served and dropped"
+        );
+        // A snapshot taken for a joiner is not persisted: the log's
+        // cadence is the log's alone.
+        assert!(flood.snapshots[0].is_empty());
+        // Later cuts owe nobody anything.
+        flood.run(&mut engines, 24);
+        assert_eq!(count(&counters[0].snapshots), 1);
+        assert_eq!(flood.responses().len(), 2);
+        for counter in &counters[1..] {
+            assert_eq!(count(&counter.snapshots), 0, "only the engine asked pays");
+        }
+
+        // The joiner adopts the payload and stands on the same root.
+        let mut joiner = engine_with_interval(3, 4);
+        let outputs = joiner.handle(Input::CheckpointSyncReceived {
+            from: 0,
+            checkpoints: checkpoints.clone(),
+            execution,
+            resume,
+        });
+        assert!(
+            outputs
+                .iter()
+                .any(|output| matches!(output, Output::Persist(WalRecord::Checkpoint { .. }))),
+            "adoption must persist the checkpoint for crash recovery"
+        );
+        assert_eq!(joiner.commit_log_base(), position);
+        assert_eq!(joiner.state_root(), checkpoints[0].state_root());
+        assert_eq!(joiner.latest_checkpoint(), Some(&checkpoints[0]));
+    }
+
+    #[test]
+    fn a_second_request_while_one_is_pending_costs_no_second_snapshot() {
+        let (mut engines, counters, _) = preloaded_engines(2_000);
+        let mut flood = Flood::default();
+        flood.run(&mut engines, 12);
+        flood.feed(&mut engines, 0, Input::CheckpointRequested { from: 3 });
+        // Engine 0 crosses the next cuts without hearing its peers'
+        // attestations: the snapshot it takes at the first stays pending,
+        // and the cuts after it take none.
+        let crossed = flood.produced[0].len();
+        flood.withhold_checkpoints_to = Some(0);
+        flood.run(&mut engines, 18);
+        assert!(flood.produced[0].len() >= crossed + 2, "two more cuts");
+        let pending = flood.produced[0][crossed].position();
+        assert_eq!(engines[0].checkpoints.archived(), Some(pending));
+        assert_eq!(count(&counters[0].snapshots), 1, "one cut, one snapshot");
+        assert!(flood.responses().is_empty(), "no quorum, no response");
+        // A second member asks while that one is pending: no new snapshot,
+        // and — once the quorum arrives — both are served from it.
+        flood.feed(&mut engines, 0, Input::CheckpointRequested { from: 2 });
+        assert_eq!(count(&counters[0].snapshots), 1);
+        for (from, attestation) in std::mem::take(&mut flood.withheld) {
+            flood.feed(&mut engines, 0, Input::from_envelope(from, attestation));
+        }
+        let served: Vec<(usize, usize, u64)> = flood
+            .responses()
+            .iter()
+            .map(|(from, to, payload)| (*from, *to, payload.0[0].position()))
+            .collect();
+        assert_eq!(served, [(0, 2, pending), (0, 3, pending)]);
+        assert_eq!(count(&counters[0].snapshots), 1);
     }
 
     #[test]
     fn checkpoint_response_bootstraps_a_fresh_engine() {
-        let mut engines: Vec<ValidatorEngine> =
-            (0..4).map(|a| engine_with_interval(a, 4)).collect();
-        flood(&mut engines, 12);
-        let certified = engines[0]
-            .checkpoints
-            .latest_certified()
-            .expect("flood certified a checkpoint");
-
-        // A joiner asks; the synced engine answers with the certified cut
-        // plus the quorum of attestations and both snapshots.
-        let outputs = engines[0].handle(Input::CheckpointRequested { from: 3 });
-        let response = outputs
-            .iter()
-            .find_map(|output| match output {
-                Output::SendTo(3, envelope @ Envelope::CheckpointResponse { .. }) => {
-                    Some(envelope.clone())
-                }
-                _ => None,
-            })
-            .expect("expected a checkpoint response");
+        let (checkpoints, execution, resume) = state_sync_response();
+        let certified = checkpoints[0].position();
 
         let mut joiner = engine_with_interval(3, 4);
-        let outputs = joiner.handle(Input::from_envelope(0, response));
+        let outputs = joiner.handle(Input::from_envelope(
+            0,
+            Envelope::CheckpointResponse {
+                checkpoints,
+                execution,
+                resume,
+            },
+        ));
         assert!(
             outputs
                 .iter()
@@ -2283,31 +2730,18 @@ mod tests {
         );
         assert_eq!(joiner.commit_log_base(), certified);
         assert!(joiner.commit_log().is_empty(), "no replayed prefix");
-        let checkpoint = joiner.latest_checkpoint().expect("adopted");
+        let checkpoint = joiner.latest_checkpoint().expect("adopted").clone();
         assert_eq!(checkpoint.position(), certified);
         assert_eq!(joiner.state_root(), checkpoint.state_root());
+        // The adopted cut is certified here too, and holds no copy of the
+        // snapshot: the joiner's log has it.
+        assert_eq!(joiner.checkpoints.latest_certified(), Some(certified));
+        assert_eq!(joiner.checkpoints.archived(), None);
     }
 
     #[test]
     fn checkpoint_adoption_rejects_tampered_or_underquorum_responses() {
-        let mut engines: Vec<ValidatorEngine> =
-            (0..4).map(|a| engine_with_interval(a, 4)).collect();
-        flood(&mut engines, 12);
-        let outputs = engines[0].handle(Input::CheckpointRequested { from: 3 });
-        let (checkpoints, execution, resume) = outputs
-            .iter()
-            .find_map(|output| match output {
-                Output::SendTo(
-                    3,
-                    Envelope::CheckpointResponse {
-                        checkpoints,
-                        execution,
-                        resume,
-                    },
-                ) => Some((checkpoints.clone(), execution.clone(), resume.clone())),
-                _ => None,
-            })
-            .expect("expected a checkpoint response");
+        let (checkpoints, execution, resume) = state_sync_response();
 
         // Under-quorum: a single attestation must not be adopted.
         let mut joiner = engine_with_interval(3, 4);
@@ -2319,10 +2753,11 @@ mod tests {
         });
         assert!(joiner.latest_checkpoint().is_none());
 
-        // Tampered execution snapshot: hash no longer matches the
-        // quorum-certified root.
+        // Tampered execution snapshot: the state rebuilt from it no longer
+        // has the quorum-certified root.
+        let before = joiner.state_root();
         let mut tampered = execution.clone();
-        tampered[0] ^= 0xff;
+        *tampered.last_mut().unwrap() ^= 0xff;
         joiner.handle(Input::CheckpointSyncReceived {
             from: 0,
             checkpoints: checkpoints.clone(),
@@ -2331,6 +2766,36 @@ mod tests {
         });
         assert!(joiner.latest_checkpoint().is_none());
         assert_eq!(joiner.commit_log_base(), 0);
+        assert_eq!(
+            joiner.state_root(),
+            before,
+            "the live state was not touched"
+        );
+
+        // A quorum signing the hash of the bytes — the commitment of logs
+        // written before the tree root — is a peer's word, not this
+        // validator's own log: refused.
+        let setup = TestCommittee::new(4, 7);
+        let legacy: Vec<Checkpoint> = checkpoints
+            .iter()
+            .map(|checkpoint| {
+                Checkpoint::sign(
+                    checkpoint.authority(),
+                    checkpoint.position(),
+                    checkpoint.leader(),
+                    StateRoot(blake2b_256(&execution)),
+                    checkpoint.resume_digest(),
+                    setup.keypair(checkpoint.authority()),
+                )
+            })
+            .collect();
+        joiner.handle(Input::CheckpointSyncReceived {
+            from: 0,
+            checkpoints: legacy,
+            execution: execution.clone(),
+            resume: resume.clone(),
+        });
+        assert!(joiner.latest_checkpoint().is_none());
 
         // The untampered response is adopted by the same engine.
         joiner.handle(Input::CheckpointSyncReceived {
@@ -2344,28 +2809,11 @@ mod tests {
 
     #[test]
     fn restore_checkpoint_round_trips_through_the_wal_record() {
-        let mut engines: Vec<ValidatorEngine> =
-            (0..4).map(|a| engine_with_interval(a, 4)).collect();
-        flood(&mut engines, 12);
-        let record = engines[0]
-            .handle(Input::CheckpointRequested { from: 2 })
-            .into_iter()
-            .find_map(|output| match output {
-                Output::SendTo(
-                    2,
-                    Envelope::CheckpointResponse {
-                        checkpoints,
-                        execution,
-                        resume,
-                    },
-                ) => Some((checkpoints[0].clone(), execution, resume)),
-                _ => None,
-            })
-            .expect("expected a checkpoint response");
-        let (checkpoint, execution, resume) = record;
+        let (checkpoints, execution, resume) = state_sync_response();
+        let checkpoint = checkpoints[0].clone();
 
-        // Own-WAL restore: no quorum needed, but the snapshots must hash
-        // to the signed roots.
+        // Own-WAL restore: no quorum needed, but the snapshots must match
+        // the signed roots.
         let mut recovered = engine_with_interval(0, 4);
         assert!(recovered.restore_checkpoint(
             checkpoint.clone(),
@@ -2374,15 +2822,63 @@ mod tests {
         ));
         assert_eq!(recovered.state_root(), checkpoint.state_root());
         assert_eq!(recovered.commit_log_base(), checkpoint.position());
+        assert_eq!(recovered.latest_checkpoint(), Some(&checkpoint));
+        assert_eq!(
+            recovered.checkpoints.archived(),
+            None,
+            "the snapshot stays in the log it came from"
+        );
 
         let mut fresh = engine_with_interval(0, 4);
         let mut bad = execution.clone();
-        bad[0] ^= 0xff;
+        *bad.last_mut().unwrap() ^= 0xff;
         assert!(!fresh.restore_checkpoint(checkpoint.clone(), bad, resume.clone()));
         let mut bad_resume = resume.clone();
         bad_resume[0] ^= 0xff;
-        assert!(!fresh.restore_checkpoint(checkpoint, execution, bad_resume));
+        assert!(!fresh.restore_checkpoint(checkpoint.clone(), execution.clone(), bad_resume));
+        // Not the canonical encoding of the state: refused even though the
+        // entries are the same.
+        let mut swapped = execution.clone();
+        let (first, second) = swapped[8..40].split_at_mut(16);
+        first.swap_with_slice(second);
+        assert!(!fresh.restore_checkpoint(checkpoint.clone(), swapped, resume.clone()));
         assert_eq!(fresh.commit_log_base(), 0, "rejected restores are no-ops");
+
+        // A record written before the tree root signs the hash of the
+        // snapshot bytes. From the validator's own log that is as good a
+        // commitment to the same bytes, and recovers; the state it yields
+        // has the tree root the untampered record signs.
+        let setup = TestCommittee::new(4, 7);
+        let legacy = Checkpoint::sign(
+            AuthorityIndex(0),
+            checkpoint.position(),
+            checkpoint.leader(),
+            StateRoot(blake2b_256(&execution)),
+            checkpoint.resume_digest(),
+            setup.keypair(AuthorityIndex(0)),
+        );
+        let mut tampered = execution.clone();
+        *tampered.last_mut().unwrap() ^= 0xff;
+        assert!(!fresh.restore_checkpoint(legacy.clone(), tampered, resume.clone()));
+        assert!(fresh.restore_checkpoint(legacy, execution, resume));
+        assert_eq!(fresh.state_root(), checkpoint.state_root());
+        assert_eq!(fresh.commit_log_base(), checkpoint.position());
+    }
+
+    #[test]
+    fn checkpoint_interval_zero_disables_cuts_and_snapshots() {
+        let counter = CountingLedger::default();
+        let mut engines: Vec<ValidatorEngine> = (0..4)
+            .map(|a| engine_with_interval(a, 0).with_execution(Box::new(counter.clone())))
+            .collect();
+        engines[0].handle(Input::CheckpointRequested { from: 3 });
+        let mut flood = Flood::default();
+        flood.run(&mut engines, 12);
+        assert!(engines[0].committed_slots() > 0);
+        assert!(flood.produced.iter().all(Vec::is_empty));
+        assert!(flood.snapshots.iter().all(Vec::is_empty));
+        assert!(flood.responses().is_empty());
+        assert_eq!(count(&counter.snapshots), 0);
     }
 
     #[test]
@@ -2392,14 +2888,12 @@ mod tests {
         let own = WalRecord::Block(Block::genesis(me).into_arc());
         let peer = WalRecord::Block(Block::genesis(AuthorityIndex(2)).into_arc());
         let evidence = WalRecord::Evidence(conflicting_pair(&setup, 3));
-        let keypair = setup.keypair(me);
         let checkpoint = WalRecord::Checkpoint {
-            checkpoint: CheckpointBook::new(setup.committee().clone()).sign_own(
-                me,
-                keypair,
+            checkpoint: CheckpointBook::new(setup.committee().clone(), me, 4).sign_own(
+                setup.keypair(me),
                 4,
-                &[],
-                &[],
+                StateRoot::genesis(),
+                Digest::ZERO,
             ),
             execution: Vec::new(),
             resume: Vec::new(),

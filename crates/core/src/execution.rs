@@ -13,33 +13,102 @@
 //! randomness, no iteration over unordered containers while folding into
 //! the root. Two validators that applied the same sequence of sub-DAGs
 //! must return byte-identical [`snapshot`](ExecutionState::snapshot)s and
-//! therefore equal [`StateRoot`]s — the `state-root-agreement` oracle in
+//! equal [`StateRoot`]s — the `state-root-agreement` oracle in
 //! `mahimahi-scenarios` enforces exactly this across every matrix cell.
 //!
-//! The root must commit to the snapshot: `state_root() ==
-//! H(snapshot())`. State-sync relies on it — a joining validator verifies
-//! a quorum-certified root, then checks the snapshot it downloaded hashes
-//! to that root before restoring.
+//! # What the root commits to
+//!
+//! Nothing the commit path calls may cost O(state): the engine signs a
+//! root every `checkpoint_interval` decisions and takes a snapshot only
+//! when its log or a joining peer needs one. So the root is *not* a hash of
+//! the snapshot bytes. The contract is instead:
+//!
+//! - the root is a function of the state's entries, maintained
+//!   incrementally — [`state_root`](ExecutionState::state_root) costs
+//!   O(what `apply` touched since the last call), which is why it takes
+//!   `&mut self`: the pending marks are flushed when a root is asked for,
+//!   once per cut, rather than on every `apply` (the upper tree levels
+//!   would otherwise be rehashed for every commit between two cuts);
+//! - a snapshot is *canonical*: one state has one encoding, and
+//!   [`restore`](ExecutionState::restore) rejects every other byte string,
+//!   so two snapshots never restore to one root;
+//! - a snapshot is verified by rebuilding: `restore` returns a *new* state
+//!   machine, the caller compares its root with the signed one, and only
+//!   then replaces the live state.
+//!
+//! # The reference ledger's root
 //!
 //! [`BalanceLedger`] is the reference implementation: a toy
 //! account-balance machine that credits block authors and transaction
-//! accounts, and gives `SlashingHook` real balances to slash.
+//! accounts, and gives `SlashingHook` real balances to slash. Its root is
+//! the root of a Merkle tree of fixed shape over account-key ranges:
+//!
+//! - **Leaves.** The `u64` key space is cut into 16,384 equal ranges by the
+//!   top 14 bits of the account. A leaf is the BLAKE2b-256 hash of the
+//!   range's `(account, balance)` pairs in strictly ascending account
+//!   order, each as two little-endian `u64`s — exactly the bytes the
+//!   snapshot holds for that range.
+//! - **Interior.** Seven levels of fan-out four above them (4⁷ = 16,384).
+//!   A node is the hash of its four children's hashes: 128 bytes, one
+//!   BLAKE2b compression, which is what picks the fan-out — per level of
+//!   the tree no fan-out hashes less.
+//! - **Domain separation.** Leaves and nodes are hashed under different
+//!   BLAKE2b personalization strings, so no leaf content can be passed off
+//!   as a node or the reverse; the depth is fixed, so a hash is never
+//!   interpreted at two levels.
+//! - **Sparseness.** A subtree over no account has a hash that depends on
+//!   its level alone. Those eight values are computed at construction; a
+//!   node is allocated when a leaf under it first holds an account, so an
+//!   empty ledger costs eight hashes and the tree's memory follows the
+//!   non-empty leaves, up to the fixed 5,461 nodes (0.8 MB).
+//!
+//! `apply` sets one bit per touched leaf; `state_root` rehashes those
+//! leaves and their ancestors, each once.
+//!
+//! **Why not a multiset hash.** Summing or XOR-ing one hash per entry would
+//! make every update O(1), but such a root commits to nothing: the set of
+//! reachable values is the linear span of the entry hashes, so given a few
+//! hundred candidate entries an adversary solves a linear system (XOR) or a
+//! generalized-birthday instance (modular sums) for a subset matching *any*
+//! target root, and a state-syncing validator would restore the forgery.
+//!
+//! **Cost, honestly.** The leaf count is fixed, so a cut costs
+//! O(touched × (accounts per leaf + depth)): with `N` accounts a touched
+//! leaf rehashes `N / 16,384` pairs — one compression per eight of them —
+//! and its path at most seven nodes. The two terms meet at 56 accounts per
+//! leaf, `N` ≈ 0.9 M; beyond that the cost per touched account rises
+//! linearly in `N` (at 64 M accounts a leaf is 64 KB). The wall-clock
+//! benchmark ends its episodes at ≤ 0.5 M accounts, below that point. A
+//! ledger meant for more would grow the leaf count with the state; this
+//! one does not, and picks 16,384 rather than four times as many because
+//! the hashes of a populated tree are resident in every validator (0.8 MB
+//! against 3 MB) while, up to the benchmark's sizes, either count hashes
+//! about the same per cut. The constant matters too: a touched account
+//! costs its leaf — two or three compressions at a few hundred thousand
+//! accounts — plus most of a node, some 300 bytes hashed where a snapshot
+//! holds 16, so a cut that touches more than a few percent of all
+//! accounts hashes as much as hashing the snapshot would. What such a cut
+//! still saves is everything else a snapshot costs: encoding it, copying
+//! it, logging and syncing it.
 
 use crate::sequencer::CommittedSubDag;
-use mahimahi_crypto::blake2b::blake2b_256;
+use mahimahi_crypto::blake2b::blake2b_256_personalized;
+use mahimahi_crypto::Digest;
 use mahimahi_types::codec::{CodecError, Decoder, Encoder};
 use mahimahi_types::StateRoot;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A deterministic state machine driven by the commit stream.
 ///
 /// Implementations are folded over every committed sub-DAG in commit
-/// order (see the module docs for the determinism contract). The engine
-/// checkpoints the machine every `checkpoint_interval` sequencing
-/// decisions by hashing [`snapshot`](ExecutionState::snapshot) into a
-/// signed `Checkpoint`; a state-syncing validator calls
-/// [`restore`](ExecutionState::restore) with a snapshot whose hash
-/// matches a quorum-certified root.
+/// order (see the module docs for the determinism contract and for what
+/// the root commits to). Every `checkpoint_interval` sequencing decisions
+/// the engine signs [`state_root`](ExecutionState::state_root) into a
+/// `Checkpoint`; it asks for a [`snapshot`](ExecutionState::snapshot) only
+/// at the cuts whose state its log or a state-syncing peer needs, and a
+/// validator installing such a cut goes through
+/// [`restore`](ExecutionState::restore).
 pub trait ExecutionState: Send {
     /// Applies one committed sub-DAG.
     ///
@@ -47,26 +116,183 @@ pub trait ExecutionState: Send {
     /// state (and so equal root) at every validator.
     fn apply(&mut self, sub_dag: &CommittedSubDag);
 
-    /// The current state root, computed on demand — nothing on the commit
-    /// path asks for it. Must equal `H(self.snapshot())`.
-    fn state_root(&self) -> StateRoot;
+    /// The root of the current state, at a cost proportional to what
+    /// `apply` changed since the previous call — never to the state.
+    fn state_root(&mut self) -> StateRoot;
 
-    /// Canonical byte encoding of the full state (for checkpoints and
-    /// state-sync). Equal states must produce identical bytes.
+    /// The canonical byte encoding of the full state (for the log and for
+    /// state-sync). Equal states produce identical bytes. O(state): never
+    /// called on an ordinary cut.
     fn snapshot(&self) -> Vec<u8>;
 
-    /// Replaces the state with a previously captured snapshot.
+    /// A state machine of this kind rebuilt from `snapshot`, leaving
+    /// `self` as it was: the caller checks the rebuilt machine's root
+    /// against the one a checkpoint signs before it replaces anything.
     ///
     /// # Errors
     ///
-    /// Fails (leaving the state unspecified but internally consistent) if
-    /// the bytes are not a valid snapshot encoding.
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError>;
+    /// Fails unless the bytes are the canonical encoding of some state.
+    fn restore(&self, snapshot: &[u8]) -> Result<Box<dyn ExecutionState>, CodecError>;
 }
 
 /// Reward credited to a block's author for every block it lands in the
 /// total order.
 pub const BLOCK_REWARD: u64 = 1_000;
+
+/// Children per interior node: four 32-byte hashes fill one 128-byte
+/// BLAKE2b block.
+const FANOUT: usize = 4;
+/// Interior levels, the root being level 0; the leaves hang below level
+/// `LEVELS - 1`.
+const LEVELS: usize = 7;
+/// Leaves: `FANOUT^LEVELS` key ranges.
+const LEAVES: usize = 1 << (2 * LEVELS);
+/// An account's leaf is its top `64 - LEAF_SHIFT` bits.
+const LEAF_SHIFT: u32 = 64 - 2 * LEVELS as u32;
+/// Bytes one `(account, balance)` pair takes in a snapshot and in a leaf.
+const ENTRY_BYTES: usize = 16;
+
+const LEAF_DOMAIN: &[u8; 16] = b"mahimahi-leaf-v1";
+const NODE_DOMAIN: &[u8; 16] = b"mahimahi-node-v1";
+
+/// The hash of an interior node: its children's hashes, one BLAKE2b block.
+fn hash_node(children: &[Digest; FANOUT]) -> Digest {
+    let mut block = [0u8; FANOUT * Digest::LENGTH];
+    for (bytes, child) in block.chunks_exact_mut(Digest::LENGTH).zip(children) {
+        bytes.copy_from_slice(child.as_bytes());
+    }
+    blake2b_256_personalized(NODE_DOMAIN, &block)
+}
+
+/// One allocated interior node: its children's hashes, and where the
+/// children that are themselves allocated nodes live.
+#[derive(Clone)]
+struct Node {
+    hashes: [Digest; FANOUT],
+    /// Slots in [`RangeTree::nodes`]; 0 (the root, nobody's child) where
+    /// the subtree holds no account yet. Unused at the lowest interior
+    /// level, whose children are leaves.
+    children: [u32; FANOUT],
+}
+
+/// The ledger's Merkle tree (shape and hashing in the module docs): the
+/// allocated interior nodes, and which leaves changed since the root was
+/// last computed. It holds no balances — leaves are hashed from the
+/// ledger's map.
+#[derive(Clone)]
+struct RangeTree {
+    /// Allocated interior nodes, the root first.
+    nodes: Vec<Node>,
+    /// `empty[level]`: the hash a level-`level` node holds for a child
+    /// with no account under it. The last one is the empty leaf.
+    empty: [Digest; LEVELS],
+    /// The root as of the last [`Self::refresh`].
+    root: Digest,
+    /// One bit per leaf touched since then.
+    dirty: Vec<u64>,
+    /// Where a leaf's pairs are laid out to be hashed (kept for its
+    /// capacity).
+    scratch: Vec<u8>,
+    /// Bytes fed to the hash function by every `refresh` so far.
+    hashed_bytes: u64,
+}
+
+impl RangeTree {
+    fn new() -> Self {
+        let mut tree = RangeTree {
+            nodes: Vec::new(),
+            empty: [Digest::ZERO; LEVELS],
+            root: Digest::ZERO,
+            dirty: vec![0; LEAVES / 64],
+            scratch: Vec::new(),
+            hashed_bytes: 0,
+        };
+        tree.empty[LEVELS - 1] = blake2b_256_personalized(LEAF_DOMAIN, &[]);
+        for level in (0..LEVELS - 1).rev() {
+            tree.empty[level] = hash_node(&[tree.empty[level + 1]; FANOUT]);
+        }
+        tree.allocate(0);
+        tree.root = hash_node(&tree.nodes[0].hashes);
+        tree
+    }
+
+    /// Adds a node of `level` over no account; returns its slot. The arena
+    /// grows by a fixed step, not by doubling: spare capacity would be
+    /// resident in every validator for as long as it runs.
+    fn allocate(&mut self, level: usize) -> u32 {
+        if self.nodes.len() == self.nodes.capacity() {
+            self.nodes.reserve_exact(1024);
+        }
+        self.nodes.push(Node {
+            hashes: [self.empty[level]; FANOUT],
+            children: [0; FANOUT],
+        });
+        u32::try_from(self.nodes.len() - 1).expect("at most 5,461 nodes")
+    }
+
+    fn mark(&mut self, account: u64) {
+        let leaf = (account >> LEAF_SHIFT) as usize;
+        self.dirty[leaf / 64] |= 1 << (leaf % 64);
+    }
+
+    fn hash_leaf(&mut self, leaf: u32, balances: &BTreeMap<u64, u64>) -> Digest {
+        let first = u64::from(leaf) << LEAF_SHIFT;
+        let last = first | ((1 << LEAF_SHIFT) - 1);
+        self.scratch.clear();
+        for (account, balance) in balances.range(first..=last) {
+            self.scratch.extend_from_slice(&account.to_le_bytes());
+            self.scratch.extend_from_slice(&balance.to_le_bytes());
+        }
+        self.hashed_bytes += self.scratch.len() as u64;
+        blake2b_256_personalized(LEAF_DOMAIN, &self.scratch)
+    }
+
+    /// Rehashes the marked leaves and their ancestors; returns the root.
+    fn refresh(&mut self, balances: &BTreeMap<u64, u64>) -> Digest {
+        let mut leaves = Vec::new();
+        for (index, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                leaves.push((index * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        if !leaves.is_empty() {
+            self.root = self.rehash(0, 0, &leaves, balances);
+        }
+        self.root
+    }
+
+    /// Rehashes the node in `slot` (of `level`) along the paths to
+    /// `leaves` — ascending, all under it — and returns its hash.
+    fn rehash(
+        &mut self,
+        slot: usize,
+        level: usize,
+        mut leaves: &[u32],
+        balances: &BTreeMap<u64, u64>,
+    ) -> Digest {
+        let child_of = |leaf: u32| (leaf >> (2 * (LEVELS - 1 - level))) as usize % FANOUT;
+        while let Some(&first) = leaves.first() {
+            let child = child_of(first);
+            let (under_child, rest) =
+                leaves.split_at(leaves.partition_point(|&leaf| child_of(leaf) == child));
+            let hash = if level == LEVELS - 1 {
+                self.hash_leaf(first, balances)
+            } else {
+                if self.nodes[slot].children[child] == 0 {
+                    self.nodes[slot].children[child] = self.allocate(level + 1);
+                }
+                let below = self.nodes[slot].children[child] as usize;
+                self.rehash(below, level + 1, under_child, balances)
+            };
+            self.nodes[slot].hashes[child] = hash;
+            leaves = rest;
+        }
+        self.hashed_bytes += (FANOUT * Digest::LENGTH) as u64;
+        hash_node(&self.nodes[slot].hashes)
+    }
+}
 
 /// The reference [`ExecutionState`]: a deterministic account-balance
 /// machine.
@@ -78,23 +304,61 @@ pub const BLOCK_REWARD: u64 = 1_000;
 /// saturate at `u64::MAX` — saturation is itself deterministic, so two
 /// validators saturate identically.
 ///
-/// The root is the BLAKE2b-256 hash of the canonical snapshot encoding
-/// (account/balance pairs in ascending account order), so
-/// `state_root() == H(snapshot())` as the trait requires.
+/// The snapshot is the account count followed by the `(account, balance)`
+/// pairs in strictly ascending account order; the root is the Merkle root
+/// over those pairs described in the module docs, kept up incrementally.
 ///
 /// Slashing ([`BalanceLedger::slash`]) burns an account's whole balance
 /// and is intended for *hooks and operators*, not the consensus path:
 /// evidence arrival timing differs across validators, so folding slashes
 /// into the consensus root would break state-root agreement.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct BalanceLedger {
     balances: BTreeMap<u64, u64>,
+    tree: RangeTree,
 }
 
 impl BalanceLedger {
     /// An empty ledger.
     pub fn new() -> Self {
-        BalanceLedger::default()
+        BalanceLedger {
+            balances: BTreeMap::new(),
+            tree: RangeTree::new(),
+        }
+    }
+
+    /// The ledger a [`snapshot`](ExecutionState::snapshot) encodes.
+    ///
+    /// # Errors
+    ///
+    /// Fails unless `bytes` is the one encoding of some ledger: a count,
+    /// then exactly that many pairs, accounts strictly ascending (so no
+    /// account twice), and nothing after them.
+    pub fn from_snapshot(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut decoder = Decoder::new(bytes);
+        let count = decoder.get_u64()?;
+        // The count is checked against the bytes present before anything
+        // is sized by it.
+        let expected = usize::try_from(count)
+            .ok()
+            .and_then(|count| count.checked_mul(ENTRY_BYTES));
+        if expected != Some(decoder.remaining()) {
+            return Err(CodecError::InvalidValue("ledger snapshot length"));
+        }
+        let mut ledger = BalanceLedger::new();
+        let mut entries = Vec::with_capacity(decoder.remaining() / ENTRY_BYTES);
+        for _ in 0..count {
+            let account = decoder.get_u64()?;
+            let balance = decoder.get_u64()?;
+            if entries.last().is_some_and(|&(last, _)| last >= account) {
+                return Err(CodecError::InvalidValue("ledger snapshot order"));
+            }
+            ledger.tree.mark(account);
+            entries.push((account, balance));
+        }
+        decoder.finish()?;
+        ledger.balances = entries.into_iter().collect();
+        Ok(ledger)
     }
 
     /// The balance of `account` (zero if untouched).
@@ -112,12 +376,44 @@ impl BalanceLedger {
     /// Exposed for `SlashingHook` integrations; deliberately *not* wired
     /// into [`ExecutionState::apply`] (see the type docs).
     pub fn slash(&mut self, account: u64) -> u64 {
+        self.tree.mark(account);
         self.balances.remove(&account).unwrap_or(0)
+    }
+
+    /// Bytes every [`state_root`](ExecutionState::state_root) call so far
+    /// fed to the hash function, together — the work the root costs, as a
+    /// count that repeats exactly.
+    pub fn hashed_bytes(&self) -> u64 {
+        self.tree.hashed_bytes
     }
 
     fn credit(&mut self, account: u64, amount: u64) {
         let balance = self.balances.entry(account).or_insert(0);
         *balance = balance.saturating_add(amount);
+        self.tree.mark(account);
+    }
+}
+
+impl Default for BalanceLedger {
+    fn default() -> Self {
+        BalanceLedger::new()
+    }
+}
+
+/// Ledgers are equal when their balances are: the tree is derived.
+impl PartialEq for BalanceLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.balances == other.balances
+    }
+}
+
+impl Eq for BalanceLedger {}
+
+impl fmt::Debug for BalanceLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BalanceLedger")
+            .field("balances", &self.balances)
+            .finish_non_exhaustive()
     }
 }
 
@@ -132,8 +428,8 @@ impl ExecutionState for BalanceLedger {
         }
     }
 
-    fn state_root(&self) -> StateRoot {
-        StateRoot(blake2b_256(&self.snapshot()))
+    fn state_root(&mut self) -> StateRoot {
+        StateRoot(self.tree.refresh(&self.balances))
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -147,24 +443,15 @@ impl ExecutionState for BalanceLedger {
         encoder.into_bytes()
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut decoder = Decoder::new(bytes);
-        let count = decoder.get_u64()?;
-        let mut balances = BTreeMap::new();
-        for _ in 0..count {
-            let account = decoder.get_u64()?;
-            let balance = decoder.get_u64()?;
-            balances.insert(account, balance);
-        }
-        decoder.finish()?;
-        self.balances = balances;
-        Ok(())
+    fn restore(&self, snapshot: &[u8]) -> Result<Box<dyn ExecutionState>, CodecError> {
+        Ok(Box::new(BalanceLedger::from_snapshot(snapshot)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mahimahi_crypto::blake2b::Blake2b;
     use mahimahi_dag::DagBuilder;
     use mahimahi_types::{TestCommittee, Transaction};
     use std::collections::HashSet;
@@ -196,6 +483,17 @@ mod tests {
         }
     }
 
+    /// The snapshot encoding of `entries`, in the order given.
+    fn encode(entries: &[(u64, u64)]) -> Vec<u8> {
+        let mut encoder = Encoder::new();
+        encoder.put_u64(entries.len() as u64);
+        for &(account, balance) in entries {
+            encoder.put_u64(account);
+            encoder.put_u64(balance);
+        }
+        encoder.into_bytes()
+    }
+
     #[test]
     fn apply_credits_authors_and_transactions() {
         let sub_dag = sample_sub_dag();
@@ -225,12 +523,72 @@ mod tests {
     }
 
     #[test]
-    fn root_commits_to_snapshot() {
-        let mut ledger = BalanceLedger::new();
-        ledger.apply(&sample_sub_dag());
+    fn root_is_the_tree_root_over_the_snapshots_entries() {
+        // Rebuilt by hand for a ledger of two accounts in two leaves: the
+        // first and the last key range.
+        let entries = [(3, 30), (u64::MAX, 7)];
+        let mut ledger = BalanceLedger::from_snapshot(&encode(&entries)).unwrap();
+        let hash = |domain: &[u8; 16], parts: &[&[u8]]| {
+            let mut hasher = Blake2b::new_personalized(32, domain);
+            for part in parts {
+                hasher.update(part);
+            }
+            Digest::from_slice(&hasher.finalize()).unwrap()
+        };
+        let leaf = |pairs: &[(u64, u64)]| {
+            let words: Vec<[u8; 8]> = pairs
+                .iter()
+                .flat_map(|&(account, balance)| [account.to_le_bytes(), balance.to_le_bytes()])
+                .collect();
+            let parts: Vec<&[u8]> = words.iter().map(|word| &word[..]).collect();
+            hash(LEAF_DOMAIN, &parts)
+        };
+        let node = |children: [Digest; FANOUT]| {
+            let parts: Vec<&[u8]> = children.iter().map(|child| &child.as_bytes()[..]).collect();
+            hash(NODE_DOMAIN, &parts)
+        };
+        // Up the two outermost paths; every sibling is an empty subtree.
+        let (mut first, mut last, mut empty) =
+            (leaf(&entries[..1]), leaf(&entries[1..]), leaf(&[]));
+        for _ in 0..LEVELS - 1 {
+            first = node([first, empty, empty, empty]);
+            last = node([empty, empty, empty, last]);
+            empty = node([empty; FANOUT]);
+        }
         assert_eq!(
             ledger.state_root(),
-            StateRoot(blake2b_256(&ledger.snapshot()))
+            StateRoot(node([first, empty, empty, last]))
+        );
+        assert_eq!(
+            BalanceLedger::new().state_root(),
+            StateRoot(node([empty; FANOUT])),
+            "the empty ledger's root is the empty tree's"
+        );
+        // A leaf's content under the node domain is another value: the two
+        // can never be passed off as each other.
+        let pair = [&3u64.to_le_bytes()[..], &30u64.to_le_bytes()[..]];
+        assert_eq!(leaf(&entries[..1]), hash(LEAF_DOMAIN, &pair));
+        assert_ne!(leaf(&entries[..1]), hash(NODE_DOMAIN, &pair));
+    }
+
+    #[test]
+    fn an_empty_ledger_is_built_without_hashing_the_tree() {
+        let ledger = BalanceLedger::new();
+        assert_eq!(ledger.tree.nodes.len(), 1, "the root alone");
+        // One account allocates one path, not the tree.
+        let mut ledger = ledger;
+        ledger.credit(u64::MAX / 3, 1);
+        ledger.state_root();
+        assert_eq!(ledger.tree.nodes.len(), LEVELS);
+        assert_eq!(
+            ledger.hashed_bytes(),
+            (ENTRY_BYTES + LEVELS * FANOUT * Digest::LENGTH) as u64
+        );
+        // Nothing changed: asking again hashes nothing.
+        ledger.state_root();
+        assert_eq!(
+            ledger.hashed_bytes(),
+            (ENTRY_BYTES + LEVELS * FANOUT * Digest::LENGTH) as u64
         );
     }
 
@@ -239,15 +597,37 @@ mod tests {
         let mut ledger = BalanceLedger::new();
         ledger.apply(&sample_sub_dag());
         let snapshot = ledger.snapshot();
-        let mut restored = BalanceLedger::new();
-        restored.restore(&snapshot).unwrap();
+        let mut restored = BalanceLedger::from_snapshot(&snapshot).unwrap();
         assert_eq!(restored, ledger);
         assert_eq!(restored.state_root(), ledger.state_root());
+        assert_eq!(restored.snapshot(), snapshot);
+        // Through the trait: a new machine, the old one untouched.
+        let mut rebuilt = BalanceLedger::new().restore(&snapshot).unwrap();
+        assert_eq!(rebuilt.state_root(), ledger.state_root());
         // Truncated and trailing-garbage snapshots are rejected.
-        assert!(restored.restore(&snapshot[..snapshot.len() - 1]).is_err());
+        assert!(BalanceLedger::from_snapshot(&snapshot[..snapshot.len() - 1]).is_err());
         let mut padded = snapshot.clone();
         padded.push(0);
-        assert!(restored.restore(&padded).is_err());
+        assert!(BalanceLedger::from_snapshot(&padded).is_err());
+
+        // Only the canonical encoding restores: one byte string per state.
+        let canonical = [(1, 10), (2, 20), (1 << 60, 30)];
+        assert!(BalanceLedger::from_snapshot(&encode(&canonical)).is_ok());
+        let swapped = [(2, 20), (1, 10), (1 << 60, 30)];
+        assert!(BalanceLedger::from_snapshot(&encode(&swapped)).is_err());
+        let duplicated = [(1, 10), (1, 11), (1 << 60, 30)];
+        assert!(BalanceLedger::from_snapshot(&encode(&duplicated)).is_err());
+        // A count the bytes cannot hold is refused before it sizes
+        // anything: too large, too small, and overflowing.
+        for count in [4u64, 2, u64::MAX, u64::MAX / 16 + 1] {
+            let mut miscounted = encode(&canonical);
+            miscounted[..8].copy_from_slice(&count.to_le_bytes());
+            assert!(
+                BalanceLedger::from_snapshot(&miscounted).is_err(),
+                "{count}"
+            );
+        }
+        assert!(BalanceLedger::from_snapshot(&[]).is_err());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The Mahi-Mahi implementation uses `blake2` for block digests; this module
 //! is a dependency-free reimplementation supporting arbitrary output lengths
-//! up to 64 bytes and the keyed (MAC) mode, verified against test vectors
-//! generated from a reference implementation.
+//! up to 64 bytes, the keyed (MAC) mode and personalization, verified against
+//! test vectors generated from a reference implementation.
 //!
 //! [RFC 7693]: https://www.rfc-editor.org/rfc/rfc7693
 
@@ -78,13 +78,23 @@ impl Blake2b {
     /// Panics if `out_len` is zero or greater than 64, or if `key` is longer
     /// than 64 bytes.
     pub fn new_keyed(out_len: usize, key: &[u8]) -> Self {
-        assert!((1..=64).contains(&out_len), "output length must be 1..=64");
-        assert!(key.len() <= 64, "key must be at most 64 bytes");
-        let mut h = IV;
-        // Parameter block: digest length, key length, fanout = depth = 1.
-        h[0] ^= 0x0101_0000 ^ ((key.len() as u64) << 8) ^ out_len as u64;
+        Self::with_parameters(out_len, key, &[0; 16])
+    }
+
+    /// Creates an unkeyed hasher under a 16-byte personalization string
+    /// (RFC 7693 §2.5): hashes under different strings are unrelated
+    /// functions, which separates domains at no cost in input bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out_len` is zero or greater than 64.
+    pub fn new_personalized(out_len: usize, personalization: &[u8; 16]) -> Self {
+        Self::with_parameters(out_len, &[], personalization)
+    }
+
+    fn with_parameters(out_len: usize, key: &[u8], personalization: &[u8; 16]) -> Self {
         let mut hasher = Self {
-            h,
+            h: initial_state(out_len, key.len(), personalization),
             buffer: [0; BLOCK_BYTES],
             buffer_len: 0,
             counter: 0,
@@ -106,8 +116,7 @@ impl Blake2b {
         while !rest.is_empty() {
             if self.buffer_len == BLOCK_BYTES {
                 self.counter += BLOCK_BYTES as u128;
-                let block = self.buffer;
-                self.compress(&block, false);
+                compress(&mut self.h, &self.buffer, self.counter, false);
                 self.buffer_len = 0;
             }
             let take = (BLOCK_BYTES - self.buffer_len).min(rest.len());
@@ -121,42 +130,57 @@ impl Blake2b {
     pub fn finalize(mut self) -> Vec<u8> {
         self.counter += self.buffer_len as u128;
         self.buffer[self.buffer_len..].fill(0);
-        let block = self.buffer;
-        self.compress(&block, true);
+        compress(&mut self.h, &self.buffer, self.counter, true);
         let mut out = vec![0u8; self.out_len];
         for (i, chunk) in out.chunks_mut(8).enumerate() {
             chunk.copy_from_slice(&self.h[i].to_le_bytes()[..chunk.len()]);
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_BYTES], last: bool) {
-        let mut m = [0u64; 16];
-        for (i, word) in m.iter_mut().enumerate() {
-            *word = u64::from_le_bytes(block[i * 8..i * 8 + 8].try_into().expect("8-byte chunk"));
-        }
-        let mut v = [0u64; 16];
-        v[..8].copy_from_slice(&self.h);
-        v[8..].copy_from_slice(&IV);
-        v[12] ^= self.counter as u64;
-        v[13] ^= (self.counter >> 64) as u64;
-        if last {
-            v[14] = !v[14];
-        }
-        for round in 0..12 {
-            let s = &SIGMA[round % 10];
-            g(&mut v, 0, 4, 8, 12, m[s[0]], m[s[1]]);
-            g(&mut v, 1, 5, 9, 13, m[s[2]], m[s[3]]);
-            g(&mut v, 2, 6, 10, 14, m[s[4]], m[s[5]]);
-            g(&mut v, 3, 7, 11, 15, m[s[6]], m[s[7]]);
-            g(&mut v, 0, 5, 10, 15, m[s[8]], m[s[9]]);
-            g(&mut v, 1, 6, 11, 12, m[s[10]], m[s[11]]);
-            g(&mut v, 2, 7, 8, 13, m[s[12]], m[s[13]]);
-            g(&mut v, 3, 4, 9, 14, m[s[14]], m[s[15]]);
-        }
-        for i in 0..8 {
-            self.h[i] ^= v[i] ^ v[i + 8];
-        }
+/// The chaining value a hash starts from: the IV with the parameter block
+/// folded in — digest length, key length, fanout = depth = 1, and the
+/// personalization, its last 16 bytes.
+fn initial_state(out_len: usize, key_len: usize, personalization: &[u8; 16]) -> [u64; 8] {
+    assert!((1..=64).contains(&out_len), "output length must be 1..=64");
+    assert!(key_len <= 64, "key must be at most 64 bytes");
+    let mut h = IV;
+    h[0] ^= 0x0101_0000 ^ ((key_len as u64) << 8) ^ out_len as u64;
+    let (low, high) = personalization.split_at(8);
+    h[6] ^= u64::from_le_bytes(low.try_into().expect("8 bytes"));
+    h[7] ^= u64::from_le_bytes(high.try_into().expect("8 bytes"));
+    h
+}
+
+/// The compression function `F` (RFC 7693 §3.2): folds one block into `h`,
+/// `counter` being the bytes hashed up to and including it.
+fn compress(h: &mut [u64; 8], block: &[u8; BLOCK_BYTES], counter: u128, last: bool) {
+    let mut m = [0u64; 16];
+    for (i, word) in m.iter_mut().enumerate() {
+        *word = u64::from_le_bytes(block[i * 8..i * 8 + 8].try_into().expect("8-byte chunk"));
+    }
+    let mut v = [0u64; 16];
+    v[..8].copy_from_slice(h);
+    v[8..].copy_from_slice(&IV);
+    v[12] ^= counter as u64;
+    v[13] ^= (counter >> 64) as u64;
+    if last {
+        v[14] = !v[14];
+    }
+    for round in 0..12 {
+        let s = &SIGMA[round % 10];
+        g(&mut v, 0, 4, 8, 12, m[s[0]], m[s[1]]);
+        g(&mut v, 1, 5, 9, 13, m[s[2]], m[s[3]]);
+        g(&mut v, 2, 6, 10, 14, m[s[4]], m[s[5]]);
+        g(&mut v, 3, 7, 11, 15, m[s[6]], m[s[7]]);
+        g(&mut v, 0, 5, 10, 15, m[s[8]], m[s[9]]);
+        g(&mut v, 1, 6, 11, 12, m[s[10]], m[s[11]]);
+        g(&mut v, 2, 7, 8, 13, m[s[12]], m[s[13]]);
+        g(&mut v, 3, 4, 9, 14, m[s[14]], m[s[15]]);
+    }
+    for i in 0..8 {
+        h[i] ^= v[i] ^ v[i + 8];
     }
 }
 
@@ -195,6 +219,36 @@ pub fn blake2b_256_parts(parts: &[&[u8]]) -> Digest {
     }
     let out = hasher.finalize();
     Digest::from_slice(&out).expect("blake2b-256 output is 32 bytes")
+}
+
+/// BLAKE2b-256 of `data` under a 16-byte personalization string (see
+/// [`Blake2b::new_personalized`]), in one shot: full blocks are compressed
+/// where they lie and nothing is allocated, which is what a Merkle tree's
+/// many small hashes want.
+pub fn blake2b_256_personalized(personalization: &[u8; 16], data: &[u8]) -> Digest {
+    let mut h = initial_state(32, 0, personalization);
+    // Every block but the last; an empty input still has one (empty) last
+    // block.
+    let full = data.len().saturating_sub(1) / BLOCK_BYTES;
+    let (head, tail) = data.split_at(full * BLOCK_BYTES);
+    let mut counter = 0u128;
+    for block in head.chunks_exact(BLOCK_BYTES) {
+        counter += BLOCK_BYTES as u128;
+        compress(
+            &mut h,
+            block.try_into().expect("exact chunk"),
+            counter,
+            false,
+        );
+    }
+    let mut last = [0u8; BLOCK_BYTES];
+    last[..tail.len()].copy_from_slice(tail);
+    compress(&mut h, &last, counter + tail.len() as u128, true);
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(8).zip(h) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+    Digest::new(out)
 }
 
 /// Keyed BLAKE2b-256 (MAC mode) over `data`.
@@ -275,6 +329,42 @@ mod tests {
              4be1c1e73ba10906d5d1853db6a4106e0a7bf9800d373d6dee2d46d62ef2a461"
                 .replace(char::is_whitespace, "")
         );
+    }
+
+    #[test]
+    fn personalized_kats() {
+        let hash = |out_len: usize, personalization: &[u8; 16], data: &[u8]| {
+            let mut hasher = Blake2b::new_personalized(out_len, personalization);
+            hasher.update(data);
+            hex_encode(&hasher.finalize())
+        };
+        assert_eq!(
+            hash(32, b"mahimahi-leaf-v1", b"abc"),
+            "6a4b636a0dcee0fc38fc307050fe1889c10531c5c3e55d030c5ec419453ddde7"
+        );
+        let block: Vec<u8> = (0u8..128).collect();
+        assert_eq!(
+            hash(32, b"mahimahi-node-v1", &block),
+            "0731ee2707eea643641cea66e1eb7ed464ada51138d6d98065e5ab5e72feafed"
+        );
+        let counting: [u8; 16] = std::array::from_fn(|i| i as u8);
+        assert_eq!(
+            hash(64, &counting, b""),
+            "fec237dd4f89c043c1e29e07a43851f2a4ae7830dabad6423e03af685e91c155\
+             570fc3e73b30a2ace877fede617c0ef979f169ca216f1df8aa502b84f0cc72a6"
+                .replace(char::is_whitespace, "")
+        );
+        // The all-zero string is the unpersonalized function.
+        assert_eq!(hash(32, &[0; 16], b"abc"), b2b_hex(32, &[], b"abc"));
+        // The one-shot form is the same function, at every block boundary.
+        let data: Vec<u8> = (0..700u32).map(|i| i as u8).collect();
+        for len in [0, 1, 127, 128, 129, 255, 256, 257, 512, 700] {
+            assert_eq!(
+                hex_encode(blake2b_256_personalized(b"mahimahi-leaf-v1", &data[..len]).as_bytes()),
+                hash(32, b"mahimahi-leaf-v1", &data[..len]),
+                "length {len}"
+            );
+        }
     }
 
     #[test]

@@ -277,10 +277,23 @@ mod tests {
         // still live, and nothing failed.
         assert!(body.contains("# TYPE mahimahi_wal_compaction_seconds histogram"));
         assert!(sample(body, "mahimahi_wal_bytes") > 0.0);
-        assert!(sample(body, "mahimahi_wal_live_bytes") <= sample(body, "mahimahi_wal_bytes"));
+        // (The gauges are refreshed one after another, so a scrape can
+        // fall between two of them: compare the earlier scrape's live bytes
+        // with this one's length — nothing was compacted in between.)
+        let earlier = first.split("\r\n\r\n").nth(1).expect("response body");
+        assert!(sample(earlier, "mahimahi_wal_live_bytes") <= sample(body, "mahimahi_wal_bytes"));
         assert!(sample(body, "mahimahi_wal_compacted_bytes") >= 0.0);
         assert_eq!(sample(body, "mahimahi_wal_compactions"), 0.0);
         assert_eq!(sample(body, "mahimahi_wal_errors"), 0.0);
+        // What the log grew by, split by record class; no evidence here.
+        assert!(sample(body, "mahimahi_wal_block_bytes") > 0.0);
+        assert!(sample(body, "mahimahi_wal_checkpoint_bytes") >= 0.0);
+        assert_eq!(sample(body, "mahimahi_wal_evidence_bytes"), 0.0);
+        // The checkpoint path: the size of the last snapshot taken and the
+        // time spent in engine steps that produced a cut.
+        assert!(sample(body, "mahimahi_checkpoint_snapshot_bytes") >= 0.0);
+        assert!(body.contains("# TYPE mahimahi_checkpoint_cut_seconds histogram"));
+        assert!(body.contains("mahimahi_checkpoint_cut_seconds_bucket{le=\"+Inf\"}"));
 
         let status = scrape(addr, "/status");
         assert!(status.starts_with("HTTP/1.1 200 OK"), "{status}");

@@ -110,6 +110,13 @@ pub(crate) struct LogStats {
     pub compacted_bytes: u64,
     /// Appends, syncs and rewrites that failed.
     pub errors: u64,
+    /// Frame bytes appended since start-up as block records: with the two
+    /// below, what the log grew by, split by what it is.
+    pub block_bytes: u64,
+    /// Frame bytes appended as checkpoint records (snapshots).
+    pub checkpoint_bytes: u64,
+    /// Frame bytes appended as evidence records.
+    pub evidence_bytes: u64,
 }
 
 /// The write-ahead log plus the index that decides what a compaction keeps.
@@ -127,6 +134,10 @@ pub(crate) struct NodeLog {
     compactions: u64,
     compacted_bytes: u64,
     errors: u64,
+    /// Frame bytes appended since start-up, per record class.
+    block_bytes: u64,
+    checkpoint_bytes: u64,
+    evidence_bytes: u64,
 }
 
 impl NodeLog {
@@ -165,6 +176,9 @@ impl NodeLog {
             compactions: 0,
             compacted_bytes: 0,
             errors: 0,
+            block_bytes: 0,
+            checkpoint_bytes: 0,
+            evidence_bytes: 0,
         };
         for record in records {
             let decoded = WalRecord::from_bytes_exact(&record.payload).or_else(|_| {
@@ -202,7 +216,14 @@ impl NodeLog {
     /// failed append is counted and leaves the index as it was.
     fn append_encoded(&mut self, payload: &[u8], class: RecordClass) -> Result<(), WalError> {
         let offset = self.wal.append(payload).inspect_err(|_| self.errors += 1)?;
-        self.index(FrameRange::new(offset, payload.len()), class);
+        let frame = FrameRange::new(offset, payload.len());
+        match class {
+            RecordClass::OwnBlock(_) | RecordClass::PeerBlock(_) => self.block_bytes += frame.len,
+            RecordClass::Checkpoint { .. } => self.checkpoint_bytes += frame.len,
+            RecordClass::Evidence => self.evidence_bytes += frame.len,
+            RecordClass::Unclassified => {}
+        }
+        self.index(frame, class);
         Ok(())
     }
 
@@ -273,6 +294,9 @@ impl NodeLog {
             compactions: self.compactions,
             compacted_bytes: self.compacted_bytes,
             errors: self.errors,
+            block_bytes: self.block_bytes,
+            checkpoint_bytes: self.checkpoint_bytes,
+            evidence_bytes: self.evidence_bytes,
         }
     }
 
@@ -332,10 +356,12 @@ impl NodeLog {
 mod tests {
     use super::*;
     use crate::node::NodeConfig;
-    use mahimahi_core::{BalanceLedger, CommittedSubDag, Committer, ExecutionState};
-    use mahimahi_dag::DagBuilder;
-    use mahimahi_types::{Checkpoint, EquivocationProof, TestCommittee};
+    use mahimahi_core::engine::Input;
+    use mahimahi_core::{BalanceLedger, CommittedSubDag, Committer, ExecutionState, Output};
+    use mahimahi_dag::{BlockSpec, DagBuilder};
+    use mahimahi_types::{Checkpoint, EquivocationProof, TestCommittee, Transaction};
     use mahimahi_wal::{MemStorage, Wal};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     const OWN: AuthorityIndex = AuthorityIndex(0);
@@ -358,11 +384,16 @@ mod tests {
         }
     }
 
+    /// An engine that cuts every four decisions and never produces a block
+    /// of its own: its blocks, like its peers', come from the test's DAG.
     fn fresh_engine(setup: &TestCommittee) -> ValidatorEngine {
         let mut config = NodeConfig::local(OWN.0, setup.clone());
         config.gc_depth = Some(GC_DEPTH);
+        config.checkpoint_interval = 4;
         let committer = Committer::new(setup.committee().clone(), config.options);
-        ValidatorEngine::honest(config.engine_config(), Box::new(committer))
+        let mut engine_config = config.engine_config();
+        engine_config.halt_from_round = Some(1);
+        ValidatorEngine::honest(engine_config, Box::new(committer))
     }
 
     /// What a crash leaves of `storage`, as a log of its own.
@@ -394,8 +425,30 @@ mod tests {
 
     /// `rounds` full rounds of signed blocks, by round then author.
     fn blocks_by_round(setup: &TestCommittee, rounds: usize) -> Vec<Vec<Arc<Block>>> {
+        blocks_with_own_until(setup, rounds, rounds)
+    }
+
+    /// `rounds` rounds of signed blocks, by round then author; [`OWN`]
+    /// produces the first `own_rounds` of them and then sits idle.
+    fn blocks_with_own_until(
+        setup: &TestCommittee,
+        rounds: usize,
+        own_rounds: usize,
+    ) -> Vec<Vec<Arc<Block>>> {
         let mut dag = DagBuilder::new(setup.clone());
-        dag.add_full_rounds(rounds);
+        for round in 0..rounds {
+            // One benchmark transaction per block, the same four over and
+            // over: the log fills while the ledger stays four accounts.
+            let producers = u32::from(round >= own_rounds)..4;
+            dag.add_round(
+                producers
+                    .map(|author| {
+                        let payload = vec![Transaction::benchmark(u64::from(author))];
+                        BlockSpec::new(author).with_transactions(payload)
+                    })
+                    .collect(),
+            );
+        }
         let mut by_round = vec![Vec::new(); rounds + 1];
         for block in dag.store().iter() {
             by_round[block.round() as usize].push(block.clone());
@@ -475,95 +528,161 @@ mod tests {
         }
     }
 
-    /// Random interleavings of blocks, evidence and checkpoints with rising
-    /// floors, through the compacting log and through a plain append-only
-    /// one. After every step — and between a checkpoint becoming durable and
-    /// the rewrite it triggers, where a crash abandons the half-written
-    /// replacement — a crash must recover the same state from both. Now and
-    /// then the crash is real: both sides continue from what it left.
+    /// Lets a recovered engine sequence what its log held above the cut it
+    /// restored. Every cut it signs on the way must be the one `twin_cuts`
+    /// holds for that position — same leader, same state root, same resume
+    /// digest. Returns how many of them lie above the restored cut.
+    fn replay_against_the_twin(
+        engine: &mut ValidatorEngine,
+        twin_cuts: &BTreeMap<u64, Checkpoint>,
+    ) -> usize {
+        let restored = engine.latest_checkpoint().map_or(0, Checkpoint::position);
+        let mut above = 0;
+        for output in engine.handle(Input::TimerFired { now: 0 }) {
+            if let Output::CheckpointProduced(cut) = output {
+                let twin = twin_cuts
+                    .get(&cut.position())
+                    .unwrap_or_else(|| panic!("the twin never crossed {}", cut.position()));
+                assert!(
+                    cut.attests_same(twin),
+                    "replay diverged from the twin at {}: {cut:?} vs {twin:?}",
+                    cut.position()
+                );
+                above += usize::from(cut.position() > restored);
+            }
+        }
+        above
+    }
+
+    /// A twin engine that never crashes is fed seeded interleavings of
+    /// blocks and evidence; what it asks to persist — blocks, convictions,
+    /// and a checkpoint record at the cuts its log rule picks, several
+    /// ordinary cuts apart — goes through the compacting log and through a
+    /// plain append-only one. After every step — and between a checkpoint
+    /// becoming durable and the rewrite it triggers, where a crash abandons
+    /// the half-written replacement — a crash must recover the same state
+    /// from both, and the engine recovered from the compacted log must
+    /// replay the blocks above its record into the very cuts the twin
+    /// signed: same state root at the same position. Now and then the crash
+    /// is real: both sides continue from what it left.
     #[test]
     fn crash_at_any_step_recovers_the_same_state_as_the_uncompacted_log() {
-        const ROUNDS: usize = 30;
+        const ROUNDS: usize = 44;
         let mut rewrites = 0;
+        let mut replayed_above_a_record = 0;
         for seed in 0..6u64 {
             let mut rng = Rng(seed);
             let setup = TestCommittee::new(4, 100 + seed);
-            let rounds = blocks_by_round(&setup, ROUNDS);
             // This node stops producing at a seeded round and sits idle
             // while the committee advances.
             let last_own_round = 1 + rng.below(ROUNDS as u64);
+            let rounds = blocks_with_own_until(&setup, ROUNDS, last_own_round as usize);
 
             let compacted = MemStorage::new();
             let (mut log, _) = recover(&setup, &compacted);
             let reference = MemStorage::new();
             let mut plain = Wal::open(reference.clone()).unwrap();
-            let mut ledger = BalanceLedger::new();
-            let mut position = 0;
+            let mut twin = fresh_engine(&setup);
+            let mut twin_cuts = BTreeMap::new();
+            let mut newest_own = None;
             let mut convicted = 1;
+            let mut snapshots = 0;
+            // Peers' blocks appended since the last sync: what a crash loses.
+            let mut unsynced: Vec<WalRecord> = Vec::new();
 
-            let check = |compacted: &MemStorage, reference: &MemStorage, at: &str| {
-                let (_, from_compacted) = recover(&setup, &crash_image(compacted));
+            let check = |compacted: &MemStorage,
+                         reference: &MemStorage,
+                         twin_cuts: &BTreeMap<u64, Checkpoint>,
+                         at: &str| {
+                let (_, mut from_compacted) = recover(&setup, &crash_image(compacted));
                 let (_, from_reference) = recover(&setup, &crash_image(reference));
                 assert_eq!(
                     recovered_state(&from_compacted),
                     recovered_state(&from_reference),
                     "seed {seed}: recovery diverged {at}"
                 );
+                replay_against_the_twin(&mut from_compacted, twin_cuts)
             };
 
-            for (index, round_blocks) in rounds.iter().enumerate() {
-                let round = index as Round + 1;
-                let mut script: Vec<WalRecord> = round_blocks
+            for round_blocks in &rounds {
+                let mut inputs: Vec<Input> = round_blocks
                     .iter()
-                    .filter(|block| block.author() != OWN || round <= last_own_round)
-                    .map(|block| WalRecord::Block(block.clone()))
+                    .map(|block| Input::BlockReceived {
+                        from: block.author().as_usize(),
+                        block: block.clone(),
+                    })
                     .collect();
-                for i in (1..script.len()).rev() {
-                    script.swap(i, rng.below(i as u64 + 1) as usize);
+                for i in (1..inputs.len()).rev() {
+                    inputs.swap(i, rng.below(i as u64 + 1) as usize);
                 }
                 if convicted < 4 && rng.below(8) == 0 {
                     let proof = EquivocationProof::synthetic(&setup, AuthorityIndex(convicted));
-                    script.push(WalRecord::Evidence(proof));
+                    inputs.push(Input::EvidenceReceived { from: 1, proof });
                     convicted += 1;
                 }
-                if rng.below(3) == 0 {
-                    position += 4;
-                    let next_round = round.saturating_sub(rng.below(3));
-                    script.push(checkpoint_record(
-                        &setup,
-                        &mut ledger,
-                        position,
-                        next_round,
-                        round_blocks,
-                    ));
+                let mut script = Vec::new();
+                for input in inputs {
+                    for output in twin.handle(input) {
+                        match output {
+                            Output::Persist(record) => script.push(record),
+                            Output::CheckpointProduced(cut) => {
+                                twin_cuts.insert(cut.position(), cut);
+                            }
+                            _ => {}
+                        }
+                    }
                 }
                 for record in script {
-                    let durable = !matches!(
-                        &record,
-                        WalRecord::Block(block) if block.author() != OWN
-                    );
                     plain.append(&record.to_bytes_vec()).unwrap();
-                    if durable {
-                        plain.sync().unwrap();
-                    }
                     log.append(&record).unwrap();
+                    if record.is_durable(OWN) {
+                        plain.sync().unwrap();
+                        unsynced.clear();
+                    } else {
+                        unsynced.push(record.clone());
+                    }
                     log.flush().unwrap();
+                    match &record {
+                        WalRecord::Block(block) if block.author() == OWN => {
+                            newest_own = Some(block.round());
+                        }
+                        WalRecord::Checkpoint { .. } => snapshots += 1,
+                        _ => {}
+                    }
                     if matches!(record, WalRecord::Checkpoint { .. }) && log.compaction_due() {
-                        check(&compacted, &reference, "with the rewrite abandoned");
+                        check(
+                            &compacted,
+                            &reference,
+                            &twin_cuts,
+                            "with the rewrite abandoned",
+                        );
                         log.compact();
                         rewrites += 1;
-                        assert_compacted_shape(&compacted, Some(round.min(last_own_round)));
+                        assert_compacted_shape(&compacted, newest_own);
                     }
-                    check(&compacted, &reference, &format!("after {record:?}"));
+                    let at = format!("after {record:?}");
+                    replayed_above_a_record += check(&compacted, &reference, &twin_cuts, &at);
                     if rng.below(16) == 0 {
                         compacted.replace(compacted.durable_snapshot());
                         log = recover(&setup, &compacted).0;
                         reference.replace(reference.durable_snapshot());
                         plain = Wal::open(reference.clone()).unwrap();
+                        // The peers' blocks the crash tore off are fetched
+                        // again, as the synchronizer would.
+                        for record in &unsynced {
+                            plain.append(&record.to_bytes_vec()).unwrap();
+                            log.append(record).unwrap();
+                        }
                     }
                 }
             }
             assert_eq!(log.stats().errors, 0);
+            // Snapshots are several cuts apart: most cuts wrote nothing.
+            assert!(
+                snapshots >= 3 && 2 * snapshots <= twin_cuts.len(),
+                "seed {seed}: {snapshots} snapshots over {} cuts",
+                twin_cuts.len()
+            );
             let (_, engine) = recover(&setup, &crash_image(&compacted));
             assert_eq!(engine.round(), last_own_round, "seed {seed}");
             assert!(engine.latest_checkpoint().is_some(), "seed {seed}");
@@ -571,6 +690,10 @@ mod tests {
         assert!(
             rewrites >= 6,
             "the schedule must exercise the rewrite: {rewrites}"
+        );
+        assert!(
+            replayed_above_a_record >= 100,
+            "recovery must replay cuts above its record: {replayed_above_a_record}"
         );
     }
 

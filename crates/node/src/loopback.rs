@@ -568,6 +568,104 @@ mod tests {
         assert_eq!(storage.sync_count(), durable as u64);
     }
 
+    /// What validator `validator` logged: the frame payload bytes of its
+    /// block records, and `(position, record bytes)` of every checkpoint
+    /// record, in log order.
+    fn logged(cluster: &mut LoopbackCluster, validator: usize) -> (u64, Vec<(u64, u64)>) {
+        let records = cluster.wals[validator].records().unwrap();
+        let mut block_bytes = 0;
+        let mut snapshots = Vec::new();
+        for record in records {
+            let bytes = record.payload.len() as u64;
+            match WalRecord::from_bytes_exact(&record.payload).unwrap() {
+                WalRecord::Block(_) => block_bytes += bytes,
+                WalRecord::Checkpoint { checkpoint, .. } => {
+                    snapshots.push((checkpoint.position(), bytes));
+                }
+                WalRecord::Evidence(_) => {}
+            }
+        }
+        (block_bytes, snapshots)
+    }
+
+    /// A fast fabric: rounds are cheap in virtual time, so a run can cross
+    /// many cuts.
+    fn fast_config() -> LoopbackConfig {
+        LoopbackConfig {
+            link_delay: 1_000,
+            inclusion_wait: 0,
+            ..config()
+        }
+    }
+
+    #[test]
+    fn snapshots_follow_the_bytes_logged_not_the_cuts() {
+        let mut cluster = LoopbackCluster::new(fast_config());
+        for step in 0..40u64 {
+            let batch = (0..25).map(|i| Transaction::benchmark(step * 25 + i));
+            cluster.submit_batch((step % 4) as usize, batch.collect());
+            cluster.run_until((step + 1) * 20_000);
+        }
+        let cuts = cluster
+            .engine(0)
+            .latest_checkpoint()
+            .map_or(0, |checkpoint| checkpoint.position() / 32);
+        let (block_bytes, snapshots) = logged(&mut cluster, 0);
+        assert!(cuts >= 12, "the run crossed only {cuts} cuts");
+        assert!(
+            (3..cuts / 2).contains(&(snapshots.len() as u64)),
+            "{} snapshots over {cuts} cuts",
+            snapshots.len()
+        );
+        // The rule's bound: every snapshot but the newest is followed by
+        // sixteen times its size in blocks — well inside the 1/8 aimed at.
+        let snapshot_bytes: u64 = snapshots.iter().map(|&(_, bytes)| bytes).sum();
+        let newest = snapshots.last().expect("checked").1;
+        assert!(
+            snapshot_bytes <= block_bytes / 8 + newest,
+            "{snapshot_bytes} B of snapshots beside {block_bytes} B of blocks"
+        );
+        // The rule reads the committed sequence alone: every validator
+        // persists its snapshots at the same cuts.
+        for validator in 1..4 {
+            let (_, theirs) = logged(&mut cluster, validator);
+            let shared = theirs.len().min(snapshots.len());
+            assert!(shared >= 3);
+            assert_eq!(
+                theirs[..shared],
+                snapshots[..shared],
+                "validator {validator}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_idle_cluster_still_snapshots_and_its_log_compacts() {
+        // No payload at all: the rule counts block bytes, and empty blocks
+        // have some.
+        let mut cluster = LoopbackCluster::new(fast_config());
+        let mut horizon = 0;
+        while logged(&mut cluster, 0).1.len() < 3 {
+            horizon += 10_000;
+            assert!(horizon < 5_000_000, "an idle log never got its snapshots");
+            cluster.run_until(horizon);
+        }
+        // Through the node's log, the newest of those records marks the
+        // blocks below its floor dead, and the rewrite goes through.
+        let storage = cluster.wals.swap_remove(0).into_storage();
+        let wal = crate::log::AnyWal::Memory(Wal::open(storage).unwrap());
+        let mut engine = cluster.fresh_engine(0);
+        let mut log =
+            crate::log::NodeLog::recover(wal, AuthorityIndex(0), Some(16), &mut engine).unwrap();
+        assert!(log.compaction_due(), "{:?}", log.stats());
+        let before = log.stats().bytes;
+        log.compact();
+        let after = log.stats();
+        assert_eq!((after.compactions, after.errors), (1, 0));
+        assert!(after.bytes < before / 2);
+        assert!(engine.latest_checkpoint().is_some());
+    }
+
     #[test]
     fn wal_recovery_reproduces_the_dag() {
         let mut cluster = LoopbackCluster::new(config());

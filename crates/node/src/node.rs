@@ -97,11 +97,12 @@ pub struct NodeConfig {
     /// periodically dropped from memory. `None` disables GC.
     pub gc_depth: Option<u64>,
     /// Sequencing decisions between signed checkpoints (`0` disables
-    /// checkpointing). Each checkpoint is persisted durably and marks the
-    /// WAL records it makes redundant — earlier checkpoints and, when
-    /// `gc_depth` is set, blocks below the checkpointed frontier — for the
-    /// next compaction; see [`EngineConfig::checkpoint_interval`] for the
-    /// safety contract.
+    /// checkpointing). The checkpoints whose snapshot the log needs (the
+    /// engine picks them by bytes logged, see `mahimahi_core::engine`) are
+    /// persisted durably and mark the WAL records they make redundant —
+    /// earlier checkpoints and, when `gc_depth` is set, blocks below the
+    /// checkpointed frontier — for the next compaction; see
+    /// [`EngineConfig::checkpoint_interval`] for the safety contract.
     pub checkpoint_interval: u64,
     /// Verify-stage worker threads for the admission pipeline. `0` checks
     /// signatures and proofs inline on the event-loop thread (the pre-split
@@ -196,7 +197,12 @@ pub struct NodeMetrics {
     wal_compactions: Arc<Gauge>,
     wal_compacted_bytes: Arc<Gauge>,
     wal_errors: Arc<Gauge>,
+    wal_block_bytes: Arc<Gauge>,
+    wal_checkpoint_bytes: Arc<Gauge>,
+    wal_evidence_bytes: Arc<Gauge>,
     wal_compaction_seconds: Arc<Histogram>,
+    checkpoint_snapshot_bytes: Arc<Gauge>,
+    checkpoint_cut_seconds: Arc<Histogram>,
     stage_stats: StageStats,
 }
 
@@ -274,9 +280,29 @@ impl NodeMetrics {
                 "mahimahi_wal_errors",
                 "Log appends, syncs and rewrites that failed",
             ),
+            wal_block_bytes: gauge(
+                "mahimahi_wal_block_bytes",
+                "Log bytes appended as block records",
+            ),
+            wal_checkpoint_bytes: gauge(
+                "mahimahi_wal_checkpoint_bytes",
+                "Log bytes appended as checkpoint records (snapshots)",
+            ),
+            wal_evidence_bytes: gauge(
+                "mahimahi_wal_evidence_bytes",
+                "Log bytes appended as evidence records",
+            ),
             wal_compaction_seconds: registry.histogram(
                 "mahimahi_wal_compaction_seconds",
                 "Time the consensus thread spent in one log rewrite",
+            ),
+            checkpoint_snapshot_bytes: gauge(
+                "mahimahi_checkpoint_snapshot_bytes",
+                "Size of the last state snapshot that went to the log",
+            ),
+            checkpoint_cut_seconds: registry.histogram(
+                "mahimahi_checkpoint_cut_seconds",
+                "Time the consensus thread spent in an engine step that produced a cut",
             ),
             registry,
         }
@@ -300,6 +326,8 @@ impl NodeMetrics {
         self.mempool_forwarded.set(report.forwarded);
         self.mempool_pending.set(report.pending);
         self.mempool_peak_occupancy.set(report.peak_occupancy_txs);
+        self.checkpoint_snapshot_bytes
+            .set(engine.last_snapshot_bytes());
     }
 
     /// Refreshes the verify-stage gauges from the admission pipeline.
@@ -317,6 +345,9 @@ impl NodeMetrics {
         self.wal_compactions.set(stats.compactions);
         self.wal_compacted_bytes.set(stats.compacted_bytes);
         self.wal_errors.set(stats.errors);
+        self.wal_block_bytes.set(stats.block_bytes);
+        self.wal_checkpoint_bytes.set(stats.checkpoint_bytes);
+        self.wal_evidence_bytes.set(stats.evidence_bytes);
     }
 
     /// The registry every metric of this node lives in (stage histograms
@@ -894,14 +925,20 @@ impl ValidatorNode {
     /// order, so replaying it through the plain [`ValidatorEngine::handle`]
     /// path reproduces these outputs byte for byte.
     fn handle_verified(&mut self, input: Verified<Input>, outputs: &mut Vec<Output>) {
-        if let Some(trace) = &self.trace {
-            let recorded = input.get().clone();
-            let produced = self.engine.handle_verified(input);
-            trace.lock().push((recorded, format!("{produced:?}")));
-            outputs.extend(produced);
-        } else {
-            outputs.extend(self.engine.handle_verified(input));
+        let recorded = self.trace.as_ref().map(|_| input.get().clone());
+        // The clock is read here: the engine stays clock-free.
+        let started = Instant::now();
+        let produced = self.engine.handle_verified(input);
+        let cut = |output: &Output| matches!(output, Output::CheckpointProduced(_));
+        if produced.iter().any(cut) {
+            self.metrics
+                .checkpoint_cut_seconds
+                .record(started.elapsed().as_micros() as u64);
         }
+        if let (Some(trace), Some(recorded)) = (&self.trace, recorded) {
+            trace.lock().push((recorded, format!("{produced:?}")));
+        }
+        outputs.extend(produced);
     }
 
     /// Carries out engine effects against the transport, the WAL, and the

@@ -285,7 +285,7 @@ impl Simulation {
             .collect();
         let state_roots = simulation
             .validators
-            .iter()
+            .iter_mut()
             .map(|validator| validator.state_root())
             .collect();
         let checkpoints = simulation

@@ -183,8 +183,9 @@ impl SimValidator {
         self.engine.ingress_report()
     }
 
-    /// The execution-state root after every sub-DAG applied so far.
-    pub fn state_root(&self) -> StateRoot {
+    /// The execution-state root after every sub-DAG applied so far
+    /// (`&mut`: the engine keeps it incrementally).
+    pub fn state_root(&mut self) -> StateRoot {
         self.engine.state_root()
     }
 
