@@ -16,9 +16,7 @@
 //!   commits happen with high probability every round.
 //!
 //! These functions are checked against Monte-Carlo simulation by the
-//! `commit_probability` bench harness (EXPERIMENTS.md).
-
-use std::f64::consts::E;
+//! `commit_probability` binary of the `bench` crate.
 
 /// Binomial coefficient `C(n, k)` as `f64` (exact for the committee sizes
 /// involved; stable up to n ≈ 170).
@@ -124,12 +122,6 @@ pub enum ProtocolModel {
     Tusk,
 }
 
-/// Converts expected message delays to seconds given a mean one-way WAN
-/// delay.
-pub fn delays_to_seconds(delays: f64, mean_one_way_delay_s: f64) -> f64 {
-    delays * mean_one_way_delay_s
-}
-
 /// The asymptotic bound from Lemma 17 decays exponentially; this helper
 /// reports the committee size at which the bound drops below `target`.
 pub fn committee_size_for_bound(target: f64) -> u64 {
@@ -139,12 +131,6 @@ pub fn committee_size_for_bound(target: f64) -> u64 {
         }
     }
     601
-}
-
-/// Natural-log helper kept for documentation completeness (the bound decays
-/// as `e^{−cf}` with `c = (2f+1)·ln(3)/f → 2·ln 3` ≈ 2.2).
-pub fn asymptotic_decay_rate() -> f64 {
-    2.0 * E.ln() * 3.0f64.ln() / E.ln()
 }
 
 #[cfg(test)]

@@ -21,8 +21,7 @@
 //! Our substrate stores uncertified blocks; the certification step is
 //! modeled by (a) the simulator charging 3 delays and the verification cost
 //! per round, and (b) Byzantine equivocation strategies being disabled for
-//! Tusk runs (a certified DAG rejects them). This substitution is recorded
-//! in DESIGN.md §3.
+//! Tusk runs (a certified DAG rejects them).
 
 use mahimahi_core::{CoinElector, LeaderElector, LeaderStatus, ProtocolCommitter};
 use mahimahi_dag::BlockStore;

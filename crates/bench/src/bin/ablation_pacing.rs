@@ -3,7 +3,7 @@
 //! Advancing rounds the instant a quorum arrives starves the slowest
 //! regions: their blocks miss the (short) vote window and their leader
 //! slots get skipped, inverting the Mahi-Mahi-4 advantage. This ablation
-//! quantifies the effect (DESIGN.md §5, decision 5).
+//! quantifies the effect.
 
 use bench::{banner, quick_flag, write_csv};
 use mahimahi_net::time;

@@ -1,5 +1,5 @@
-//! Committee-scale baseline and CI gate: measures per-block admission and
-//! per-vote quorum tally at n ∈ {4, 10, 50}, writes
+//! Committee-scale CI gate: measures per-block admission and per-vote
+//! quorum tally at n ∈ {4, 10, 50}, writes the report to the untracked
 //! `bench-results/committee_scale.json`, and exits non-zero if per-block
 //! admission at n = 50 exceeds 3× the n = 4 cost (the dense-indexing
 //! near-flat-hot-path claim).

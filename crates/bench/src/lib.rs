@@ -1,6 +1,6 @@
 //! Shared harness code for the figure-reproduction binaries.
 //!
-//! Every figure of the paper has a binary in `src/bin/` (see DESIGN.md §4):
+//! Every figure of the paper has a binary in `src/bin/`:
 //!
 //! | Paper figure | Binary | What it sweeps |
 //! |--------------|--------|----------------|

@@ -1,8 +1,7 @@
 //! Committee-scale hot-path measurements: per-block admission and per-vote
 //! quorum tally at n ∈ {4, 10, 50}.
 //!
-//! Shared by the `committee_scale` criterion bench and the
-//! `committee_scale` baseline binary (which writes
+//! Its one consumer is the `committee_scale` gate binary (which writes
 //! `bench-results/committee_scale.json` and enforces the CI gate). The
 //! claim under test is the dense-indexing refactor: per-block cost must
 //! stay near-flat as the committee grows because every per-message
@@ -17,7 +16,7 @@ use std::time::{Duration, Instant};
 
 /// The committee sizes the scale row measures (the paper's smallest and
 /// largest deployments plus the mid-size scale row).
-pub const SCALE_COMMITTEES: [usize; 3] = [4, 10, 50];
+const SCALE_COMMITTEES: [usize; 3] = [4, 10, 50];
 
 /// The CI gate: per-block admission at n = 50 within this factor of n = 4.
 pub const ADMISSION_RATIO_BUDGET: f64 = 3.0;
@@ -35,12 +34,12 @@ pub struct ScalePoint {
 }
 
 /// `2f + 1` for `n = 3f + 1` committees (unit stake).
-pub fn quorum(committee_size: usize) -> usize {
+fn quorum(committee_size: usize) -> usize {
     2 * (committee_size - 1) / 3 + 1
 }
 
 /// One full proposal round (round 1, complete genesis parentage).
-pub fn proposal_round(committee_size: usize) -> Vec<Arc<Block>> {
+fn proposal_round(committee_size: usize) -> Vec<Arc<Block>> {
     let mut dag = DagBuilder::new(TestCommittee::new(committee_size, 5));
     dag.add_full_rounds(1);
     dag.store()
@@ -67,7 +66,7 @@ fn mean_nanos<I, S: FnMut() -> I, R: FnMut(I)>(mut setup: S, mut routine: R) -> 
 }
 
 /// Measures both hot paths at one committee size.
-pub fn measure(committee_size: usize) -> ScalePoint {
+fn measure(committee_size: usize) -> ScalePoint {
     let blocks = proposal_round(committee_size);
     let per_round = mean_nanos(
         || BlockStore::new(committee_size, quorum(committee_size)),
@@ -99,7 +98,7 @@ pub fn measure(committee_size: usize) -> ScalePoint {
     }
 }
 
-/// Measures every committee size in [`SCALE_COMMITTEES`].
+/// Measures every committee size of the scale row (n = 4, 10, 50).
 pub fn measure_all() -> Vec<ScalePoint> {
     SCALE_COMMITTEES.iter().map(|&n| measure(n)).collect()
 }

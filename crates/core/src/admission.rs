@@ -86,6 +86,8 @@ struct Workers {
 /// [`AdmissionPipeline::drain_ready`] releases them strictly in submission
 /// order, each wrapped in a [`Verified`] witness for
 /// [`ValidatorEngine::handle_verified`](crate::engine::ValidatorEngine::handle_verified).
+/// Inputs with nothing to verify (timers, client batches) never cross to a
+/// worker: they are sequenced on the submitting thread.
 ///
 /// # Example
 ///
@@ -280,14 +282,25 @@ impl AdmissionPipeline {
     fn enqueue(&mut self, job: Job, now: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let has_work = match &job {
+            Job::Frame { .. } => true,
+            Job::Typed(input) => carries_claims(input),
+        };
         match &self.workers {
-            Some(workers) => {
+            // A worker earns its two thread switches only when there is
+            // something to decode or check. The node submits a timer tick
+            // every event-loop iteration: a round trip through a worker
+            // would buy nothing, and because release is in submission
+            // order every input behind the tick would wait until the
+            // kernel had run that worker — on another core, an iteration.
+            Some(workers) if has_work => {
                 self.submitted_at.insert(seq, now);
                 let _ = workers.job_tx.send((seq, job));
             }
-            None => {
-                // Inline verification: the verdict lands in the same call,
-                // so the verify stage records an honest zero.
+            _ => {
+                // Inline: the verdict lands in the same call, so the
+                // verify stage records an honest zero. The resequencer
+                // still holds it behind every earlier submission.
                 let outcome = verify_job(&self.committee, job);
                 self.settle(seq, outcome, now);
             }
@@ -370,6 +383,19 @@ fn verify_input(committee: &Committee, input: Input) -> Option<Input> {
             .then_some(Input::EvidenceReceived { from, proof }),
         other => Some(other),
     }
+}
+
+/// Whether [`verify_input`] has anything to check on `input`. The pipeline
+/// settles the rest on the caller's thread; a kind missing here is still
+/// verified, only without a worker.
+fn carries_claims(input: &Input) -> bool {
+    matches!(
+        input,
+        Input::BlockReceived { .. }
+            | Input::ProposalReceived { .. }
+            | Input::SyncReply { .. }
+            | Input::EvidenceReceived { .. }
+    )
 }
 
 /// Verifies a batch of blocks, returning the valid ones in input order.
@@ -514,7 +540,8 @@ mod tests {
     fn worker_pipeline_resequences_to_submission_order() {
         let setup = TestCommittee::new(4, 11);
         let committee = setup.committee().clone();
-        let blocks = peer_blocks(&setup, 4);
+        let blocks = peer_blocks(&setup, 16);
+        let tampered = |index: usize| index % 16 == 3;
 
         // Serial reference: the synchronous pipeline.
         let mut serial = AdmissionPipeline::new(AdmissionConfig::default(), committee.clone());
@@ -526,18 +553,16 @@ mod tests {
             committee,
         );
         for (index, block) in blocks.iter().enumerate() {
+            // Wire frames, as the node submits them: decoding is the
+            // workers' job too.
+            let mut frame = Envelope::Block(block.clone()).to_bytes_vec();
+            if tampered(index) {
+                // The byte `tamper` flips, one envelope tag further in.
+                frame[31] ^= 0xff;
+            }
             for pipeline in [&mut serial, &mut parallel] {
                 pipeline.submit(Input::TimerFired { now: index as u64 });
-                pipeline.submit(Input::BlockReceived {
-                    from: index % 4,
-                    block: block.clone(),
-                });
-                if index % 3 == 0 {
-                    pipeline.submit(Input::BlockReceived {
-                        from: 1,
-                        block: tamper(block),
-                    });
-                }
+                pipeline.submit_frame(index % 4, frame.clone());
             }
         }
         let serial_out = serial.flush();
@@ -546,7 +571,27 @@ mod tests {
         for (a, b) in serial_out.iter().zip(&parallel_out) {
             assert_eq!(format!("{:?}", **a), format!("{:?}", **b));
         }
+        // The survivors are exactly the untampered blocks, in the order
+        // their frames went in.
+        let admitted: Vec<_> = parallel_out
+            .iter()
+            .filter_map(|input| match &**input {
+                Input::BlockReceived { block, .. } => Some(block.digest()),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<_> = blocks
+            .iter()
+            .enumerate()
+            .filter(|(index, _)| !tampered(*index))
+            .map(|(_, block)| block.digest())
+            .collect();
+        assert_eq!(admitted, expected);
+        let tampered_frames = (0..blocks.len()).filter(|&index| tampered(index)).count();
+        assert_eq!(tampered_frames, 4);
+        assert_eq!(parallel.rejected(), tampered_frames as u64);
         assert_eq!(serial.rejected(), parallel.rejected());
+        assert!(parallel.peak_depth() > 0, "the depth gauge never moved");
         assert_eq!(parallel.depth(), 0);
     }
 
@@ -618,9 +663,40 @@ mod tests {
             },
         ];
         for input in inputs {
+            assert!(!carries_claims(&input));
             let rendered = format!("{input:?}");
             let out = verify_input(committee, input).expect("pass-through");
             assert_eq!(format!("{out:?}"), rendered);
         }
+        let block = peer_blocks(&setup, 1)[0].clone();
+        assert!(carries_claims(&Input::BlockReceived { from: 1, block }));
+    }
+
+    #[test]
+    fn inputs_with_nothing_to_verify_never_wait_for_a_worker() {
+        let setup = TestCommittee::new(4, 11);
+        let mut pipeline = AdmissionPipeline::new(
+            AdmissionConfig {
+                verify_workers: 2,
+                queue_bound: 64,
+            },
+            setup.committee().clone(),
+        );
+        // `drain_ready` never blocks: had the ticks gone to a worker, some
+        // of these 100 would find their verdict still on its way back.
+        for now in 0..100 {
+            pipeline.submit(Input::TimerFired { now });
+            let ready = pipeline.drain_ready();
+            assert_eq!(ready.len(), 1, "tick {now} was handed to a worker");
+            assert!(matches!(*ready[0], Input::TimerFired { now: at } if at == now));
+        }
+        // A tick submitted behind a frame still keeps its place.
+        let block = peer_blocks(&setup, 1)[0].clone();
+        pipeline.submit_frame(1, Envelope::Block(block.clone()).to_bytes_vec());
+        pipeline.submit(Input::TimerFired { now: 100 });
+        let ready = pipeline.flush();
+        assert_eq!(ready.len(), 2);
+        assert!(matches!(&*ready[0], Input::BlockReceived { block: first, .. } if *first == block));
+        assert!(matches!(*ready[1], Input::TimerFired { now: 100 }));
     }
 }

@@ -41,8 +41,8 @@
 //! driver reads: an `Admission` at once, a `Committed` when the batch is
 //! sequenced. Each tag of a `Committed` receipt is the batch's receive
 //! time, so `now − tag` is the client-observed commit latency — the one
-//! quantity the simulator's latency column, the load generator and the
-//! wall-clock benchmark all report.
+//! quantity the simulator's latency column and the wall-clock benchmark
+//! both report.
 //!
 //! The two that persist follow one rule, stated at
 //! [`WalRecord::is_durable`], and recover through one entry point,
@@ -913,11 +913,6 @@ impl ValidatorEngine {
     /// The evidence pool (verified convictions, slashing hooks).
     pub fn evidence(&self) -> &EvidencePool {
         &self.evidence
-    }
-
-    /// Mutable evidence pool access (for registering slashing hooks).
-    pub fn evidence_mut(&mut self) -> &mut EvidencePool {
-        &mut self.evidence
     }
 
     /// The authorities this engine has convicted of equivocation, in index

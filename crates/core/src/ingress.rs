@@ -177,7 +177,8 @@ pub struct IngressReport {
 impl IngressReport {
     /// Every ingress-ledger violation, as human-readable descriptions
     /// (empty when the subsystem is sound). Shared by the
-    /// `receipt-integrity` oracle and the load generator's gates.
+    /// `receipt-integrity` oracle and the loopback cluster's tests
+    /// (`a_burst_past_capacity_…`, `compliant_zipf_clients_…`).
     pub fn violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
         if self.receipts_emitted != self.batches_received {

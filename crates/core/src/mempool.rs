@@ -478,8 +478,8 @@ impl TxIntegrityReport {
     /// Every integrity violation in this report, as human-readable
     /// descriptions (empty when the pipeline is sound). One shared
     /// definition of "sound" — the `tx-integrity` scenario oracle and the
-    /// load generator's gates both build on this, so the checks cannot
-    /// drift apart.
+    /// loopback cluster's `sustained_wire_load_conserves_every_transaction`
+    /// both build on this, so the checks cannot drift apart.
     pub fn violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
         if self.duplicate_committed != 0 {

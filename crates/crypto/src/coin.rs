@@ -15,8 +15,7 @@
 //!
 //! The paper performs distributed key generation asynchronously
 //! (references \[1,2,20,21,30\] in its bibliography); we substitute a trusted
-//! dealer, which is orthogonal to the consensus path being reproduced
-//! (DESIGN.md §3).
+//! dealer, which is orthogonal to the consensus path being reproduced.
 
 use rand::Rng;
 

@@ -20,8 +20,7 @@
 //! nanoseconds and simulations with hundreds of validators stay fast. A real
 //! deployment would swap [`group`] for Ristretto/BLS12-381; every consumer
 //! interacts only through the `sign`/`verify`/`combine` interfaces, so the
-//! protocol logic above is oblivious to the substitution. This is recorded in
-//! `DESIGN.md` §3.
+//! protocol logic above is oblivious to the substitution.
 //!
 //! # Example
 //!

@@ -137,11 +137,6 @@ impl DagBuilder {
         &mut self.store
     }
 
-    /// Consumes the builder, returning the store.
-    pub fn into_store(self) -> BlockStore {
-        self.store
-    }
-
     /// Adds a round in which every authority references every block of the
     /// previous round. Returns the new references in author order.
     pub fn add_full_round(&mut self) -> Vec<BlockRef> {

@@ -51,7 +51,7 @@ impl LatencyModel for UniformLatency {
 /// Values are half the publicly reported inter-region round-trip times
 /// (cloudping-style measurements), rounded; intra-region delay is ~1 ms.
 /// Absolute accuracy is not required — the figures compare protocols on the
-/// *same* substrate (see EXPERIMENTS.md).
+/// *same* substrate.
 pub const AWS_REGIONS: [(&str, [f64; 5]); 5] = [
     ("us-east-2 (Ohio)", [1.0, 25.0, 117.0, 97.0, 47.0]),
     ("us-west-2 (Oregon)", [25.0, 1.0, 138.0, 72.0, 68.0]),

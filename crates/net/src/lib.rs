@@ -2,9 +2,9 @@
 //!
 //! The paper's evaluation runs on AWS `m5d.8xlarge` machines across five
 //! regions (Ohio, Oregon, Cape Town, Hong Kong, Milan) with 10 Gbps links.
-//! This crate is the synthetic substitute (DESIGN.md §3): a virtual-clock
-//! message simulator reproducing the quantities that determine the
-//! protocols' performance shape —
+//! This crate is the synthetic substitute: a virtual-clock message
+//! simulator reproducing the quantities that determine the protocols'
+//! performance shape —
 //!
 //! - **propagation delay**: a per-region-pair one-way delay matrix with
 //!   jitter ([`GeoLatency`]), or simpler models for unit tests;

@@ -253,8 +253,50 @@ mod tests {
             assert!(!name.is_empty(), "{line}");
             assert!(value.parse::<f64>().is_ok(), "unparsable sample: {line}");
         }
-        assert!(body.contains("# TYPE mahimahi_round gauge"));
-        assert!(body.contains("# TYPE mahimahi_stage_sequenced_seconds histogram"));
+        // Every series, by name and kind, in the order rendered: a dropped
+        // or renamed one fails here.
+        let series: Vec<&str> = body
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .collect();
+        let expected = [
+            "mahimahi_checkpoint_cut_seconds histogram",
+            "mahimahi_checkpoint_snapshot_bytes gauge",
+            "mahimahi_committed_slots gauge",
+            "mahimahi_committed_transactions gauge",
+            "mahimahi_convictions gauge",
+            "mahimahi_highest_round gauge",
+            "mahimahi_mempool_accepted gauge",
+            "mahimahi_mempool_forwarded gauge",
+            "mahimahi_mempool_peak_occupancy gauge",
+            "mahimahi_mempool_pending gauge",
+            "mahimahi_mempool_rejected_duplicate gauge",
+            "mahimahi_mempool_rejected_full gauge",
+            "mahimahi_mempool_rejected_rate_limited gauge",
+            "mahimahi_round gauge",
+            "mahimahi_stage_engine_applied_seconds histogram",
+            "mahimahi_stage_executed_seconds histogram",
+            "mahimahi_stage_ingress_received_seconds histogram",
+            "mahimahi_stage_receipt_sent_seconds histogram",
+            "mahimahi_stage_resequenced_seconds histogram",
+            "mahimahi_stage_sequenced_seconds histogram",
+            "mahimahi_stage_verified_seconds histogram",
+            "mahimahi_stage_verify_dequeued_seconds histogram",
+            "mahimahi_verify_depth gauge",
+            "mahimahi_verify_peak_depth gauge",
+            "mahimahi_verify_rejected gauge",
+            "mahimahi_verify_verified gauge",
+            "mahimahi_wal_block_bytes gauge",
+            "mahimahi_wal_bytes gauge",
+            "mahimahi_wal_checkpoint_bytes gauge",
+            "mahimahi_wal_compacted_bytes gauge",
+            "mahimahi_wal_compaction_seconds histogram",
+            "mahimahi_wal_compactions gauge",
+            "mahimahi_wal_errors gauge",
+            "mahimahi_wal_evidence_bytes gauge",
+            "mahimahi_wal_live_bytes gauge",
+        ];
+        assert_eq!(series, expected);
         assert!(body.contains("mahimahi_stage_sequenced_seconds_bucket{le=\"+Inf\"}"));
         let committed = sample(body, "mahimahi_committed_transactions");
         assert!(committed >= 1.0, "commits visible in the exposition");
@@ -263,19 +305,27 @@ mod tests {
         for id in 100..116u64 {
             cluster.submit(0, Transaction::benchmark(id));
         }
-        cluster
-            .wait_for_commit(0, Duration::from_secs(30))
-            .expect("second commit");
-        let second = scrape(addr, "/metrics");
+        // (Poll rather than scrape once behind `wait_for_commit`: the next
+        // notice on the channel can still be one of the first batch's, and
+        // a notice leaves before the gauges of its iteration are stored.)
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let second = loop {
+            let second = scrape(addr, "/metrics");
+            let body = second.split("\r\n\r\n").nth(1).expect("response body");
+            if sample(body, "mahimahi_committed_transactions") > committed
+                && sample(body, "mahimahi_mempool_accepted") >= 32.0
+            {
+                break second;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the committed and accepted gauges must advance between scrapes"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
         let body = second.split("\r\n\r\n").nth(1).expect("response body");
-        assert!(
-            sample(body, "mahimahi_committed_transactions") > committed,
-            "committed-transaction gauge must advance between scrapes"
-        );
-        assert!(sample(body, "mahimahi_mempool_accepted") >= 32.0);
         // The write-ahead log's gauges: blocks were appended, all of them
         // still live, and nothing failed.
-        assert!(body.contains("# TYPE mahimahi_wal_compaction_seconds histogram"));
         assert!(sample(body, "mahimahi_wal_bytes") > 0.0);
         // (The gauges are refreshed one after another, so a scrape can
         // fall between two of them: compare the earlier scrape's live bytes
@@ -292,7 +342,6 @@ mod tests {
         // The checkpoint path: the size of the last snapshot taken and the
         // time spent in engine steps that produced a cut.
         assert!(sample(body, "mahimahi_checkpoint_snapshot_bytes") >= 0.0);
-        assert!(body.contains("# TYPE mahimahi_checkpoint_cut_seconds histogram"));
         assert!(body.contains("mahimahi_checkpoint_cut_seconds_bucket{le=\"+Inf\"}"));
 
         let status = scrape(addr, "/status");

@@ -368,7 +368,8 @@ impl LoopbackCluster {
     }
 
     /// The ingress conservation ledger of `validator`'s engine — what the
-    /// receipt-integrity oracle and the fairness bench gate on.
+    /// receipt-integrity oracle and this module's burst and Zipf-client
+    /// tests gate on.
     pub fn ingress_report(&self, validator: usize) -> IngressReport {
         self.engines[validator].ingress_report()
     }
@@ -516,6 +517,144 @@ mod tests {
         cluster.submit_batch(0, (0..8).map(|i| Transaction::benchmark(900 + i)).collect());
         cluster.run_until(3_400_000);
         assert_eq!(cluster.ingress_report(0).rate_limited, before);
+    }
+
+    #[test]
+    fn sustained_wire_load_conserves_every_transaction() {
+        const CAPACITY: u64 = 5_000;
+        let mut cluster = LoopbackCluster::new(LoopbackConfig {
+            mempool: MempoolConfig {
+                capacity_txs: CAPACITY as usize,
+                ..MempoolConfig::default()
+            },
+            ..config()
+        });
+        // Open loop: every 5 ms of a 2 s window each validator's client
+        // sends a wire batch of 10 (2,000 tx/s per validator), whether or
+        // not anything has committed yet; then 2 s to drain.
+        let mut sent_per_validator = 0;
+        for now in (0..2_000_000).step_by(5_000) {
+            for validator in 0..4u64 {
+                let first = (validator << 32) + sent_per_validator;
+                cluster.submit_batch(
+                    validator as usize,
+                    (first..first + 10).map(Transaction::benchmark).collect(),
+                );
+            }
+            sent_per_validator += 10;
+            cluster.run_until(now);
+        }
+        cluster.run_until(4_000_000);
+        for validator in 0..4 {
+            let integrity = cluster.engine(validator).tx_integrity();
+            // No loss, no duplicate across own blocks, pool within bounds.
+            assert_eq!(integrity.violations(), Vec::<String>::new());
+            assert!(integrity.peak_occupancy_txs <= CAPACITY, "{integrity:?}");
+            assert!(
+                cluster
+                    .receipts(validator)
+                    .iter()
+                    .any(|(_, _, receipt)| matches!(receipt, TxReceipt::Committed { .. })),
+                "validator {validator} reported no batch committed"
+            );
+            // After the drain nothing is owed: every accepted transaction
+            // committed, exactly once (forwarding is off, so none left by
+            // another door).
+            assert_eq!(integrity.accepted, sent_per_validator, "{integrity:?}");
+            assert_eq!(integrity.own_committed, integrity.accepted);
+            assert_eq!((integrity.pending, integrity.in_flight), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_burst_past_capacity_is_shed_with_full_and_every_batch_is_receipted() {
+        let mut cluster = LoopbackCluster::new(LoopbackConfig {
+            mempool: MempoolConfig {
+                capacity_txs: 1_000,
+                ..MempoolConfig::default()
+            },
+            ..config()
+        });
+        // 5× the pool's capacity, as two wire batches arriving at validator
+        // 0 at the same instant.
+        cluster.submit_batch(0, (0..2_500).map(Transaction::benchmark).collect());
+        cluster.submit_batch(0, (2_500..5_000).map(Transaction::benchmark).collect());
+        cluster.run_until(3_000_000);
+        let integrity = cluster.engine(0).tx_integrity();
+        assert!(integrity.rejected_full > 0, "{integrity:?}");
+        assert_eq!(integrity.violations(), Vec::<String>::new());
+        // The verdicts the client was sent are the engine's own counters.
+        assert_eq!(
+            cluster.rejections(0),
+            integrity.rejected_duplicate
+                + integrity.rejected_full
+                + integrity.rejected_rate_limited
+        );
+        // A batch the pool sheds is still owed its admission receipt.
+        let ingress = cluster.ingress_report(0);
+        assert_eq!(ingress.batches_received, 2);
+        assert_eq!(ingress.violations(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn compliant_zipf_clients_are_not_starved_by_heavy_hitters() {
+        const CLIENTS: usize = 600;
+        const RATE_LIMIT: u64 = 10;
+        let mut cluster = LoopbackCluster::new(LoopbackConfig {
+            ingress: IngressConfig {
+                rate_limit_per_client: RATE_LIMIT,
+                burst_per_client: 20,
+                ..IngressConfig::default()
+            },
+            ..config()
+        });
+        // Client `i` demands 800 / (i + 1) tx/s of validator 0: the first
+        // 79 exceed the limit, the other 521 are compliant. Ids start above
+        // the committee — the external, rate-limited range.
+        let demand = |client: usize| 800.0 / (client + 1) as f64;
+        let mut submitted = vec![0u64; CLIENTS];
+        let mut batches = vec![0u64; CLIENTS];
+        for now in (0..2_000_000u64).step_by(50_000) {
+            for client in 0..CLIENTS {
+                let due = (demand(client) * now as f64 / 1e6) as u64;
+                if due > submitted[client] {
+                    let ids = (submitted[client]..due).map(|i| ((client as u64) << 32) + i);
+                    cluster.submit_batch_as(
+                        0,
+                        4 + client,
+                        ids.map(Transaction::benchmark).collect(),
+                    );
+                    submitted[client] = due;
+                    batches[client] += 1;
+                }
+            }
+            cluster.run_until(now);
+        }
+        cluster.run_until(3_000_000);
+
+        let mut admissions = vec![0u64; CLIENTS];
+        let mut accepted = vec![0u64; CLIENTS];
+        for (_, peer, receipt) in cluster.receipts(0) {
+            if let TxReceipt::Admission { verdicts, .. } = receipt {
+                admissions[peer - 4] += 1;
+                accepted[peer - 4] += verdicts.iter().filter(|v| v.is_accepted()).count() as u64;
+            }
+        }
+        // Zero receipt loss, per client and in the engine's ledger.
+        assert_eq!(admissions, batches);
+        let report = cluster.ingress_report(0);
+        assert_eq!(report.violations(), Vec::<String>::new());
+        assert!(report.rate_limited > 0, "the limiter never engaged");
+        // Among compliant clients, accepted ÷ offered differs by at most a
+        // factor of two: the limiter sheds the heavy hitters, not the tail.
+        let shares: Vec<f64> = (0..CLIENTS)
+            .filter(|&client| demand(client) <= RATE_LIMIT as f64 && submitted[client] > 0)
+            .map(|client| accepted[client] as f64 / submitted[client] as f64)
+            .collect();
+        assert!(shares.len() >= 500, "{} compliant clients", shares.len());
+        let min = shares.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = shares.iter().copied().fold(0.0, f64::max);
+        assert!(min / max >= 0.5, "accepted share ranges {min:.3}..{max:.3}");
     }
 
     #[test]

@@ -166,139 +166,87 @@ impl NodeConfig {
     }
 }
 
+/// Declares each of the node's gauges once: a `NodeGauge` variant indexing
+/// `NodeMetrics::gauges`, and its row (metric name, help text) in `GAUGES`,
+/// in the same order.
+macro_rules! node_gauges {
+    ($($gauge:ident: $name:literal, $help:literal;)*) => {
+        #[derive(Clone, Copy)]
+        enum NodeGauge {
+            $($gauge,)*
+        }
+
+        const GAUGES: &[(&str, &str)] = &[$(($name, $help),)*];
+    };
+}
+
+node_gauges! {
+    Round: "mahimahi_round", "Last produced DAG round";
+    HighestRound: "mahimahi_highest_round", "Highest round in the local DAG";
+    CommittedSlots: "mahimahi_committed_slots", "Leader slots committed";
+    CommittedTransactions: "mahimahi_committed_transactions",
+        "Transactions linearized into the committed order";
+    Convictions: "mahimahi_convictions", "Authorities convicted of equivocation";
+    MempoolAccepted: "mahimahi_mempool_accepted", "Transactions accepted into the pool";
+    MempoolRejectedDuplicate: "mahimahi_mempool_rejected_duplicate",
+        "Submissions rejected as digest duplicates";
+    MempoolRejectedFull: "mahimahi_mempool_rejected_full",
+        "Submissions rejected for pool capacity";
+    MempoolRejectedRateLimited: "mahimahi_mempool_rejected_rate_limited",
+        "Submissions bounced by the per-client rate limiter";
+    MempoolForwarded: "mahimahi_mempool_forwarded",
+        "Transactions handed to a peer by age-based forwarding";
+    MempoolPending: "mahimahi_mempool_pending", "Transactions currently pending inclusion";
+    MempoolPeakOccupancy: "mahimahi_mempool_peak_occupancy",
+        "Peak pool occupancy in transactions";
+    VerifyDepth: "mahimahi_verify_depth", "Inputs in flight inside the verify stage";
+    VerifyPeakDepth: "mahimahi_verify_peak_depth", "High-water mark of the verify-stage depth";
+    VerifyVerified: "mahimahi_verify_verified",
+        "Inputs that passed verification and reached the engine";
+    VerifyRejected: "mahimahi_verify_rejected", "Inputs dropped by the verify stage";
+    WalBytes: "mahimahi_wal_bytes", "Length of the write-ahead log";
+    WalLiveBytes: "mahimahi_wal_live_bytes",
+        "Log bytes held by records no checkpoint has made redundant";
+    WalCompactions: "mahimahi_wal_compactions", "Log rewrites completed";
+    WalCompactedBytes: "mahimahi_wal_compacted_bytes", "Bytes copied by log rewrites, in total";
+    WalErrors: "mahimahi_wal_errors", "Log appends, syncs and rewrites that failed";
+    WalBlockBytes: "mahimahi_wal_block_bytes", "Log bytes appended as block records";
+    WalCheckpointBytes: "mahimahi_wal_checkpoint_bytes",
+        "Log bytes appended as checkpoint records (snapshots)";
+    WalEvidenceBytes: "mahimahi_wal_evidence_bytes", "Log bytes appended as evidence records";
+    CheckpointSnapshotBytes: "mahimahi_checkpoint_snapshot_bytes",
+        "Size of the last state snapshot that went to the log";
+}
+
 /// Registry-backed node metrics, refreshed once per event-loop iteration
-/// (lock-free reads for load generators and monitoring).
+/// (lock-free reads for tests, the benchmark and monitoring).
 ///
-/// Every gauge lives in the node's [`Registry`], so in-process readers
-/// (tests, the bench harness) and the HTTP metrics endpoint observe the
-/// same values — there is no parallel set of ad-hoc atomics to keep in
-/// sync. The same registry also holds the eight commit-path stage
-/// histograms ([`StageStats`]).
+/// Every gauge lives in the node's [`Registry`], so in-process readers and
+/// the HTTP metrics endpoint observe the same values — there is no
+/// parallel set of ad-hoc atomics to keep in sync. The same registry also
+/// holds the eight commit-path stage histograms ([`StageStats`]). Only the
+/// gauges an in-process reader asks for have an accessor here; every one
+/// of them is on `/metrics`.
 pub struct NodeMetrics {
     registry: Arc<Registry>,
-    round: Arc<Gauge>,
-    highest_round: Arc<Gauge>,
-    committed_slots: Arc<Gauge>,
-    committed_transactions: Arc<Gauge>,
-    convictions: Arc<Gauge>,
-    mempool_accepted: Arc<Gauge>,
-    mempool_rejected_duplicate: Arc<Gauge>,
-    mempool_rejected_full: Arc<Gauge>,
-    mempool_rejected_rate_limited: Arc<Gauge>,
-    mempool_forwarded: Arc<Gauge>,
-    mempool_pending: Arc<Gauge>,
-    mempool_peak_occupancy: Arc<Gauge>,
-    verify_depth: Arc<Gauge>,
-    verify_peak_depth: Arc<Gauge>,
-    verify_verified: Arc<Gauge>,
-    verify_rejected: Arc<Gauge>,
-    wal_bytes: Arc<Gauge>,
-    wal_live_bytes: Arc<Gauge>,
-    wal_compactions: Arc<Gauge>,
-    wal_compacted_bytes: Arc<Gauge>,
-    wal_errors: Arc<Gauge>,
-    wal_block_bytes: Arc<Gauge>,
-    wal_checkpoint_bytes: Arc<Gauge>,
-    wal_evidence_bytes: Arc<Gauge>,
+    /// One handle per `NodeGauge`, in declaration order.
+    gauges: Vec<Arc<Gauge>>,
     wal_compaction_seconds: Arc<Histogram>,
-    checkpoint_snapshot_bytes: Arc<Gauge>,
     checkpoint_cut_seconds: Arc<Histogram>,
     stage_stats: StageStats,
 }
 
 impl NodeMetrics {
     fn new(registry: Arc<Registry>) -> Self {
-        let gauge = |name, help| registry.gauge(name, help);
         NodeMetrics {
             stage_stats: StageStats::new(&registry),
-            round: gauge("mahimahi_round", "Last produced DAG round"),
-            highest_round: gauge("mahimahi_highest_round", "Highest round in the local DAG"),
-            committed_slots: gauge("mahimahi_committed_slots", "Leader slots committed"),
-            committed_transactions: gauge(
-                "mahimahi_committed_transactions",
-                "Transactions linearized into the committed order",
-            ),
-            convictions: gauge(
-                "mahimahi_convictions",
-                "Authorities convicted of equivocation",
-            ),
-            mempool_accepted: gauge(
-                "mahimahi_mempool_accepted",
-                "Transactions accepted into the pool",
-            ),
-            mempool_rejected_duplicate: gauge(
-                "mahimahi_mempool_rejected_duplicate",
-                "Submissions rejected as digest duplicates",
-            ),
-            mempool_rejected_full: gauge(
-                "mahimahi_mempool_rejected_full",
-                "Submissions rejected for pool capacity",
-            ),
-            mempool_rejected_rate_limited: gauge(
-                "mahimahi_mempool_rejected_rate_limited",
-                "Submissions bounced by the per-client rate limiter",
-            ),
-            mempool_forwarded: gauge(
-                "mahimahi_mempool_forwarded",
-                "Transactions handed to a peer by age-based forwarding",
-            ),
-            mempool_pending: gauge(
-                "mahimahi_mempool_pending",
-                "Transactions currently pending inclusion",
-            ),
-            mempool_peak_occupancy: gauge(
-                "mahimahi_mempool_peak_occupancy",
-                "Peak pool occupancy in transactions",
-            ),
-            verify_depth: gauge(
-                "mahimahi_verify_depth",
-                "Inputs in flight inside the verify stage",
-            ),
-            verify_peak_depth: gauge(
-                "mahimahi_verify_peak_depth",
-                "High-water mark of the verify-stage depth",
-            ),
-            verify_verified: gauge(
-                "mahimahi_verify_verified",
-                "Inputs that passed verification and reached the engine",
-            ),
-            verify_rejected: gauge(
-                "mahimahi_verify_rejected",
-                "Inputs dropped by the verify stage",
-            ),
-            wal_bytes: gauge("mahimahi_wal_bytes", "Length of the write-ahead log"),
-            wal_live_bytes: gauge(
-                "mahimahi_wal_live_bytes",
-                "Log bytes held by records no checkpoint has made redundant",
-            ),
-            wal_compactions: gauge("mahimahi_wal_compactions", "Log rewrites completed"),
-            wal_compacted_bytes: gauge(
-                "mahimahi_wal_compacted_bytes",
-                "Bytes copied by log rewrites, in total",
-            ),
-            wal_errors: gauge(
-                "mahimahi_wal_errors",
-                "Log appends, syncs and rewrites that failed",
-            ),
-            wal_block_bytes: gauge(
-                "mahimahi_wal_block_bytes",
-                "Log bytes appended as block records",
-            ),
-            wal_checkpoint_bytes: gauge(
-                "mahimahi_wal_checkpoint_bytes",
-                "Log bytes appended as checkpoint records (snapshots)",
-            ),
-            wal_evidence_bytes: gauge(
-                "mahimahi_wal_evidence_bytes",
-                "Log bytes appended as evidence records",
-            ),
+            gauges: GAUGES
+                .iter()
+                .map(|&(name, help)| registry.gauge(name, help))
+                .collect(),
             wal_compaction_seconds: registry.histogram(
                 "mahimahi_wal_compaction_seconds",
                 "Time the consensus thread spent in one log rewrite",
-            ),
-            checkpoint_snapshot_bytes: gauge(
-                "mahimahi_checkpoint_snapshot_bytes",
-                "Size of the last state snapshot that went to the log",
             ),
             checkpoint_cut_seconds: registry.histogram(
                 "mahimahi_checkpoint_cut_seconds",
@@ -308,46 +256,53 @@ impl NodeMetrics {
         }
     }
 
+    fn set(&self, gauge: NodeGauge, value: u64) {
+        self.gauges[gauge as usize].set(value);
+    }
+
+    fn get(&self, gauge: NodeGauge) -> u64 {
+        self.gauges[gauge as usize].get()
+    }
+
     /// Refreshes the engine-derived gauges (rounds, commits, mempool).
     fn update_engine(&self, engine: &ValidatorEngine) {
+        use NodeGauge as G;
         let report: TxIntegrityReport = engine.tx_integrity();
-        self.round.set(engine.round());
-        self.highest_round.set(engine.store().highest_round());
-        self.committed_slots.set(engine.committed_slots());
-        self.committed_transactions
-            .set(engine.committed_transactions());
-        self.convictions.set(engine.convicted().len() as u64);
-        self.mempool_accepted.set(report.accepted);
-        self.mempool_rejected_duplicate
-            .set(report.rejected_duplicate);
-        self.mempool_rejected_full.set(report.rejected_full);
-        self.mempool_rejected_rate_limited
-            .set(report.rejected_rate_limited);
-        self.mempool_forwarded.set(report.forwarded);
-        self.mempool_pending.set(report.pending);
-        self.mempool_peak_occupancy.set(report.peak_occupancy_txs);
-        self.checkpoint_snapshot_bytes
-            .set(engine.last_snapshot_bytes());
+        self.set(G::Round, engine.round());
+        self.set(G::HighestRound, engine.store().highest_round());
+        self.set(G::CommittedSlots, engine.committed_slots());
+        self.set(G::CommittedTransactions, engine.committed_transactions());
+        self.set(G::Convictions, engine.convicted().len() as u64);
+        self.set(G::MempoolAccepted, report.accepted);
+        self.set(G::MempoolRejectedDuplicate, report.rejected_duplicate);
+        self.set(G::MempoolRejectedFull, report.rejected_full);
+        self.set(G::MempoolRejectedRateLimited, report.rejected_rate_limited);
+        self.set(G::MempoolForwarded, report.forwarded);
+        self.set(G::MempoolPending, report.pending);
+        self.set(G::MempoolPeakOccupancy, report.peak_occupancy_txs);
+        self.set(G::CheckpointSnapshotBytes, engine.last_snapshot_bytes());
     }
 
     /// Refreshes the verify-stage gauges from the admission pipeline.
     fn update_pipeline(&self, pipeline: &AdmissionPipeline) {
-        self.verify_depth.set(pipeline.depth() as u64);
-        self.verify_peak_depth.set(pipeline.peak_depth() as u64);
-        self.verify_verified.set(pipeline.verified());
-        self.verify_rejected.set(pipeline.rejected());
+        use NodeGauge as G;
+        self.set(G::VerifyDepth, pipeline.depth() as u64);
+        self.set(G::VerifyPeakDepth, pipeline.peak_depth() as u64);
+        self.set(G::VerifyVerified, pipeline.verified());
+        self.set(G::VerifyRejected, pipeline.rejected());
     }
 
     /// Refreshes the write-ahead-log gauges.
     fn update_wal(&self, stats: LogStats) {
-        self.wal_bytes.set(stats.bytes);
-        self.wal_live_bytes.set(stats.live_bytes);
-        self.wal_compactions.set(stats.compactions);
-        self.wal_compacted_bytes.set(stats.compacted_bytes);
-        self.wal_errors.set(stats.errors);
-        self.wal_block_bytes.set(stats.block_bytes);
-        self.wal_checkpoint_bytes.set(stats.checkpoint_bytes);
-        self.wal_evidence_bytes.set(stats.evidence_bytes);
+        use NodeGauge as G;
+        self.set(G::WalBytes, stats.bytes);
+        self.set(G::WalLiveBytes, stats.live_bytes);
+        self.set(G::WalCompactions, stats.compactions);
+        self.set(G::WalCompactedBytes, stats.compacted_bytes);
+        self.set(G::WalErrors, stats.errors);
+        self.set(G::WalBlockBytes, stats.block_bytes);
+        self.set(G::WalCheckpointBytes, stats.checkpoint_bytes);
+        self.set(G::WalEvidenceBytes, stats.evidence_bytes);
     }
 
     /// The registry every metric of this node lives in (stage histograms
@@ -364,94 +319,65 @@ impl NodeMetrics {
 
     /// A point-in-time status summary (the `/status` endpoint's payload).
     pub fn status(&self) -> StatusReport {
+        use NodeGauge as G;
         StatusReport {
-            round: self.round.get(),
-            highest_round: self.highest_round.get(),
-            committed_slots: self.committed_slots.get(),
-            committed_transactions: self.committed_transactions.get(),
-            convictions: self.convictions.get(),
-            mempool_pending: self.mempool_pending.get(),
-            mempool_accepted: self.mempool_accepted.get(),
-            verify_depth: self.verify_depth.get(),
-            wal_errors: self.wal_errors.get(),
+            round: self.get(G::Round),
+            highest_round: self.get(G::HighestRound),
+            committed_slots: self.get(G::CommittedSlots),
+            committed_transactions: self.get(G::CommittedTransactions),
+            convictions: self.get(G::Convictions),
+            mempool_pending: self.get(G::MempoolPending),
+            mempool_accepted: self.get(G::MempoolAccepted),
+            verify_depth: self.get(G::VerifyDepth),
+            wal_errors: self.get(G::WalErrors),
         }
     }
 
     /// Last produced DAG round.
     pub fn round(&self) -> u64 {
-        self.round.get()
-    }
-
-    /// Leader slots committed so far.
-    pub fn committed_slots(&self) -> u64 {
-        self.committed_slots.get()
+        self.get(NodeGauge::Round)
     }
 
     /// Transactions accepted into the pool so far.
     pub fn accepted(&self) -> u64 {
-        self.mempool_accepted.get()
-    }
-
-    /// Submissions rejected as digest duplicates so far.
-    pub fn rejected_duplicate(&self) -> u64 {
-        self.mempool_rejected_duplicate.get()
+        self.get(NodeGauge::MempoolAccepted)
     }
 
     /// Submissions rejected for capacity (`TxVerdict::Full`) so far.
     pub fn rejected_full(&self) -> u64 {
-        self.mempool_rejected_full.get()
-    }
-
-    /// Submissions bounced by the per-client rate limiter so far.
-    pub fn rejected_rate_limited(&self) -> u64 {
-        self.mempool_rejected_rate_limited.get()
+        self.get(NodeGauge::MempoolRejectedFull)
     }
 
     /// Transactions handed to a peer by age-based mempool forwarding.
     pub fn forwarded(&self) -> u64 {
-        self.mempool_forwarded.get()
-    }
-
-    /// Transactions currently pending inclusion.
-    pub fn pending(&self) -> u64 {
-        self.mempool_pending.get()
+        self.get(NodeGauge::MempoolForwarded)
     }
 
     /// Peak pool occupancy (transactions) observed so far.
     pub fn peak_occupancy(&self) -> u64 {
-        self.mempool_peak_occupancy.get()
-    }
-
-    /// Inputs currently in flight inside the verify stage.
-    pub fn verify_depth(&self) -> u64 {
-        self.verify_depth.get()
+        self.get(NodeGauge::MempoolPeakOccupancy)
     }
 
     /// High-water mark of the verify-stage depth.
     pub fn verify_peak_depth(&self) -> u64 {
-        self.verify_peak_depth.get()
-    }
-
-    /// Inputs that passed verification and reached the engine.
-    pub fn verified(&self) -> u64 {
-        self.verify_verified.get()
+        self.get(NodeGauge::VerifyPeakDepth)
     }
 
     /// Inputs the verify stage dropped (undecodable frames, invalid
     /// signatures or proofs).
     pub fn rejected(&self) -> u64 {
-        self.verify_rejected.get()
+        self.get(NodeGauge::VerifyRejected)
     }
 
     /// Times the write-ahead log has been rewritten down to its live
     /// records.
     pub fn wal_compactions(&self) -> u64 {
-        self.wal_compactions.get()
+        self.get(NodeGauge::WalCompactions)
     }
 
     /// Write-ahead-log appends, syncs and rewrites that failed.
     pub fn wal_errors(&self) -> u64 {
-        self.wal_errors.get()
+        self.get(NodeGauge::WalErrors)
     }
 }
 

@@ -353,7 +353,8 @@ impl Oracle for TxIntegrity {
                 ));
             };
             // One shared definition of "sound" (TxIntegrityReport) keeps
-            // this oracle and the load generator's gates in lockstep.
+            // this oracle and the loopback cluster's sustained-load and
+            // burst tests in lockstep.
             if let Some(violation) = report.violations().into_iter().next() {
                 return Err(format!("validator {validator}: {violation}"));
             }
@@ -386,8 +387,9 @@ impl Oracle for ReceiptIntegrity {
                 ));
             };
             // `IngressReport::violations` is the shared definition of a
-            // balanced receipt ledger — the load generator gates on the
-            // same method, so the bench and the matrix cannot drift.
+            // balanced receipt ledger — the loopback cluster's burst and
+            // Zipf-client tests assert on the same method, so they and
+            // the matrix cannot drift.
             if let Some(violation) = report.violations().into_iter().next() {
                 return Err(format!("validator {validator}: {violation}"));
             }

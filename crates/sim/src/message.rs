@@ -23,7 +23,7 @@ pub trait WireModel {
     ///
     /// Block payloads are accounted at `tx_wire_size` bytes per transaction
     /// (the simulator carries 8-byte synthetic transactions in memory but
-    /// charges full wire size — DESIGN.md §3).
+    /// charges full wire size).
     fn wire_size(&self, tx_wire_size: usize) -> usize;
 
     /// The DAG round this message concerns (0 for control traffic) — what

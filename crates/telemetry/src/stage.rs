@@ -180,12 +180,6 @@ impl StageSnapshot {
     pub fn all_stages_populated(&self) -> bool {
         self.stages.iter().all(|stage| !stage.is_empty())
     }
-
-    /// Sum of the per-stage p99s in seconds — the stage-decomposed latency
-    /// bound compared against the measured end-to-end p99.
-    pub fn p99_sum_s(&self) -> f64 {
-        self.stages.iter().map(HistogramSnapshot::p99_s).sum()
-    }
 }
 
 #[cfg(test)]
@@ -203,8 +197,6 @@ mod tests {
         assert!(snapshot.all_stages_populated());
         assert_eq!(snapshot.stage(Stage::IngressReceived).count(), 1);
         assert_eq!(snapshot.stage(Stage::ReceiptSent).sum_micros(), 8000);
-        let p99_sum = snapshot.p99_sum_s();
-        assert!(p99_sum > 0.0);
         // The registry rendered all eight series.
         let text = registry.render_prometheus();
         for name in STAGE_METRIC_NAMES {

@@ -5,7 +5,7 @@
 //! in this reproduction's dependency budget; the same shape — one duplex
 //! byte stream per peer pair, length-prefixed frames, automatic reconnect —
 //! is built from `std::net` with a thread per connection and crossbeam
-//! channels (DESIGN.md §3).
+//! channels.
 //!
 //! Topology: every node binds one listener and opens one *outbound*
 //! connection to every peer. A node's frames to a peer always travel over

@@ -171,11 +171,6 @@ impl<'a> Decoder<'a> {
         ))
     }
 
-    /// Reads exactly `count` raw bytes.
-    pub fn get_bytes(&mut self, count: usize) -> Result<&'a [u8], CodecError> {
-        self.take(count)
-    }
-
     /// Reads a fixed-size array.
     pub fn get_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         Ok(self.take(N)?.try_into().expect("N bytes"))

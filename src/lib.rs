@@ -47,8 +47,8 @@
 //! }
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction methodology.
+//! See `examples/` for runnable end-to-end scenarios and the repository
+//! README for the architecture and how each figure is reproduced.
 
 /// The paper's closed-form models (Appendix C).
 pub use mahimahi_analysis as analysis;

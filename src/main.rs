@@ -18,21 +18,39 @@ use mahi_mahi::types::Transaction;
 use std::collections::HashMap;
 use std::time::Duration;
 
+type Options = HashMap<String, String>;
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_else(|| "help".to_string());
     let options = parse_options(args.collect());
-    match command.as_str() {
-        "simulate" => simulate(&options),
-        "compare" => compare(&options),
-        "cluster" => cluster(&options),
-        "analyze" => analyze(&options),
-        _ => help(),
+    if let Err(message) = run(&command, &options) {
+        eprintln!("mahi-mahi: {message}");
+        std::process::exit(2);
+    }
+}
+
+/// Dispatches one subcommand. An `Err` is a usage error: `main` prints it
+/// to stderr and exits 2 rather than running something the user did not
+/// ask for.
+fn run(command: &str, options: &Options) -> Result<(), String> {
+    match command {
+        "simulate" => simulate(options),
+        "compare" => compare(options),
+        "cluster" => cluster(options),
+        "analyze" => analyze(options),
+        "help" | "--help" | "-h" => {
+            help();
+            Ok(())
+        }
+        unknown => Err(format!(
+            "unknown subcommand {unknown:?} (see `mahi-mahi help`)"
+        )),
     }
 }
 
 /// Parses `--key value` pairs; bare flags get the value `"true"`.
-fn parse_options(raw: Vec<String>) -> HashMap<String, String> {
+fn parse_options(raw: Vec<String>) -> Options {
     let mut options = HashMap::new();
     let mut iter = raw.into_iter().peekable();
     while let Some(token) = iter.next() {
@@ -49,29 +67,42 @@ fn parse_options(raw: Vec<String>) -> HashMap<String, String> {
     options
 }
 
-fn get<T: std::str::FromStr>(options: &HashMap<String, String>, key: &str, default: T) -> T {
-    options
-        .get(key)
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(default)
-}
-
-fn protocol_of(options: &HashMap<String, String>) -> ProtocolChoice {
-    let leaders = get(options, "leaders", 2usize);
-    match options.get("protocol").map(String::as_str).unwrap_or("mm5") {
-        "mm4" | "mahi-mahi-4" => ProtocolChoice::MahiMahi4 { leaders },
-        "cm" | "cordial-miners" => ProtocolChoice::CordialMiners,
-        "tusk" => ProtocolChoice::Tusk,
-        _ => ProtocolChoice::MahiMahi5 { leaders },
+/// The value of `--key`, or `default` when the flag is absent. A value that
+/// is present but does not parse is an error, never the default.
+fn get<T: std::str::FromStr>(options: &Options, key: &str, default: T) -> Result<T, String> {
+    match options.get(key) {
+        None => Ok(default),
+        Some(value) => value
+            .parse()
+            .map_err(|_| format!("--{key}: cannot parse {value:?}")),
     }
 }
 
-fn config_of(options: &HashMap<String, String>, protocol: ProtocolChoice) -> SimConfig {
-    let nodes = get(options, "nodes", 10usize);
-    let faults = get(options, "faults", 0usize);
-    let load = get(options, "load", 10_000u64);
+fn protocol_of(options: &Options) -> Result<ProtocolChoice, String> {
+    let leaders = get(options, "leaders", 2usize)?;
+    match options.get("protocol").map(String::as_str).unwrap_or("mm5") {
+        "mm5" | "mahi-mahi-5" => Ok(ProtocolChoice::MahiMahi5 { leaders }),
+        "mm4" | "mahi-mahi-4" => Ok(ProtocolChoice::MahiMahi4 { leaders }),
+        "cm" | "cordial-miners" => Ok(ProtocolChoice::CordialMiners),
+        "tusk" => Ok(ProtocolChoice::Tusk),
+        unknown => Err(format!(
+            "--protocol: unknown protocol {unknown:?} (mm5, mm4, cm, tusk)"
+        )),
+    }
+}
+
+fn config_of(options: &Options, protocol: ProtocolChoice) -> Result<SimConfig, String> {
+    let nodes = get(options, "nodes", 10usize)?;
+    let faults = get(options, "faults", 0usize)?;
+    let load = get(options, "load", 10_000u64)?;
+    if faults >= nodes {
+        return Err(format!(
+            "--faults {faults} leaves no honest validator among --nodes {nodes}"
+        ));
+    }
     let honest = nodes - faults;
     let adversary = match options.get("adversary").map(String::as_str) {
+        None => AdversaryChoice::None,
         Some("random") => AdversaryChoice::RandomSubset {
             hold: time::from_millis(150),
         },
@@ -80,22 +111,26 @@ fn config_of(options: &HashMap<String, String>, protocol: ProtocolChoice) -> Sim
             period: 2,
             extra: time::from_millis(400),
         },
-        _ => AdversaryChoice::None,
+        Some(unknown) => {
+            return Err(format!(
+                "--adversary: unknown adversary {unknown:?} (random, rotating)"
+            ))
+        }
     };
-    SimConfig {
+    Ok(SimConfig {
         protocol,
         committee_size: nodes,
-        duration: time::from_secs(get(options, "duration", 10u64)),
+        duration: time::from_secs(get(options, "duration", 10u64)?),
         txs_per_second_per_validator: load / honest as u64,
         adversary,
-        seed: get(options, "seed", 42u64),
+        seed: get(options, "seed", 42u64)?,
         ..SimConfig::default()
     }
-    .with_crashed(faults)
+    .with_crashed(faults))
 }
 
-fn simulate(options: &HashMap<String, String>) {
-    let config = config_of(options, protocol_of(options));
+fn simulate(options: &Options) -> Result<(), String> {
+    let config = config_of(options, protocol_of(options)?)?;
     println!(
         "simulating {} … ({} validators, {} crashed, {} tx/s offered)",
         config.protocol.name(),
@@ -106,24 +141,26 @@ fn simulate(options: &HashMap<String, String>) {
     );
     let report = Simulation::new(config).run();
     println!("{}", report.table_row());
+    Ok(())
 }
 
-fn compare(options: &HashMap<String, String>) {
+fn compare(options: &Options) -> Result<(), String> {
     for protocol in [
         ProtocolChoice::Tusk,
         ProtocolChoice::CordialMiners,
         ProtocolChoice::MahiMahi5 { leaders: 2 },
         ProtocolChoice::MahiMahi4 { leaders: 2 },
     ] {
-        let report = Simulation::new(config_of(options, protocol)).run();
+        let report = Simulation::new(config_of(options, protocol)?).run();
         println!("{}", report.table_row());
     }
+    Ok(())
 }
 
-fn cluster(options: &HashMap<String, String>) {
-    let nodes = get(options, "nodes", 4usize);
-    let txs = get(options, "txs", 100u64);
-    let cluster = LocalCluster::start(nodes, get(options, "seed", 42)).expect("start cluster");
+fn cluster(options: &Options) -> Result<(), String> {
+    let nodes = get(options, "nodes", 4usize)?;
+    let txs = get(options, "txs", 100u64)?;
+    let cluster = LocalCluster::start(nodes, get(options, "seed", 42)?).expect("start cluster");
     println!("started {nodes} validators on localhost; submitting {txs} transactions");
     for id in 0..txs {
         cluster.submit((id % nodes as u64) as usize, Transaction::benchmark(id));
@@ -137,11 +174,12 @@ fn cluster(options: &HashMap<String, String>) {
     }
     println!("{} / {txs} transactions committed", committed.len());
     cluster.stop();
+    Ok(())
 }
 
-fn analyze(options: &HashMap<String, String>) {
-    let f = get(options, "faults", 3u64);
-    let leaders = get(options, "leaders", 2u64);
+fn analyze(options: &Options) -> Result<(), String> {
+    let f = get(options, "faults", 3u64)?;
+    let leaders = get(options, "leaders", 2u64)?;
     let n = 3 * f + 1;
     println!("committee n = {n} (f = {f}), ℓ = {leaders} leader slots per round\n");
     println!(
@@ -176,6 +214,7 @@ fn analyze(options: &HashMap<String, String>) {
             analysis::expected_commit_delays(model)
         );
     }
+    Ok(())
 }
 
 fn help() {
@@ -197,6 +236,13 @@ USAGE:
 mod tests {
     use super::*;
 
+    fn options(pairs: &[(&str, &str)]) -> Options {
+        pairs
+            .iter()
+            .map(|(key, value)| (key.to_string(), value.to_string()))
+            .collect()
+    }
+
     #[test]
     fn options_parse_pairs_and_flags() {
         let options = parse_options(
@@ -205,22 +251,22 @@ mod tests {
                 .map(|s| s.to_string())
                 .collect(),
         );
-        assert_eq!(get(&options, "nodes", 0usize), 10);
+        assert_eq!(get(&options, "nodes", 0usize), Ok(10));
         assert_eq!(options.get("quick").map(String::as_str), Some("true"));
-        assert_eq!(get(&options, "load", 0u64), 500);
-        assert_eq!(get(&options, "missing", 7u64), 7);
+        assert_eq!(get(&options, "load", 0u64), Ok(500));
+        assert_eq!(get(&options, "missing", 7u64), Ok(7));
     }
 
     #[test]
     fn protocol_selection() {
         let mut options = HashMap::new();
         options.insert("protocol".into(), "tusk".into());
-        assert_eq!(protocol_of(&options), ProtocolChoice::Tusk);
+        assert_eq!(protocol_of(&options), Ok(ProtocolChoice::Tusk));
         options.insert("protocol".into(), "mm4".into());
         options.insert("leaders".into(), "3".into());
         assert_eq!(
             protocol_of(&options),
-            ProtocolChoice::MahiMahi4 { leaders: 3 }
+            Ok(ProtocolChoice::MahiMahi4 { leaders: 3 })
         );
     }
 
@@ -230,9 +276,94 @@ mod tests {
         options.insert("nodes".into(), "10".into());
         options.insert("faults".into(), "3".into());
         options.insert("load".into(), "7000".into());
-        let config = config_of(&options, ProtocolChoice::CordialMiners);
+        let config = config_of(&options, ProtocolChoice::CordialMiners).unwrap();
         assert_eq!(config.committee_size, 10);
         assert_eq!(config.behaviors.len(), 3);
         assert_eq!(config.txs_per_second_per_validator, 1000);
+    }
+
+    #[test]
+    fn absent_flags_take_the_documented_defaults() {
+        let none = Options::new();
+        assert_eq!(
+            protocol_of(&none),
+            Ok(ProtocolChoice::MahiMahi5 { leaders: 2 })
+        );
+        let config = config_of(&none, ProtocolChoice::Tusk).unwrap();
+        assert_eq!(config.committee_size, 10);
+        assert!(config.behaviors.is_empty());
+        assert_eq!(config.txs_per_second_per_validator, 1_000);
+        assert_eq!(config.duration, time::from_secs(10));
+        assert_eq!(config.seed, 42);
+        assert!(matches!(config.adversary, AdversaryChoice::None));
+        assert_eq!(run("help", &none), Ok(()));
+    }
+
+    #[test]
+    fn every_accepted_spelling_keeps_its_meaning() {
+        for (name, expected) in [
+            ("mm5", ProtocolChoice::MahiMahi5 { leaders: 2 }),
+            ("mahi-mahi-5", ProtocolChoice::MahiMahi5 { leaders: 2 }),
+            ("mm4", ProtocolChoice::MahiMahi4 { leaders: 2 }),
+            ("mahi-mahi-4", ProtocolChoice::MahiMahi4 { leaders: 2 }),
+            ("cm", ProtocolChoice::CordialMiners),
+            ("cordial-miners", ProtocolChoice::CordialMiners),
+            ("tusk", ProtocolChoice::Tusk),
+        ] {
+            assert_eq!(protocol_of(&options(&[("protocol", name)])), Ok(expected));
+        }
+        let adversary = |name| {
+            config_of(&options(&[("adversary", name)]), ProtocolChoice::Tusk).map(|c| c.adversary)
+        };
+        assert!(matches!(
+            adversary("random"),
+            Ok(AdversaryChoice::RandomSubset { .. })
+        ));
+        assert!(matches!(
+            adversary("rotating"),
+            Ok(AdversaryChoice::RotatingDelay { targets: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn unknown_names_are_errors_not_defaults() {
+        let error = protocol_of(&options(&[("protocol", "mm6")])).unwrap_err();
+        assert!(error.contains("mm6"), "{error}");
+        let error =
+            config_of(&options(&[("adversary", "rotatng")]), ProtocolChoice::Tusk).unwrap_err();
+        assert!(error.contains("rotatng"), "{error}");
+        let error = run("simulat", &Options::new()).unwrap_err();
+        assert!(error.contains("simulat"), "{error}");
+    }
+
+    #[test]
+    fn unparsable_values_are_errors_not_defaults() {
+        let error = config_of(&options(&[("load", "10k")]), ProtocolChoice::Tusk).unwrap_err();
+        assert!(error.contains("--load") && error.contains("10k"), "{error}");
+        assert!(protocol_of(&options(&[("leaders", "two")])).is_err());
+        // A flag given without a value reads as "true": not a number.
+        assert!(config_of(&options(&[("nodes", "true")]), ProtocolChoice::Tusk).is_err());
+        // The error surfaces through every subcommand before it does work.
+        assert!(run("simulate", &options(&[("duration", "1s")])).is_err());
+        assert!(run("compare", &options(&[("seed", "x")])).is_err());
+        assert!(run("cluster", &options(&[("txs", "-1")])).is_err());
+        assert!(run("analyze", &options(&[("faults", "1.5")])).is_err());
+    }
+
+    #[test]
+    fn faults_must_leave_an_honest_validator() {
+        for faults in ["4", "5"] {
+            let error = config_of(
+                &options(&[("nodes", "4"), ("faults", faults)]),
+                ProtocolChoice::Tusk,
+            )
+            .unwrap_err();
+            assert!(error.contains("--faults"), "{error}");
+        }
+        assert!(config_of(
+            &options(&[("nodes", "4"), ("faults", "3")]),
+            ProtocolChoice::Tusk
+        )
+        .is_ok());
     }
 }
