@@ -71,8 +71,9 @@ impl TuskCommitter {
         let support_round = self.propose_round(wave) + 1;
         for candidate in store.blocks_in_slot(slot) {
             let reference = candidate.reference();
-            let supporters =
-                store.authorities_with(support_round, |block| block.parents().contains(&reference));
+            let supporters = store.authorities_with(support_round, |block| {
+                block.parents().any(|p| p == reference)
+            });
             if supporters.len() >= self.committee.validity_threshold() {
                 return Some(Arc::clone(candidate));
             }

@@ -93,7 +93,7 @@ fn main() {
                 for block in store.blocks_at_round(certify) {
                     if let Some(share) = block.coin_share() {
                         if seen.insert(share.index()) {
-                            shares.push(*share);
+                            shares.push(share);
                         }
                     }
                 }

@@ -3,13 +3,20 @@
 //!
 //! Everything expensive about admitting an input — decoding wire bytes,
 //! Schnorr signature checks, coin-share DLEQ proofs, structural block
-//! validation — is stateless: it depends only on the input bytes and the
-//! (fixed) committee. [`AdmissionPipeline`] exploits that by fanning
+//! validation, hashing the transactions it carries — is stateless: it
+//! depends only on the input bytes and the (fixed) committee.
+//! [`AdmissionPipeline`] exploits that by fanning
 //! submissions out to a pool of verify workers and re-sequencing the
 //! results, so verified inputs emerge in exact submission order no matter
 //! how the workers interleave. The sequential apply stage
 //! ([`ValidatorEngine::handle_verified`]) stays deterministic because it
 //! only ever sees that re-sequenced stream.
+//!
+//! The verify stage is where a transaction's bytes are first seen, so it is
+//! where each transaction is hashed, once: the digest travels with the
+//! transaction ([`Transaction::digest`]), and the mempool's dedup, the
+//! client ledger and execution on the consensus thread read it instead of
+//! hashing the payload again.
 //!
 //! Invalid inputs — undecodable frames, blocks with bad signatures or coin
 //! shares, unverifiable evidence — are dropped by the verify stage and
@@ -25,13 +32,14 @@
 //! verification that succeeds changes nothing).
 //!
 //! [`ValidatorEngine::handle`]: crate::engine::ValidatorEngine::handle
+//! [`Transaction::digest`]: mahimahi_types::Transaction::digest
 //! [`ValidatorEngine::handle_verified`]: crate::engine::ValidatorEngine::handle_verified
 
 use crossbeam::channel::{self, Receiver, Sender};
 use mahimahi_crypto::coin::CoinShare;
 use mahimahi_crypto::schnorr::{self, PublicKey, Signature};
 use mahimahi_telemetry::{Stage, StageStats};
-use mahimahi_types::{Block, Committee, Decode, Envelope, Verified};
+use mahimahi_types::{Block, Committee, Decode, Envelope, Transaction, Verified};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -351,12 +359,32 @@ impl Drop for AdmissionPipeline {
 }
 
 fn verify_job(committee: &Committee, job: Job) -> Option<Input> {
-    match job {
+    let input = match job {
         Job::Frame { from, bytes } => {
-            let envelope = Envelope::from_bytes_exact(&bytes).ok()?;
-            verify_input(committee, Input::from_envelope(from, envelope))
+            Input::from_envelope(from, Envelope::from_bytes_exact(&bytes).ok()?)
         }
-        Job::Typed(input) => verify_input(committee, input),
+        Job::Typed(input) => input,
+    };
+    let input = verify_input(committee, input)?;
+    for transaction in carried_transactions(&input) {
+        transaction.digest();
+    }
+    Some(input)
+}
+
+/// The transactions `input` carries: a client batch's, a forward's, or
+/// those of every block in it.
+fn carried_transactions(input: &Input) -> Box<dyn Iterator<Item = &Transaction> + '_> {
+    match input {
+        Input::TxBatchReceived { transactions, .. }
+        | Input::TxForwardReceived { transactions, .. } => Box::new(transactions.iter()),
+        Input::BlockReceived { block, .. } | Input::ProposalReceived { block, .. } => {
+            Box::new(block.transactions().iter())
+        }
+        Input::SyncReply { blocks, .. } => {
+            Box::new(blocks.iter().flat_map(|block| block.transactions()))
+        }
+        _ => Box::new(std::iter::empty()),
     }
 }
 
@@ -428,7 +456,7 @@ fn verify_blocks(committee: &Committee, blocks: Vec<Arc<Block>>) -> Vec<Arc<Bloc
             let public = committee
                 .public_key(block.author())
                 .expect("membership checked structurally");
-            (message.as_slice(), *public, *block.signature())
+            (message.as_slice(), *public, block.signature())
         })
         .collect();
     if let Err(culprits) = schnorr::batch_verify_attributed(&items) {
@@ -448,7 +476,7 @@ fn verify_blocks(committee: &Committee, blocks: Vec<Arc<Block>>) -> Vec<Arc<Bloc
         let shares: Vec<CoinShare> = indices
             .iter()
             .map(|&i| {
-                *blocks[i]
+                blocks[i]
                     .coin_share()
                     .expect("presence checked structurally")
             })
@@ -470,8 +498,11 @@ fn verify_blocks(committee: &Committee, blocks: Vec<Arc<Block>>) -> Vec<Arc<Bloc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mahimahi_dag::DagBuilder;
-    use mahimahi_types::{AuthorityIndex, Encode, TestCommittee, Transaction};
+    use crate::committer::{Committer, CommitterOptions};
+    use crate::engine::{EngineConfig, Output, ValidatorEngine};
+    use mahimahi_crypto::blake2b::blake2b_256;
+    use mahimahi_dag::{BlockSpec, DagBuilder};
+    use mahimahi_types::{AuthorityIndex, Encode, TestCommittee};
 
     fn peer_blocks(setup: &TestCommittee, rounds: usize) -> Vec<Arc<Block>> {
         let mut dag = DagBuilder::new(setup.clone());
@@ -670,6 +701,96 @@ mod tests {
         }
         let block = peer_blocks(&setup, 1)[0].clone();
         assert!(carries_claims(&Input::BlockReceived { from: 1, block }));
+    }
+
+    /// Whatever way a transaction came in, and whichever copy of it a
+    /// reader holds, its digest is the hash of the bytes it points at.
+    fn assert_digest_matches_bytes(transaction: &Transaction) {
+        for copy in [transaction, &transaction.clone()] {
+            assert_eq!(copy.digest(), blake2b_256(copy.as_bytes()));
+        }
+    }
+
+    #[test]
+    fn every_entry_path_carries_the_digest_of_the_bytes_it_points_at() {
+        let setup = TestCommittee::new(4, 11);
+        let batch = |ids: std::ops::Range<u64>| ids.map(Transaction::benchmark).collect::<Vec<_>>();
+        let mut dag = DagBuilder::new(setup.clone());
+        dag.add_round(
+            (0..4)
+                .map(|author| {
+                    BlockSpec::new(author)
+                        .with_transactions(batch(10 * author as u64..10 * author as u64 + 3))
+                })
+                .collect(),
+        );
+        let blocks: Vec<Arc<Block>> = dag
+            .store()
+            .iter()
+            .filter(|b| b.round() == 1)
+            .cloned()
+            .collect();
+
+        // The wire: a client batch, a forward, a block frame and a
+        // multi-block sync reply, through the verify workers.
+        let mut pipeline = AdmissionPipeline::new(
+            AdmissionConfig {
+                verify_workers: 2,
+                queue_bound: 64,
+            },
+            setup.committee().clone(),
+        );
+        for envelope in [
+            Envelope::TxBatch(batch(100..103)),
+            Envelope::TxForward(batch(200..202)),
+            Envelope::Block(blocks[0].clone()),
+            Envelope::Response(blocks[1..].to_vec()),
+        ] {
+            pipeline.submit_frame(1, envelope.to_bytes_vec());
+        }
+        let released = pipeline.flush();
+        assert_eq!(released.len(), 4);
+        let carried: Vec<&Transaction> = released
+            .iter()
+            .flat_map(|input| carried_transactions(input))
+            .collect();
+        // Each view points at exactly the payload that was sent.
+        let sent: Vec<Transaction> = [batch(100..103), batch(200..202)]
+            .into_iter()
+            .flatten()
+            .chain(
+                blocks
+                    .iter()
+                    .flat_map(|block| block.transactions().to_vec()),
+            )
+            .collect();
+        assert_eq!(carried.iter().copied().cloned().collect::<Vec<_>>(), sent);
+        carried.into_iter().for_each(assert_digest_matches_bytes);
+
+        // An own block, built over a pending batch.
+        let mut engine = ValidatorEngine::honest(
+            EngineConfig::new(AuthorityIndex(0), setup.clone()),
+            Box::new(Committer::new(
+                setup.committee().clone(),
+                CommitterOptions::default(),
+            )),
+        );
+        engine.handle(Input::TxBatchReceived {
+            from: 0,
+            transactions: batch(300..305),
+        });
+        let outputs = engine.handle(Input::TimerFired { now: 1 });
+        let own = outputs
+            .iter()
+            .find_map(|output| match output {
+                Output::Broadcast(Envelope::Block(block)) => Some(block),
+                _ => None,
+            })
+            .expect("round 1 is produced");
+        assert_eq!(own.transactions(), &batch(300..305)[..]);
+        own.transactions()
+            .iter()
+            .for_each(assert_digest_matches_bytes);
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub struct Committer {
     /// Memoized decided slots. Sound because the decision rules are stable
     /// over a growing causally-complete DAG (a slot classified commit or
     /// skip never changes — see the stability tests). Undecided slots are
-    /// recomputed on every call.
+    /// recomputed on every call. Only slots from the latest `from_round`
+    /// on are kept: a committed slot's status holds its leader block.
     decided: Mutex<BTreeMap<(Round, usize), LeaderStatus>>,
 }
 
@@ -134,6 +135,9 @@ impl Committer {
         // decided slots come from the memo; only undecided ones recompute.
         let mut statuses: BTreeMap<(Round, usize), LeaderStatus> = BTreeMap::new();
         let mut decided = self.decided.lock();
+        // The sequencer asks from its next round on, which only grows: a
+        // slot below it is never read again.
+        decided.retain(|&(round, _), _| round >= from_round);
         for round in (from_round..=highest).rev() {
             for offset in (0..self.options.leaders_per_round).rev() {
                 let status = match decided.get(&(round, offset)) {
@@ -279,6 +283,29 @@ mod tests {
         let statuses = committer.try_decide(dag.store(), 4);
         assert_eq!(statuses.first().map(LeaderStatus::round), Some(4));
         assert_eq!(statuses.len(), 3); // rounds 4, 5, 6
+    }
+
+    #[test]
+    fn the_memo_keeps_only_slots_from_the_latest_from_round() {
+        // A committed slot's status holds its leader block: a memo of
+        // every slot ever decided would pin every leader block of the run.
+        let setup = TestCommittee::new(4, 3);
+        let committer = committer(&setup, 5, 2);
+        let mut dag = DagBuilder::new(setup);
+        dag.add_full_rounds(30);
+        let all = committer.try_decide(dag.store(), 1);
+        for from_round in [5, 12, 26] {
+            let statuses = committer.try_decide(dag.store(), from_round);
+            let expected: Vec<LeaderStatus> = all
+                .iter()
+                .filter(|status| status.round() >= from_round)
+                .cloned()
+                .collect();
+            assert_eq!(statuses, expected, "the same decisions");
+            let memo = committer.decided.lock();
+            assert!(memo.keys().all(|&(round, _)| round >= from_round));
+            assert_eq!(memo.len(), expected.len());
+        }
     }
 
     #[test]

@@ -55,9 +55,9 @@ impl CoinCache {
         for block in store.blocks_at_round(round) {
             if let Some(share) = block.coin_share() {
                 if !round_verified.contains_key(&share.index())
-                    && committee.coin_public().verify_share(round, share).is_ok()
+                    && committee.coin_public().verify_share(round, &share).is_ok()
                 {
-                    round_verified.insert(share.index(), *share);
+                    round_verified.insert(share.index(), share);
                 }
             }
         }

@@ -378,6 +378,13 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The first byte of a block record. The record is this tag followed
+    /// by the block's encoding — the same bytes as the block's
+    /// [`Envelope::Block`] frame, whose tag is also 1 — so a log can write
+    /// a block record as this byte and the block's retained bytes
+    /// ([`Block::as_bytes`]) without encoding or copying the block.
+    pub const BLOCK_TAG: u8 = 1;
+
     /// Whether this record must reach stable storage before anything the
     /// engine emitted after it leaves the validator — **durability before
     /// dissemination**, the one persistence rule every driver with a log
@@ -400,7 +407,6 @@ impl WalRecord {
     }
 }
 
-const WAL_TAG_BLOCK: u8 = 1;
 const WAL_TAG_EVIDENCE: u8 = 2;
 const WAL_TAG_CHECKPOINT: u8 = 3;
 
@@ -408,7 +414,7 @@ impl Encode for WalRecord {
     fn encode(&self, encoder: &mut Encoder) {
         match self {
             WalRecord::Block(block) => {
-                encoder.put_u8(WAL_TAG_BLOCK);
+                encoder.put_u8(WalRecord::BLOCK_TAG);
                 block.as_ref().encode(encoder);
             }
             WalRecord::Evidence(proof) => {
@@ -432,7 +438,7 @@ impl Encode for WalRecord {
 impl Decode for WalRecord {
     fn decode(decoder: &mut Decoder<'_>) -> Result<Self, CodecError> {
         match decoder.get_u8()? {
-            WAL_TAG_BLOCK => Ok(WalRecord::Block(Block::decode(decoder)?.into_arc())),
+            WalRecord::BLOCK_TAG => Ok(WalRecord::Block(Block::decode(decoder)?.into_arc())),
             WAL_TAG_EVIDENCE => Ok(WalRecord::Evidence(EquivocationProof::decode(decoder)?)),
             WAL_TAG_CHECKPOINT => Ok(WalRecord::Checkpoint {
                 checkpoint: Checkpoint::decode(decoder)?,
@@ -876,17 +882,15 @@ impl ValidatorEngine {
 
     /// Restores a persisted checkpoint: installed if its snapshots match
     /// the signed roots and it advances the local sequence. No quorum is
-    /// required — the record came from this validator's own durable log,
-    /// which is also why a record written before the tree root existed is
-    /// still accepted (see [`Self::install_cut`]). Nothing is archived: the
-    /// snapshot stays in the log it came from.
+    /// required — the record came from this validator's own durable log.
+    /// Nothing is archived: the snapshot stays in the log it came from.
     fn restore_checkpoint(
         &mut self,
         checkpoint: Checkpoint,
         execution: Vec<u8>,
         resume: Vec<u8>,
     ) -> bool {
-        if !self.install_cut(&checkpoint, &execution, &resume, true) {
+        if !self.install_cut(&checkpoint, &execution, &resume) {
             return false;
         }
         self.checkpoints.stand_on(checkpoint, false);
@@ -1067,7 +1071,7 @@ impl ValidatorEngine {
                 for reference in admitted {
                     if let Some(block) = self.store.get(&reference) {
                         for parent in block.parents() {
-                            self.unreferenced.remove(parent);
+                            self.unreferenced.remove(&parent);
                         }
                     }
                     self.unreferenced.insert(reference);
@@ -1194,7 +1198,7 @@ impl ValidatorEngine {
         let Some(first) = self.checkpoints.verify_quorum(&checkpoints).cloned() else {
             return;
         };
-        if !self.install_cut(&first, &execution, &resume, false) {
+        if !self.install_cut(&first, &execution, &resume) {
             return;
         }
         self.checkpoints.stand_on(first.clone(), true);
@@ -1214,30 +1218,16 @@ impl ValidatorEngine {
     /// state-sync adoption and WAL recovery), if it is ahead of the local
     /// sequence and [`CheckpointBook::verify_cut`] accepts its snapshots.
     /// The state is rebuilt from the snapshot beside the live one, which is
-    /// replaced only after the rebuilt root matched the signed one.
-    ///
-    /// `own_log`: the record comes from this validator's own log. A log
-    /// written before the tree root existed signs `blake2b(snapshot)`;
-    /// under the validator's own signature either commitment pins the same
-    /// bytes, so recovery accepts both. A peer's payload gets no such
-    /// latitude.
-    fn install_cut(
-        &mut self,
-        checkpoint: &Checkpoint,
-        execution: &[u8],
-        resume: &[u8],
-        own_log: bool,
-    ) -> bool {
+    /// replaced only after the rebuilt root matched the signed one — the
+    /// tree root, the one commitment a cut signs.
+    fn install_cut(&mut self, checkpoint: &Checkpoint, execution: &[u8], resume: &[u8]) -> bool {
         if !self.is_ahead(checkpoint) {
             return false;
         }
         let Ok(mut state) = self.execution.restore(execution) else {
             return false;
         };
-        let mut root = state.state_root();
-        if own_log && root != checkpoint.state_root() {
-            root = StateRoot(blake2b_256(execution));
-        }
+        let root = state.state_root();
         let Some(snapshot) = CheckpointBook::verify_cut(checkpoint, root, resume) else {
             return false;
         };
@@ -2148,10 +2138,8 @@ mod tests {
         assert!(
             block
                 .parents()
-                .iter()
                 .all(|parent| parent.author != AuthorityIndex(2)),
-            "convicted author referenced: {:?}",
-            block.parents()
+            "convicted author referenced: {block:?}"
         );
         assert_eq!(block.parents().len(), 3);
         assert!(block.verify(setup.committee()).is_ok());
@@ -2198,7 +2186,6 @@ mod tests {
         assert!(
             block
                 .parents()
-                .iter()
                 .any(|parent| parent.author == AuthorityIndex(2)),
             "the validity floor re-admits the convicted parent"
         );
@@ -2838,26 +2825,6 @@ mod tests {
         first.swap_with_slice(second);
         assert!(!fresh.restore_checkpoint(checkpoint.clone(), swapped, resume.clone()));
         assert_eq!(fresh.commit_log_base(), 0, "rejected restores are no-ops");
-
-        // A record written before the tree root signs the hash of the
-        // snapshot bytes. From the validator's own log that is as good a
-        // commitment to the same bytes, and recovers; the state it yields
-        // has the tree root the untampered record signs.
-        let setup = TestCommittee::new(4, 7);
-        let legacy = Checkpoint::sign(
-            AuthorityIndex(0),
-            checkpoint.position(),
-            checkpoint.leader(),
-            StateRoot(blake2b_256(&execution)),
-            checkpoint.resume_digest(),
-            setup.keypair(AuthorityIndex(0)),
-        );
-        let mut tampered = execution.clone();
-        *tampered.last_mut().unwrap() ^= 0xff;
-        assert!(!fresh.restore_checkpoint(legacy.clone(), tampered, resume.clone()));
-        assert!(fresh.restore_checkpoint(legacy, execution, resume));
-        assert_eq!(fresh.state_root(), checkpoint.state_root());
-        assert_eq!(fresh.commit_log_base(), checkpoint.position());
     }
 
     #[test]

@@ -296,7 +296,7 @@ fn appendix_b_commit_sequence_matches_paper() {
         for block in &sub_dag.blocks {
             for parent in block.parents() {
                 assert!(
-                    seen.contains(parent),
+                    seen.contains(&parent),
                     "{} sequenced before its parent {parent}",
                     block.reference()
                 );

@@ -381,7 +381,7 @@ mod tests {
         let r1 = dag.add_full_round();
         let refs = dag.add_round(vec![BlockSpec::new(0).with_parent_authors(vec![1, 2, 3])]);
         let block = dag.store().get(&refs[0]).unwrap();
-        assert_eq!(block.parents()[0], r1[0]);
+        assert_eq!(block.parents().next(), Some(r1[0]));
         assert_eq!(block.parents().len(), 4);
     }
 
@@ -394,7 +394,7 @@ mod tests {
             BlockSpec::new(2).with_explicit_parents(vec![r1[0], r1[1], r1[2], r1[3]])
         ]);
         let block = dag.store().get(&refs[0]).unwrap();
-        assert_eq!(block.parents()[0], r1[2]);
+        assert_eq!(block.parents().next(), Some(r1[2]));
         assert_eq!(block.parents().len(), 4);
     }
 

@@ -183,9 +183,9 @@ impl BlockStore {
         let mut resolved = Vec::with_capacity(block.parents().len());
         let mut missing = Vec::new();
         for parent in block.parents() {
-            match self.by_ref.get(parent) {
+            match self.by_ref.get(&parent) {
                 Some(&index) => resolved.push(index),
-                None if parent.round >= self.gc_cutoff => missing.push(*parent),
+                None if parent.round >= self.gc_cutoff => missing.push(parent),
                 None => {}
             }
         }
@@ -254,7 +254,7 @@ impl BlockStore {
                 let mut resolved = Vec::with_capacity(block.parents().len());
                 let mut complete = true;
                 for reference in block.parents() {
-                    match self.by_ref.get(reference) {
+                    match self.by_ref.get(&reference) {
                         Some(&index) => resolved.push(index),
                         None if reference.round < self.gc_cutoff => {}
                         None => {

@@ -83,7 +83,7 @@ impl BlockStore {
         let mut result = false;
         let mut vote_authors = AuthoritySet::new();
         for parent in certificate.parents() {
-            if self.is_vote(parent, leader) {
+            if self.is_vote(&parent, leader) {
                 vote_authors.insert(parent.author);
                 if vote_authors.len() >= self.quorum_threshold() {
                     result = true;

@@ -7,8 +7,6 @@
 /// A point in (or span of) simulated time, in microseconds.
 pub type Time = u64;
 
-/// One microsecond.
-pub const MICROSECOND: Time = 1;
 /// One millisecond.
 pub const MILLISECOND: Time = 1_000;
 /// One second.

@@ -1,6 +1,18 @@
 //! The node's write-ahead log, with an in-memory index of which records
 //! are still needed.
 //!
+//! # The one format
+//!
+//! The log is a sequence of frames, each `magic ‖ length ‖ CRC-32 ‖
+//! payload` ([`mahimahi_wal`]), and every payload is one [`WalRecord`]
+//! encoding. A block record's payload is [`WalRecord::BLOCK_TAG`] (1)
+//! followed by the block's encoding — byte for byte the block's
+//! `Envelope::Block` wire frame, whose tag is also 1 — and it is appended
+//! as exactly those two slices, the tag and the block's retained bytes
+//! ([`Block::as_bytes`]): the block is neither re-encoded nor copied on
+//! its way to the log. A payload that does not decode as a `WalRecord` is
+//! kept but never replayed.
+//!
 //! Every record the node appends (and, once, every record recovery
 //! replays) is indexed by where its frame sits and what it is. A
 //! checkpoint *marks* what it makes redundant — nothing is read or written:
@@ -37,10 +49,10 @@ pub(crate) enum AnyWal {
 }
 
 impl AnyWal {
-    fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+    fn append_parts(&mut self, parts: &[&[u8]]) -> Result<u64, WalError> {
         match self {
-            AnyWal::File(wal) => wal.append(payload),
-            AnyWal::Memory(wal) => wal.append(payload),
+            AnyWal::File(wal) => wal.append_parts(parts),
+            AnyWal::Memory(wal) => wal.append_parts(parts),
         }
     }
 
@@ -149,11 +161,8 @@ impl NodeLog {
     /// after a torn tail elsewhere in the causal history); evidence records
     /// restore convictions so slashing state survives crashes; a checkpoint
     /// record jumps the execution and sequencer state to its cut, so the
-    /// blocks a compacted log no longer holds are never needed again. Logs
-    /// written before the tagged `WalRecord` framing held raw `Block`
-    /// encodings; fall back to that so an upgraded node never forgets
-    /// rounds it already broadcast (re-producing them under different
-    /// parents would be accidental equivocation).
+    /// blocks a compacted log no longer holds are never needed again. A
+    /// record that does not decode is indexed as unclassified and skipped.
     ///
     /// # Errors
     ///
@@ -181,11 +190,7 @@ impl NodeLog {
             evidence_bytes: 0,
         };
         for record in records {
-            let decoded = WalRecord::from_bytes_exact(&record.payload).or_else(|_| {
-                Block::from_bytes_exact(&record.payload)
-                    .map(|block| WalRecord::Block(block.into_arc()))
-            });
-            let class = match decoded {
+            let class = match WalRecord::from_bytes_exact(&record.payload) {
                 Ok(decoded) => {
                     let class = log.classify(&decoded);
                     engine.restore(decoded);
@@ -207,16 +212,26 @@ impl NodeLog {
     /// The append failed (and was counted). For a durable record the caller
     /// must then send nothing that depends on it — see [`Self::flush`].
     pub(crate) fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        self.append_encoded(&record.to_bytes_vec(), self.classify(record))?;
+        let class = self.classify(record);
+        match record {
+            WalRecord::Block(block) => {
+                self.append_parts(&[&[WalRecord::BLOCK_TAG], block.as_bytes()], class)?;
+            }
+            _ => self.append_parts(&[&record.to_bytes_vec()], class)?,
+        }
         self.pending_sync |= record.is_durable(self.authority);
         Ok(())
     }
 
-    /// Appends the encoding `payload` of a record of class `class`. A
-    /// failed append is counted and leaves the index as it was.
-    fn append_encoded(&mut self, payload: &[u8], class: RecordClass) -> Result<(), WalError> {
-        let offset = self.wal.append(payload).inspect_err(|_| self.errors += 1)?;
-        let frame = FrameRange::new(offset, payload.len());
+    /// Appends a record of class `class` whose encoding is the
+    /// concatenation of `parts`. A failed append is counted and leaves the
+    /// index as it was.
+    fn append_parts(&mut self, parts: &[&[u8]], class: RecordClass) -> Result<(), WalError> {
+        let offset = self
+            .wal
+            .append_parts(parts)
+            .inspect_err(|_| self.errors += 1)?;
+        let frame = FrameRange::new(offset, parts.iter().map(|part| part.len()).sum());
         match class {
             RecordClass::OwnBlock(_) | RecordClass::PeerBlock(_) => self.block_bytes += frame.len,
             RecordClass::Checkpoint { .. } => self.checkpoint_bytes += frame.len,
@@ -554,6 +569,76 @@ mod tests {
         above
     }
 
+    /// Logs `record` as one slice, its whole encoding: the reference a log
+    /// written in parts must equal byte for byte.
+    fn append_whole(wal: &mut mahimahi_wal::MemWal, record: &WalRecord) {
+        wal.append(&record.to_bytes_vec()).unwrap();
+    }
+
+    /// One format, whichever way the bytes were written. A block record is
+    /// its `Envelope::Block` frame, byte for byte, and decodes back to the
+    /// same bytes — for blocks built here, decoded from a wire frame, or
+    /// decoded from a sync reply — and a log written in parts (block
+    /// records as tag and retained bytes) is byte-identical to one written
+    /// a whole encoding at a time, for blocks, evidence and checkpoints.
+    #[test]
+    fn records_written_in_parts_are_the_bytes_of_their_whole_encoding() {
+        use mahimahi_types::Envelope;
+        let setup = TestCommittee::new(4, 17);
+        let built: Vec<Arc<Block>> = blocks_by_round(&setup, 2).concat();
+        let framed: Vec<Arc<Block>> = built
+            .iter()
+            .map(|block| {
+                let frame = Envelope::Block(block.clone()).to_bytes_vec();
+                match Envelope::from_bytes_exact(&frame) {
+                    Ok(Envelope::Block(block)) => block,
+                    other => panic!("a block frame decodes to a block: {other:?}"),
+                }
+            })
+            .collect();
+        let reply = Envelope::Response(built.clone()).to_bytes_vec();
+        let Ok(Envelope::Response(replied)) = Envelope::from_bytes_exact(&reply) else {
+            panic!("a sync reply decodes");
+        };
+        let mut records: Vec<WalRecord> = [built, framed, replied]
+            .concat()
+            .into_iter()
+            .map(WalRecord::Block)
+            .collect();
+        for record in &records {
+            let WalRecord::Block(block) = record else {
+                unreachable!()
+            };
+            let bytes = record.to_bytes_vec();
+            assert_eq!(bytes, Envelope::Block(block.clone()).to_bytes_vec());
+            assert_eq!(bytes[1..], *block.as_bytes());
+            let decoded = WalRecord::from_bytes_exact(&bytes).unwrap();
+            assert_eq!(
+                decoded.to_bytes_vec(),
+                bytes,
+                "decode then encode is the identity"
+            );
+        }
+        let mut ledger = BalanceLedger::new();
+        let round_blocks = blocks_by_round(&setup, 1).remove(0);
+        records.push(WalRecord::Evidence(EquivocationProof::synthetic(
+            &setup,
+            AuthorityIndex(2),
+        )));
+        records.push(checkpoint_record(&setup, &mut ledger, 4, 2, &round_blocks));
+
+        let parted = MemStorage::new();
+        let (mut log, _) = recover(&setup, &parted);
+        let whole = MemStorage::new();
+        let mut plain = Wal::open(whole.clone()).unwrap();
+        for record in &records {
+            log.append(record).unwrap();
+            append_whole(&mut plain, record);
+        }
+        assert_eq!(parted.snapshot(), whole.snapshot());
+        assert_eq!(log.stats().bytes, whole.snapshot().len() as u64);
+    }
+
     /// A twin engine that never crashes is fed seeded interleavings of
     /// blocks and evidence; what it asks to persist — blocks, convictions,
     /// and a checkpoint record at the cuts its log rule picks, several
@@ -633,7 +718,7 @@ mod tests {
                     }
                 }
                 for record in script {
-                    plain.append(&record.to_bytes_vec()).unwrap();
+                    append_whole(&mut plain, &record);
                     log.append(&record).unwrap();
                     if record.is_durable(OWN) {
                         plain.sync().unwrap();
@@ -670,7 +755,7 @@ mod tests {
                         // The peers' blocks the crash tore off are fetched
                         // again, as the synchronizer would.
                         for record in &unsynced {
-                            plain.append(&record.to_bytes_vec()).unwrap();
+                            append_whole(&mut plain, record);
                             log.append(record).unwrap();
                         }
                     }
@@ -712,7 +797,7 @@ mod tests {
         for round in 1..=2_500u64 {
             let mut step = |log: &mut NodeLog, len: u64, class: RecordClass| {
                 let payload = vec![0xab; len as usize];
-                log.append_encoded(&payload, class).unwrap();
+                log.append_parts(&[&payload], class).unwrap();
                 let frame_len = FrameRange::new(0, payload.len()).len;
                 appended += frame_len;
                 records += 1;

@@ -674,10 +674,7 @@ mod tests {
                 .blocks_in_slot(mahimahi_types::Slot::new(round, AuthorityIndex(0)));
             for block in own {
                 assert!(
-                    block
-                        .parents()
-                        .iter()
-                        .all(|p| p.author != AuthorityIndex(3)),
+                    block.parents().all(|p| p.author != AuthorityIndex(3)),
                     "round {round} references the convicted equivocator"
                 );
             }

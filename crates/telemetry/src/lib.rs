@@ -2,8 +2,6 @@
 //!
 //! Every observable quantity in the system flows through this crate:
 //!
-//! - [`Counter`] — a monotonically increasing `u64` (events, bytes,
-//!   transactions).
 //! - [`Gauge`] — an instantaneous `u64` level (queue depths, pool
 //!   occupancy).
 //! - [`Histogram`] — a fixed-bucket log-scale (powers-of-two microseconds)
@@ -17,9 +15,10 @@
 //!
 //! # Design constraints
 //!
-//! The hot path is a single relaxed atomic add: metric handles are `Arc`s
-//! handed out once at registration ([`Registry::counter`] and friends take
-//! a lock; recording never does). The crate has **no dependencies** and
+//! The hot path is a single relaxed atomic operation: metric handles are
+//! `Arc`s handed out once at registration ([`Registry::gauge`] and
+//! [`Registry::histogram`] take a lock; recording never does). The crate
+//! has **no dependencies** and
 //! never reads a clock — all durations are microsecond `u64`s supplied by
 //! the caller, so the deterministic drivers (simulator, loopback cluster)
 //! feed virtual time and the TCP node feeds wall time through the same
@@ -31,7 +30,7 @@ mod registry;
 mod stage;
 mod stats;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKET_COUNT};
+pub use metrics::{Gauge, Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use registry::Registry;
 pub use stage::{Stage, StageSnapshot, StageStats, STAGE_COUNT};
 pub use stats::{LatencySnapshot, LatencyStats};

@@ -1,36 +1,6 @@
-//! The three metric primitives: counters, gauges, log-scale histograms.
+//! The two metric primitives: gauges and log-scale histograms.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonically increasing event count.
-///
-/// Recording is one relaxed atomic add; reads are relaxed loads. The
-/// monotonicity contract is by convention ([`Counter::add`] only adds), not
-/// enforcement — there is no `set`.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `delta`.
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// An instantaneous level (queue depth, pool occupancy, round number).
 #[derive(Debug, Default)]
@@ -353,11 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_basics() {
-        let counter = Counter::new();
-        counter.inc();
-        counter.add(9);
-        assert_eq!(counter.get(), 10);
+    fn gauge_basics() {
         let gauge = Gauge::new();
         gauge.set(7);
         gauge.set_max(3); // lower: no effect

@@ -3,10 +3,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{Gauge, Histogram};
 
 enum Metric {
-    Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
@@ -18,7 +17,7 @@ struct Entry {
 
 /// The name → metric table.
 ///
-/// Registration (`counter`/`gauge`/`histogram`) is get-or-create by name
+/// Registration (`gauge`/`histogram`) is get-or-create by name
 /// under a mutex — a cold path run once per metric at startup. The returned
 /// `Arc` handles are the hot path: recording through them is lock-free.
 /// [`Registry::render_prometheus`] serializes every registered metric in
@@ -31,10 +30,10 @@ struct Entry {
 /// use mahimahi_telemetry::Registry;
 ///
 /// let registry = Registry::new();
-/// let commits = registry.counter("mahimahi_commits_total", "Committed leader slots");
-/// commits.add(3);
+/// let round = registry.gauge("mahimahi_round", "Last produced round");
+/// round.set(3);
 /// let text = registry.render_prometheus();
-/// assert!(text.contains("mahimahi_commits_total 3"));
+/// assert!(text.contains("mahimahi_round 3"));
 /// ```
 #[derive(Default)]
 pub struct Registry {
@@ -45,23 +44,6 @@ impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// Gets or registers the counter `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
-        let mut entries = self.entries.lock().expect("registry poisoned");
-        let entry = entries.entry(name).or_insert_with(|| Entry {
-            help,
-            metric: Metric::Counter(Arc::new(Counter::new())),
-        });
-        match &entry.metric {
-            Metric::Counter(counter) => counter.clone(),
-            _ => panic!("metric {name} registered with a different kind"),
-        }
     }
 
     /// Gets or registers the gauge `name`.
@@ -100,19 +82,14 @@ impl Registry {
     }
 
     /// Serializes every metric in the Prometheus text exposition format
-    /// (version 0.0.4): `# HELP` / `# TYPE` headers, counters and gauges as
-    /// bare samples, histograms as cumulative `_bucket{le=…}` series plus
+    /// (version 0.0.4): `# HELP` / `# TYPE` headers, gauges as bare
+    /// samples, histograms as cumulative `_bucket{le=…}` series plus
     /// `_sum` (seconds) and `_count`.
     pub fn render_prometheus(&self) -> String {
         let entries = self.entries.lock().expect("registry poisoned");
         let mut out = String::new();
         for (name, entry) in entries.iter() {
             match &entry.metric {
-                Metric::Counter(counter) => {
-                    out.push_str(&format!("# HELP {name} {}\n", entry.help));
-                    out.push_str(&format!("# TYPE {name} counter\n"));
-                    out.push_str(&format!("{name} {}\n", counter.get()));
-                }
                 Metric::Gauge(gauge) => {
                     out.push_str(&format!("# HELP {name} {}\n", entry.help));
                     out.push_str(&format!("# TYPE {name} gauge\n"));
@@ -148,10 +125,10 @@ mod tests {
     #[test]
     fn handles_are_shared_by_name() {
         let registry = Registry::new();
-        let a = registry.counter("x_total", "help");
-        let b = registry.counter("x_total", "other help ignored");
-        a.add(2);
-        b.inc();
+        let a = registry.gauge("x_depth", "help");
+        let b = registry.gauge("x_depth", "other help ignored");
+        a.set(2);
+        b.set_max(3);
         assert_eq!(a.get(), 3);
     }
 
@@ -159,7 +136,7 @@ mod tests {
     #[should_panic(expected = "different kind")]
     fn kind_conflicts_are_rejected() {
         let registry = Registry::new();
-        let _ = registry.counter("x", "help");
+        let _ = registry.histogram("x", "help");
         let _ = registry.gauge("x", "help");
     }
 
@@ -167,15 +144,15 @@ mod tests {
     fn exposition_renders_all_kinds_sorted() {
         let registry = Registry::new();
         registry.gauge("b_depth", "queue depth").set(4);
-        registry.counter("a_total", "events").add(7);
+        registry.gauge("a_round", "round").set(7);
         let histogram = registry.histogram("c_seconds", "latency");
         histogram.record(1_500); // 1.5 ms
         let text = registry.render_prometheus();
-        let a = text.find("a_total 7").expect("counter sample");
+        let a = text.find("a_round 7").expect("gauge sample");
         let b = text.find("b_depth 4").expect("gauge sample");
         let c = text.find("c_seconds_bucket").expect("histogram buckets");
         assert!(a < b && b < c, "sorted by name");
-        assert!(text.contains("# TYPE a_total counter"));
+        assert!(text.contains("# TYPE a_round gauge"));
         assert!(text.contains("# TYPE b_depth gauge"));
         assert!(text.contains("# TYPE c_seconds histogram"));
         assert!(text.contains("c_seconds_bucket{le=\"+Inf\"} 1"));

@@ -9,8 +9,29 @@
 //! interpretation (`IsVote`, Algorithm 3) performs a depth-first traversal
 //! following the reference order, starting from the author's own previous
 //! block.
+//!
+//! # A block keeps the bytes it arrived in
+//!
+//! A [`Block`] holds one shared buffer with exactly its canonical encoding.
+//! Its transactions are views into that buffer and its parents are read
+//! from it ([`Block::parents`]), so the decoded form repeats none of the
+//! variable-length parts of the bytes. Each block's bytes are written or
+//! copied once:
+//!
+//! - a decoded block copies exactly its own span out of whatever it is
+//!   decoded from (a wire frame, a sync reply, a log record), so no block
+//!   pins bytes that are not its own and the frame is freed at once. The
+//!   copy runs at memory speed; keeping a single-block frame itself would
+//!   leave long-lived buffers among the transport readers' short-lived
+//!   ones, which costs more resident memory than the copy costs time;
+//! - a block built here ([`BlockBuilder`]) is encoded once, its digest taken
+//!   over that buffer and its transactions re-pointed into it, keeping the
+//!   digests they carried.
+//!
+//! Encoding writes the retained bytes verbatim, so the wire frame, the log
+//! record and the content digest all come from the same bytes.
 
-use mahimahi_crypto::blake2b::{blake2b_256, Blake2b};
+use mahimahi_crypto::blake2b::Blake2b;
 use mahimahi_crypto::coin::{CoinSecret, CoinShare};
 use mahimahi_crypto::schnorr::{Keypair, Signature};
 use mahimahi_crypto::Digest;
@@ -24,6 +45,12 @@ use crate::ids::{AuthorityIndex, Round, Slot};
 use crate::transaction::Transaction;
 
 const DIGEST_DOMAIN: &[u8] = b"mahimahi-block-v1";
+
+/// Bytes of one encoded [`BlockRef`]: round, author, digest.
+const BLOCK_REF_BYTES: usize = 8 + 4 + Digest::LENGTH;
+/// Where a block's encoding counts its parents: after author and round.
+/// The parents follow the count.
+const PARENT_COUNT_AT: usize = 4 + 8;
 
 /// A hash reference to a block: `(author, round, digest)`.
 ///
@@ -92,21 +119,46 @@ impl Decode for BlockRef {
     }
 }
 
+/// A block's parent references in order, read from its encoding (see
+/// [`Block::parents`]).
+#[derive(Clone, Debug)]
+pub struct Parents<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for Parents<'_> {
+    type Item = BlockRef;
+
+    fn next(&mut self) -> Option<BlockRef> {
+        self.0.next().map(|bytes| {
+            BlockRef::from_bytes_exact(bytes).expect("parents are checked when a block is parsed")
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Parents<'_> {}
+
 /// A signed DAG vertex.
 ///
 /// Blocks are immutable once constructed; they are shared widely through
 /// [`Arc`] (see [`Block::into_arc`]). The content digest is computed at
-/// construction and cached in [`Block::reference`].
-#[derive(Clone, PartialEq, Eq)]
+/// construction and cached in [`Block::reference`]. The block's encoding is
+/// retained (see the [module docs](self)); two blocks are equal when their
+/// encodings are.
+#[derive(Clone)]
 pub struct Block {
-    author: AuthorityIndex,
-    round: Round,
-    parents: Vec<BlockRef>,
-    transactions: Vec<Transaction>,
-    coin_share: Option<CoinShare>,
-    signature: Signature,
-    /// Cached `(round, author, digest)`; recomputed on decode.
+    /// Cached `(round, author, digest)`; the digest is computed over
+    /// `bytes`.
     reference: BlockRef,
+    /// Views into `bytes`.
+    transactions: Box<[Transaction]>,
+    /// Exactly this block's encoding. The parents, the coin share and the
+    /// signature are read from it.
+    bytes: Arc<Vec<u8>>,
+    /// Where the coin share's presence byte sits in `bytes`.
+    coin_share_at: u32,
 }
 
 impl Block {
@@ -119,21 +171,7 @@ impl Block {
         // validated structurally); a fixed dummy signature keeps the type
         // uniform.
         let signature = Keypair::from_seed(u64::MAX).sign(b"mahimahi-genesis");
-        let mut block = Block {
-            author: authority,
-            round: 0,
-            parents: Vec::new(),
-            transactions: Vec::new(),
-            coin_share: None,
-            signature,
-            reference: BlockRef {
-                round: 0,
-                author: authority,
-                digest: Digest::ZERO,
-            },
-        };
-        block.reference.digest = block.compute_digest();
-        block
+        Block::assemble(authority, 0, &[], &[], None, |_| signature)
     }
 
     /// All genesis blocks for a committee of `committee_size`.
@@ -145,22 +183,26 @@ impl Block {
 
     /// The block author.
     pub fn author(&self) -> AuthorityIndex {
-        self.author
+        self.reference.author
     }
 
     /// The block round.
     pub fn round(&self) -> Round {
-        self.round
+        self.reference.round
     }
 
     /// The slot `(round, author)` this block occupies.
     pub fn slot(&self) -> Slot {
-        Slot::new(self.round, self.author)
+        self.reference.slot()
     }
 
-    /// Ordered parent references (own previous block first).
-    pub fn parents(&self) -> &[BlockRef] {
-        &self.parents
+    /// Ordered parent references (own previous block first), read from the
+    /// block's encoding.
+    pub fn parents(&self) -> Parents<'_> {
+        let count = &self.bytes[PARENT_COUNT_AT..PARENT_COUNT_AT + 4];
+        let count = u32::from_le_bytes(count.try_into().expect("4 bytes")) as usize;
+        let start = PARENT_COUNT_AT + 4;
+        Parents(self.bytes[start..start + count * BLOCK_REF_BYTES].chunks_exact(BLOCK_REF_BYTES))
     }
 
     /// The transactions carried by this block.
@@ -168,14 +210,23 @@ impl Block {
         &self.transactions
     }
 
-    /// The coin share for this block's round (absent only in genesis).
-    pub fn coin_share(&self) -> Option<&CoinShare> {
-        self.coin_share.as_ref()
+    /// The coin share for this block's round (absent only in genesis),
+    /// read from the block's encoding.
+    pub fn coin_share(&self) -> Option<CoinShare> {
+        let at = self.coin_share_at as usize;
+        (self.bytes[at] == 1).then(|| {
+            let share = &self.bytes[at + 1..at + 1 + CoinShare::LENGTH];
+            CoinShare::from_bytes(share.try_into().expect("32 bytes"))
+                .expect("the coin share is checked when a block is parsed")
+        })
     }
 
-    /// The author's signature over the content digest.
-    pub fn signature(&self) -> &Signature {
-        &self.signature
+    /// The author's signature over the content digest: the last bytes of
+    /// the block's encoding.
+    pub fn signature(&self) -> Signature {
+        let signature = &self.bytes[self.bytes.len() - Signature::LENGTH..];
+        Signature::from_bytes(signature.try_into().expect("16 bytes"))
+            .expect("the signature is checked when a block is parsed")
     }
 
     /// The cached `(round, author, digest)` reference.
@@ -193,6 +244,118 @@ impl Block {
         Arc::new(self)
     }
 
+    /// The block's canonical encoding — the bytes it arrived in, or was
+    /// built as. [`Encode`] writes exactly these.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Parses `bytes`, exactly one block's encoding, into a block that
+    /// keeps them: its transactions become views into `bytes`.
+    fn parse(bytes: Arc<Vec<u8>>) -> Result<Block, CodecError> {
+        let mut decoder = Decoder::new(&bytes);
+        let author = AuthorityIndex(decoder.get_u32()?);
+        let round = decoder.get_u64()?;
+        for _ in 0..decoder.get_u32()? {
+            decoder.get_array::<BLOCK_REF_BYTES>()?;
+        }
+        let tx_count = decoder.get_u32()? as usize;
+        // Every transaction takes at least its length prefix: a count the
+        // input cannot hold never reserves more than the input's size.
+        let mut transactions = Vec::with_capacity(tx_count.min(decoder.remaining() / 4));
+        for _ in 0..tx_count {
+            let len = decoder.get_var_bytes()?.len();
+            transactions.push(Transaction::view(&bytes, decoder.position() - len, len));
+        }
+        let coin_share_at = decoder.position();
+        match decoder.get_u8()? {
+            0 => {}
+            1 => {
+                CoinShare::from_bytes(&decoder.get_array::<32>()?)
+                    .ok_or(CodecError::InvalidValue("coin share"))?;
+            }
+            _ => return Err(CodecError::InvalidValue("coin share discriminant")),
+        }
+        // The content digest covers everything up to the signature, hashed
+        // where it lies.
+        let digest = content_digest(decoder.consumed_since(0));
+        Signature::from_bytes(&decoder.get_array::<16>()?)
+            .ok_or(CodecError::InvalidValue("signature"))?;
+        decoder.finish()?;
+        Ok(Block {
+            reference: BlockRef {
+                round,
+                author,
+                digest,
+            },
+            transactions: transactions.into_boxed_slice(),
+            coin_share_at: u32::try_from(coin_share_at).expect("block encodings are below 4 GiB"),
+            bytes,
+        })
+    }
+
+    /// Writes a block's encoding into a buffer of its own — once — with
+    /// the signature `sign` makes over its content digest, and re-points
+    /// `transactions` into it (their digests, where known, go along).
+    fn assemble(
+        author: AuthorityIndex,
+        round: Round,
+        parents: &[BlockRef],
+        transactions: &[Transaction],
+        coin_share: Option<CoinShare>,
+        sign: impl FnOnce(&Digest) -> Signature,
+    ) -> Block {
+        let first_tx = PARENT_COUNT_AT + 4 + parents.len() * BLOCK_REF_BYTES + 4;
+        let len = first_tx
+            + transactions.iter().map(|tx| 4 + tx.len()).sum::<usize>()
+            + 1
+            + coin_share.map_or(0, |_| CoinShare::LENGTH)
+            + Signature::LENGTH;
+        let mut encoder = Encoder::with_capacity(len);
+        encoder.put_u32(author.0);
+        encoder.put_u64(round);
+        encoder.put_u32(u32::try_from(parents.len()).expect("parent count fits u32"));
+        for parent in parents {
+            parent.encode(&mut encoder);
+        }
+        encoder.put_u32(u32::try_from(transactions.len()).expect("tx count fits u32"));
+        for tx in transactions {
+            encoder.put_var_bytes(tx.as_bytes());
+        }
+        let coin_share_at = encoder.len();
+        match &coin_share {
+            None => encoder.put_u8(0),
+            Some(share) => {
+                encoder.put_u8(1);
+                encoder.put_bytes(&share.to_bytes());
+            }
+        }
+        let digest = content_digest(encoder.as_bytes());
+        let signature = sign(&digest);
+        encoder.put_bytes(&signature.to_bytes());
+        debug_assert_eq!(encoder.len(), len);
+        let bytes = Arc::new(encoder.into_bytes());
+        let mut offset = first_tx;
+        let transactions = transactions
+            .iter()
+            .map(|tx| {
+                let moved = tx.moved_to(&bytes, offset + 4);
+                offset += 4 + tx.len();
+                moved
+            })
+            .collect();
+        Block {
+            reference: BlockRef {
+                round,
+                author,
+                digest,
+            },
+            transactions,
+            bytes,
+            coin_share_at: u32::try_from(coin_share_at).expect("block encodings are below 4 GiB"),
+        }
+    }
+
     fn signing_message(digest: &Digest) -> Vec<u8> {
         let mut message = Vec::with_capacity(DIGEST_DOMAIN.len() + Digest::LENGTH);
         message.extend_from_slice(DIGEST_DOMAIN);
@@ -205,26 +368,6 @@ impl Block {
     /// author's public key.
     pub fn signed_bytes(&self) -> Vec<u8> {
         Self::signing_message(&self.reference.digest)
-    }
-
-    fn compute_digest(&self) -> Digest {
-        let mut encoder = Encoder::new();
-        encoder.put_bytes(DIGEST_DOMAIN);
-        encoder.put_u32(self.author.0);
-        encoder.put_u64(self.round);
-        self.parents.encode(&mut encoder);
-        encoder.put_u32(u32::try_from(self.transactions.len()).expect("tx count fits u32"));
-        for tx in &self.transactions {
-            encoder.put_var_bytes(tx.as_bytes());
-        }
-        match &self.coin_share {
-            None => encoder.put_u8(0),
-            Some(share) => {
-                encoder.put_u8(1);
-                encoder.put_bytes(&share.to_bytes());
-            }
-        }
-        blake2b_256(&encoder.into_bytes())
     }
 
     /// Validates the block against the committee (Section 2.3's validity
@@ -240,10 +383,10 @@ impl Block {
         }
 
         let public_key = committee
-            .public_key(self.author)
+            .public_key(self.author())
             .expect("author existence checked in the prelude");
         let message = Self::signing_message(&self.reference.digest);
-        if public_key.verify(&message, &self.signature).is_err() {
+        if public_key.verify(&message, &self.signature()).is_err() {
             return Err(ValidationError::InvalidSignature);
         }
 
@@ -253,7 +396,7 @@ impl Block {
         let share = self.coin_share_checked()?;
         if committee
             .coin_public()
-            .verify_share(self.round, share)
+            .verify_share(self.round(), &share)
             .is_err()
         {
             return Err(ValidationError::InvalidCoinShare);
@@ -287,12 +430,12 @@ impl Block {
     /// Membership and genesis checks; `Ok(true)` means the block is a
     /// (valid) genesis block with nothing further to verify.
     fn verify_prelude(&self, committee: &Committee) -> Result<bool, ValidationError> {
-        if !committee.exists(self.author) {
-            return Err(ValidationError::UnknownAuthority(self.author));
+        if !committee.exists(self.author()) {
+            return Err(ValidationError::UnknownAuthority(self.author()));
         }
-        if self.round == 0 {
+        if self.round() == 0 {
             // Genesis blocks are fixed by convention.
-            if *self != Block::genesis(self.author) {
+            if *self != Block::genesis(self.author()) {
                 return Err(ValidationError::MalformedGenesis);
             }
             return Ok(true);
@@ -303,25 +446,27 @@ impl Block {
     /// Parent structure: own previous block first, no duplicates, all
     /// older than this block, quorum of distinct authors at round - 1.
     fn verify_parents(&self, committee: &Committee) -> Result<(), ValidationError> {
-        let Some(first) = self.parents.first() else {
+        let (author, round) = (self.author(), self.round());
+        let parents = self.parents();
+        let Some(first) = parents.clone().next() else {
             return Err(ValidationError::MissingParents);
         };
-        if first.author != self.author || first.round != self.round - 1 {
+        if first.author != author || first.round != round - 1 {
             return Err(ValidationError::FirstParentNotOwn);
         }
-        let mut seen = std::collections::HashSet::with_capacity(self.parents.len());
+        let mut seen = std::collections::HashSet::with_capacity(parents.len());
         let mut previous_round_authors = std::collections::HashSet::new();
-        for parent in &self.parents {
-            if parent.round >= self.round {
-                return Err(ValidationError::ParentNotOlder(*parent));
+        for parent in parents {
+            if parent.round >= round {
+                return Err(ValidationError::ParentNotOlder(parent));
             }
             if !committee.exists(parent.author) {
                 return Err(ValidationError::UnknownAuthority(parent.author));
             }
-            if !seen.insert(*parent) {
-                return Err(ValidationError::DuplicateParent(*parent));
+            if !seen.insert(parent) {
+                return Err(ValidationError::DuplicateParent(parent));
             }
-            if parent.round == self.round - 1 {
+            if parent.round == round - 1 {
                 previous_round_authors.insert(parent.author);
             }
         }
@@ -335,11 +480,11 @@ impl Block {
     }
 
     /// Coin-share presence and ownership (not the proof).
-    fn coin_share_checked(&self) -> Result<&CoinShare, ValidationError> {
-        let Some(share) = &self.coin_share else {
+    fn coin_share_checked(&self) -> Result<CoinShare, ValidationError> {
+        let Some(share) = self.coin_share() else {
             return Err(ValidationError::MissingCoinShare);
         };
-        if share.index() != self.author.as_u64() {
+        if share.index() != self.author().as_u64() {
             return Err(ValidationError::ForeignCoinShare);
         }
         Ok(share)
@@ -350,6 +495,46 @@ impl Block {
         self.encoded_len()
     }
 }
+
+/// The content digest: BLAKE2b-256 of the domain separator followed by the
+/// block's encoding up to (not including) the signature.
+fn content_digest(content: &[u8]) -> Digest {
+    let mut hasher = Blake2b::new(Digest::LENGTH);
+    hasher.update(DIGEST_DOMAIN);
+    hasher.update(content);
+    hasher.finalize_digest()
+}
+
+/// Moves `decoder` past one block encoding, checking only that the lengths
+/// fit — so a block inside a larger frame can be copied out as exactly its
+/// own bytes before it is parsed.
+fn skip_encoding(decoder: &mut Decoder<'_>) -> Result<(), CodecError> {
+    decoder.get_u32()?;
+    decoder.get_u64()?;
+    for _ in 0..decoder.get_u32()? {
+        decoder.get_array::<BLOCK_REF_BYTES>()?;
+    }
+    for _ in 0..decoder.get_u32()? {
+        decoder.get_var_bytes()?;
+    }
+    match decoder.get_u8()? {
+        0 => {}
+        1 => {
+            decoder.get_array::<{ CoinShare::LENGTH }>()?;
+        }
+        _ => return Err(CodecError::InvalidValue("coin share discriminant")),
+    }
+    decoder.get_array::<{ Signature::LENGTH }>()?;
+    Ok(())
+}
+
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Block {}
 
 impl fmt::Display for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -363,7 +548,7 @@ impl fmt::Debug for Block {
             f,
             "{}{{parents: {:?}, txs: {}}}",
             self.reference,
-            self.parents,
+            self.parents().collect::<Vec<_>>(),
             self.transactions.len()
         )
     }
@@ -371,86 +556,24 @@ impl fmt::Debug for Block {
 
 impl Encode for Block {
     fn encode(&self, encoder: &mut Encoder) {
-        encoder.put_u32(self.author.0);
-        encoder.put_u64(self.round);
-        self.parents.encode(encoder);
-        encoder.put_u32(u32::try_from(self.transactions.len()).expect("tx count fits u32"));
-        for tx in &self.transactions {
-            encoder.put_var_bytes(tx.as_bytes());
-        }
-        match &self.coin_share {
-            None => encoder.put_u8(0),
-            Some(share) => {
-                encoder.put_u8(1);
-                encoder.put_bytes(&share.to_bytes());
-            }
-        }
-        encoder.put_bytes(&self.signature.to_bytes());
+        encoder.put_bytes(self.as_bytes());
     }
 
     fn encoded_len(&self) -> usize {
-        4 + 8
-            + self.parents.encoded_len()
-            + 4
-            + self
-                .transactions
-                .iter()
-                .map(|tx| 4 + tx.len())
-                .sum::<usize>()
-            + 1
-            + if self.coin_share.is_some() {
-                CoinShare::LENGTH
-            } else {
-                0
-            }
-            + Signature::LENGTH
+        self.as_bytes().len()
     }
 }
 
+/// Decoding copies exactly the block's own span into a buffer of its own,
+/// which the block then keeps (see the [module docs](self)).
 impl Decode for Block {
     fn decode(decoder: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let content_start = decoder.position();
-        let author = AuthorityIndex(decoder.get_u32()?);
-        let round = decoder.get_u64()?;
-        let parents = Vec::<BlockRef>::decode(decoder)?;
-        let tx_count = decoder.get_u32()? as usize;
-        let mut transactions = Vec::with_capacity(tx_count.min(4096));
-        for _ in 0..tx_count {
-            transactions.push(Transaction::new(decoder.get_var_bytes()?.to_vec()));
-        }
-        let coin_share = match decoder.get_u8()? {
-            0 => None,
-            1 => Some(
-                CoinShare::from_bytes(&decoder.get_array::<32>()?)
-                    .ok_or(CodecError::InvalidValue("coin share"))?,
-            ),
-            _ => return Err(CodecError::InvalidValue("coin share discriminant")),
-        };
-        // Zero-copy digest: the wire layout of the content fields (everything
-        // up to the signature) is byte-identical to what `compute_digest`
-        // re-encodes, so hashing the consumed span in place gives the same
-        // content-addressed digest without a second serialization pass.
-        let digest = {
-            let mut hasher = Blake2b::new(Digest::LENGTH);
-            hasher.update(DIGEST_DOMAIN);
-            hasher.update(decoder.consumed_since(content_start));
-            Digest::from_slice(&hasher.finalize()).expect("blake2b-256 output is 32 bytes")
-        };
-        let signature = Signature::from_bytes(&decoder.get_array::<16>()?)
-            .ok_or(CodecError::InvalidValue("signature"))?;
-        Ok(Block {
-            author,
-            round,
-            parents,
-            transactions,
-            coin_share,
-            signature,
-            reference: BlockRef {
-                round,
-                author,
-                digest,
-            },
-        })
+        let start = decoder.position();
+        let mut probe = decoder.clone();
+        skip_encoding(&mut probe)?;
+        let block = Block::parse(Arc::new(probe.consumed_since(start).to_vec()))?;
+        *decoder = probe;
+        Ok(block)
     }
 }
 
@@ -544,23 +667,14 @@ impl BlockBuilder {
         let coin_share = self
             .coin_share_override
             .unwrap_or_else(|| coin_secret.share_for_round(self.round));
-        let mut block = Block {
-            author: self.author,
-            round: self.round,
-            parents: self.parents,
-            transactions: self.transactions,
-            coin_share: Some(coin_share),
-            // Placeholder signature; replaced after the digest is known.
-            signature: keypair.sign(b"placeholder"),
-            reference: BlockRef {
-                round: self.round,
-                author: self.author,
-                digest: Digest::ZERO,
-            },
-        };
-        block.reference.digest = block.compute_digest();
-        block.signature = keypair.sign(&Block::signing_message(&block.reference.digest));
-        block
+        Block::assemble(
+            self.author,
+            self.round,
+            &self.parents,
+            &self.transactions,
+            Some(coin_share),
+            |digest| keypair.sign(&Block::signing_message(digest)),
+        )
     }
 }
 
@@ -633,9 +747,54 @@ impl StdError for ValidationError {}
 mod tests {
     use super::*;
     use crate::committee::TestCommittee;
+    use crate::envelope::Envelope;
+    use mahimahi_crypto::blake2b::blake2b_256;
 
     fn setup() -> TestCommittee {
         TestCommittee::new(4, 42)
+    }
+
+    /// The content digest by its definition: every field re-encoded into a
+    /// fresh buffer, then hashed. Decoded and built blocks hash their
+    /// retained bytes instead and must agree with it.
+    fn reencoded_digest(block: &Block) -> Digest {
+        let mut encoder = Encoder::new();
+        encoder.put_bytes(DIGEST_DOMAIN);
+        encoder.put_u32(block.author().0);
+        encoder.put_u64(block.round());
+        block.parents().collect::<Vec<_>>().encode(&mut encoder);
+        encoder.put_u32(block.transactions.len() as u32);
+        for tx in block.transactions() {
+            encoder.put_var_bytes(tx.as_bytes());
+        }
+        match block.coin_share() {
+            None => encoder.put_u8(0),
+            Some(share) => {
+                encoder.put_u8(1);
+                encoder.put_bytes(&share.to_bytes());
+            }
+        }
+        blake2b_256(&encoder.into_bytes())
+    }
+
+    /// `block`'s fields with `edit` applied, re-encoded under `signature`
+    /// (or the original one): the shape of a tampered block.
+    fn reassemble(
+        block: &Block,
+        edit: impl FnOnce(&mut Vec<Transaction>, &mut Option<CoinShare>),
+        signature: impl FnOnce(&Digest) -> Signature,
+    ) -> Block {
+        let mut transactions = block.transactions.to_vec();
+        let mut coin_share = block.coin_share();
+        edit(&mut transactions, &mut coin_share);
+        Block::assemble(
+            block.author(),
+            block.round(),
+            &block.parents().collect::<Vec<_>>(),
+            &transactions,
+            coin_share,
+            signature,
+        )
     }
 
     fn genesis_parents(author: AuthorityIndex) -> Vec<BlockRef> {
@@ -687,8 +846,13 @@ mod tests {
     #[test]
     fn tampered_genesis_rejected() {
         let setup = setup();
-        let mut genesis = Block::genesis(AuthorityIndex(0));
-        genesis.transactions.push(Transaction::benchmark(0));
+        let genesis = Block::genesis(AuthorityIndex(0));
+        let signature = genesis.signature();
+        let genesis = reassemble(
+            &genesis,
+            |transactions, _| transactions.push(Transaction::benchmark(0)),
+            |_| signature,
+        );
         assert_eq!(
             genesis.verify(setup.committee()),
             Err(ValidationError::MalformedGenesis)
@@ -698,9 +862,13 @@ mod tests {
     #[test]
     fn signature_covers_content() {
         let setup = setup();
-        let mut block = valid_block(&setup, 0);
-        block.transactions.push(Transaction::benchmark(7));
-        block.reference.digest = block.compute_digest();
+        let block = valid_block(&setup, 0);
+        let signature = block.signature();
+        let block = reassemble(
+            &block,
+            |transactions, _| transactions.push(Transaction::benchmark(7)),
+            |_| signature,
+        );
         assert_eq!(
             block.verify(setup.committee()),
             Err(ValidationError::InvalidSignature)
@@ -811,12 +979,15 @@ mod tests {
     #[test]
     fn missing_coin_share_rejected() {
         let setup = setup();
-        let mut block = valid_block(&setup, 0);
-        block.coin_share = None;
-        block.reference.digest = block.compute_digest();
-        block.signature = setup
-            .keypair(AuthorityIndex(0))
-            .sign(&Block::signing_message(&block.reference.digest));
+        let block = reassemble(
+            &valid_block(&setup, 0),
+            |_, coin_share| *coin_share = None,
+            |digest| {
+                setup
+                    .keypair(AuthorityIndex(0))
+                    .sign(&Block::signing_message(digest))
+            },
+        );
         assert_eq!(
             block.verify(setup.committee()),
             Err(ValidationError::MissingCoinShare)
@@ -835,13 +1006,37 @@ mod tests {
         assert_eq!(decoded.verify(setup.committee()), Ok(()));
     }
 
+    /// What every block must satisfy however it came to be: its bytes are
+    /// its encoding and its wire frame's body, decoding them gives it back
+    /// with the same bytes, and its digest is the re-encoding digest.
+    fn assert_retained_bytes_are_canonical(block: &Block) {
+        let bytes = block.to_bytes_vec();
+        assert_eq!(bytes, block.as_bytes());
+        assert_eq!(block.encoded_len(), bytes.len());
+        let frame = Envelope::Block(Arc::new(block.clone())).to_bytes_vec();
+        assert_eq!(frame[1..], bytes[..]);
+        let decoded = Block::from_bytes_exact(&bytes).unwrap();
+        assert_eq!(decoded.to_bytes_vec(), bytes);
+        assert_eq!(decoded, *block);
+        assert_eq!(block.digest(), reencoded_digest(block));
+        assert_eq!(decoded.digest(), reencoded_digest(block));
+        assert!(decoded.parents().eq(block.parents()));
+        assert_eq!(decoded.parents().len(), block.parents().count());
+        for tx in block.transactions() {
+            assert_eq!(tx.digest(), blake2b_256(tx.as_bytes()));
+        }
+    }
+
     #[test]
     fn decoded_digest_matches_reencoded_digest() {
-        // The decode path hashes the consumed wire span in place; this pins
-        // it to the canonical re-encoding digest, including the no-tx /
-        // no-coin-share genesis layout and a multi-transaction block.
+        // Built blocks hash the buffer they are encoded into once; decoded
+        // ones hash the span they arrived in. Both are pinned to the
+        // re-encoding digest — for the no-tx / no-coin-share genesis
+        // layout, a one- and a many-transaction block — whichever way the
+        // bytes came: built, a single-block wire frame, a multi-block
+        // reply. Each decoded block holds a copy of exactly its own bytes.
         let setup = setup();
-        let blocks = [
+        let built = [
             Block::genesis(AuthorityIndex(1)),
             valid_block(&setup, 2),
             BlockBuilder::new(AuthorityIndex(0), 1)
@@ -849,11 +1044,92 @@ mod tests {
                 .transactions((0..5).map(Transaction::benchmark))
                 .build(&setup),
         ];
-        for block in blocks {
-            let decoded = Block::from_bytes_exact(&block.to_bytes_vec()).unwrap();
-            assert_eq!(decoded.digest(), block.compute_digest());
-            assert_eq!(decoded.digest(), decoded.compute_digest());
+        let reply = Envelope::Response(built.iter().cloned().map(Arc::new).collect());
+        let Ok(Envelope::Response(replied)) = Envelope::from_bytes_exact(&reply.to_bytes_vec())
+        else {
+            panic!("a sync reply decodes");
+        };
+        for (block, replied) in built.iter().zip(replied) {
+            assert_retained_bytes_are_canonical(block);
+            let frame = Envelope::Block(Arc::new(block.clone())).to_bytes_vec();
+            let Ok(Envelope::Block(framed)) = Envelope::from_bytes_exact(&frame) else {
+                panic!("a block frame decodes");
+            };
+            for decoded in [framed, replied] {
+                assert_eq!(decoded.bytes.len(), block.encoded_len(), "its own bytes");
+                assert_retained_bytes_are_canonical(&decoded);
+            }
         }
+    }
+
+    #[test]
+    fn parents_are_read_from_the_encoding_in_order() {
+        let setup = setup();
+        let parents = genesis_parents(AuthorityIndex(3));
+        let block = BlockBuilder::new(AuthorityIndex(3), 1)
+            .parents(parents.clone())
+            .build(&setup);
+        let decoded = Block::from_bytes_exact(&block.to_bytes_vec()).unwrap();
+        for block in [&block, &decoded] {
+            assert_eq!(block.parents().collect::<Vec<_>>(), parents);
+            assert_eq!(block.parents().len(), parents.len());
+        }
+        assert_eq!(Block::genesis(AuthorityIndex(0)).parents().len(), 0);
+        assert_eq!(decoded.coin_share(), block.coin_share());
+        assert_eq!(decoded.signature(), block.signature());
+        assert_eq!(Block::genesis(AuthorityIndex(0)).coin_share(), None);
+    }
+
+    #[test]
+    fn a_block_holds_its_reference_its_views_and_its_bytes() {
+        // Everything else is read from the bytes: a block pays for its
+        // retained encoding by repeating none of it.
+        assert!(std::mem::size_of::<Block>() <= 80);
+    }
+
+    #[test]
+    fn a_built_block_keeps_the_digests_its_transactions_carried() {
+        let setup = setup();
+        let transactions: Vec<Transaction> = (0..3).map(Transaction::benchmark).collect();
+        let carried: Vec<Digest> = transactions.iter().map(Transaction::digest).collect();
+        let block = BlockBuilder::new(AuthorityIndex(0), 1)
+            .parents(genesis_parents(AuthorityIndex(0)))
+            .transactions(transactions)
+            .build(&setup);
+        for (tx, digest) in block.transactions().iter().zip(&carried) {
+            assert_eq!(
+                tx.carried_digest(),
+                Some(*digest),
+                "carried, not recomputed"
+            );
+            assert_eq!(*digest, blake2b_256(tx.as_bytes()), "and still right");
+        }
+        // The views point into the block's own buffer.
+        let base = block.bytes.as_ptr() as usize;
+        for tx in block.transactions() {
+            let at = tx.as_bytes().as_ptr() as usize;
+            assert!(base <= at && at + tx.len() <= base + block.bytes.len());
+        }
+    }
+
+    #[test]
+    fn malformed_encodings_are_errors() {
+        let setup = setup();
+        let bytes = valid_block(&setup, 1).to_bytes_vec();
+        for cut in 0..bytes.len() {
+            assert!(Block::from_bytes_exact(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(
+            Block::from_bytes_exact(&longer).unwrap_err(),
+            CodecError::TrailingBytes(1)
+        );
+        // A block inside a longer input takes only its own span.
+        let mut decoder = Decoder::new(&longer);
+        let block = Block::decode(&mut decoder).unwrap();
+        assert_eq!(block.as_bytes(), &bytes[..]);
+        assert_eq!(decoder.remaining(), 1);
     }
 
     #[test]

@@ -55,6 +55,19 @@ impl Encoder {
         Self::default()
     }
 
+    /// Creates an empty encoder that can take `capacity` bytes without
+    /// reallocating.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Encoder {
+            buffer: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// The bytes encoded so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buffer
+    }
+
     /// Consumes the encoder and returns the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buffer
@@ -98,7 +111,10 @@ impl Encoder {
 }
 
 /// Deserializer: reads canonical bytes from a slice with bounds checking.
-#[derive(Debug)]
+///
+/// Cloning a decoder is free and lets a caller look ahead: walk the clone
+/// over a value, then adopt it (or drop it) to move on.
+#[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     input: &'a [u8],
     position: usize,

@@ -111,6 +111,8 @@ pub enum Envelope {
     TxForward(Vec<Transaction>),
 }
 
+/// Also the tag of a block record in the validator's write-ahead log, so a
+/// `Block` frame and a block's log record are the same bytes.
 const TAG_BLOCK: u8 = 1;
 const TAG_REQUEST: u8 = 2;
 const TAG_RESPONSE: u8 = 3;
@@ -267,6 +269,8 @@ fn decode_tx_list(decoder: &mut Decoder<'_>) -> Result<Vec<Transaction>, CodecEr
         if payload.len() > MAX_TX_WIRE_BYTES {
             return Err(CodecError::LengthOverflow(payload.len() as u64));
         }
+        // Copied out, one buffer per transaction: a pending transaction
+        // must pin only its own bytes, which are what the mempool counts.
         transactions.push(Transaction::new(payload.to_vec()));
     }
     Ok(transactions)

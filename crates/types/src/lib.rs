@@ -41,7 +41,7 @@ pub mod receipt;
 pub mod transaction;
 pub mod verified;
 
-pub use block::{Block, BlockBuilder, BlockRef, ValidationError};
+pub use block::{Block, BlockBuilder, BlockRef, Parents, ValidationError};
 pub use checkpoint::{Checkpoint, CheckpointError, StateRoot};
 pub use codec::{CodecError, Decode, Decoder, Encode, Encoder};
 pub use committee::{Committee, TestCommittee};

@@ -14,6 +14,12 @@
 //! └────────────┴───────────┴───────────┴─────────────┘
 //! ```
 //!
+//! The CRC covers the payload. A payload may be appended as several slices
+//! ([`Wal::append_parts`]): the checksum streams over them and the storage
+//! writes header and slices in one vectored write, so a record held in
+//! pieces — a tag and a block's retained bytes — is never copied into one
+//! buffer first. [`Wal::append`] is the one-slice case.
+//!
 //! Recovery scans from the start and stops at the first invalid frame — a
 //! torn write at the tail (the common crash case) truncates back to the last
 //! durable record and never corrupts the prefix (property-tested).
@@ -33,12 +39,12 @@ use parking_lot::Mutex;
 use std::error::Error as StdError;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crc32::crc32;
+use crc32::{crc32, Crc32};
 
 const MAGIC: u32 = 0x4d41_4849; // "MAHI"
 const HEADER_BYTES: usize = 12;
@@ -129,8 +135,8 @@ impl FrameRange {
 /// torn tail), positional reads (used by recovery and by compaction) and
 /// replacing their whole contents in one atomic step (compaction).
 pub trait Storage: Send {
-    /// Appends bytes at the end of the storage.
-    fn append(&mut self, bytes: &[u8]) -> Result<(), WalError>;
+    /// Appends the concatenation of `parts` at the end of the storage.
+    fn append(&mut self, parts: &[&[u8]]) -> Result<(), WalError>;
     /// Reads up to `buf.len()` bytes at `offset`; returns bytes read.
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, WalError>;
     /// Current length in bytes.
@@ -183,9 +189,23 @@ fn sync_parent_dir(path: &Path) -> Result<(), WalError> {
 }
 
 impl Storage for FileStorage {
-    fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+    /// One vectored write for all parts, repeated only if the kernel took
+    /// less than everything.
+    fn append(&mut self, parts: &[&[u8]]) -> Result<(), WalError> {
         self.file.seek(SeekFrom::End(0))?;
-        self.file.write_all(bytes)?;
+        let mut slices: Vec<IoSlice<'_>> = parts.iter().map(|part| IoSlice::new(part)).collect();
+        let mut pending = &mut slices[..];
+        // Skip empty parts up front, so that a write taking zero bytes
+        // always means the file refused them.
+        IoSlice::advance_slices(&mut pending, 0);
+        while !pending.is_empty() {
+            match self.file.write_vectored(pending) {
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+                Ok(written) => IoSlice::advance_slices(&mut pending, written),
+                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(error) => return Err(error.into()),
+            }
+        }
         Ok(())
     }
 
@@ -333,11 +353,14 @@ impl MemStorage {
 }
 
 impl Storage for MemStorage {
-    fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+    fn append(&mut self, parts: &[&[u8]]) -> Result<(), WalError> {
         if self.failing_appends.load(Ordering::SeqCst) {
             return Err(std::io::Error::other("injected append failure").into());
         }
-        self.buffer.lock().extend_from_slice(bytes);
+        let mut buffer = self.buffer.lock();
+        for part in parts {
+            buffer.extend_from_slice(part);
+        }
         Ok(())
     }
 
@@ -477,7 +500,20 @@ impl<S: Storage> Wal<S> {
         Ok(Wal { storage, tail })
     }
 
-    /// Appends a record and returns its offset.
+    /// Appends a record and returns its offset: [`Wal::append_parts`] with
+    /// one part.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the payload exceeds [`MAX_RECORD_BYTES`] or on I/O error.
+    pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+        self.append_parts(&[payload])
+    }
+
+    /// Appends a record whose payload is the concatenation of `parts` and
+    /// returns its offset. The frame is exactly the one [`Wal::append`]
+    /// writes for the concatenated payload; the parts are checksummed and
+    /// written where they lie, never copied into one buffer.
     ///
     /// The record is *framed* immediately but only durable after
     /// [`Wal::sync`].
@@ -485,14 +521,22 @@ impl<S: Storage> Wal<S> {
     /// # Errors
     ///
     /// Fails if the payload exceeds [`MAX_RECORD_BYTES`] or on I/O error.
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        if payload.len() > MAX_RECORD_BYTES {
-            return Err(WalError::RecordTooLarge(payload.len()));
+    pub fn append_parts(&mut self, parts: &[&[u8]]) -> Result<u64, WalError> {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        if len > MAX_RECORD_BYTES {
+            return Err(WalError::RecordTooLarge(len));
         }
+        let mut crc = Crc32::new();
+        for part in parts {
+            crc.update(part);
+        }
+        let header = frame_header(len, crc.finish());
+        let mut frame: Vec<&[u8]> = Vec::with_capacity(1 + parts.len());
+        frame.push(&header);
+        frame.extend_from_slice(parts);
         let offset = self.tail;
-        let frame = frame_record(payload);
         self.storage.append(&frame)?;
-        self.tail += frame.len() as u64;
+        self.tail += (HEADER_BYTES + len) as u64;
         Ok(offset)
     }
 
@@ -548,19 +592,15 @@ impl<S: Storage> Wal<S> {
     }
 }
 
-/// Builds the on-disk frame for one payload: header (magic, length, CRC)
-/// followed by the payload bytes.
-fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
-    frame.extend_from_slice(&MAGIC.to_le_bytes());
-    frame.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("payload length checked against MAX_RECORD_BYTES")
-            .to_le_bytes(),
-    );
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+/// The header of a frame whose payload is `len` bytes with checksum `crc`:
+/// magic, length, CRC.
+fn frame_header(len: usize, crc: u32) -> [u8; HEADER_BYTES] {
+    let len = u32::try_from(len).expect("payload length checked against MAX_RECORD_BYTES");
+    let mut header = [0u8; HEADER_BYTES];
+    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4..8].copy_from_slice(&len.to_le_bytes());
+    header[8..12].copy_from_slice(&crc.to_le_bytes());
+    header
 }
 
 /// Streams the frames `keep` from `source` into `sink`, verbatim and in the
@@ -648,6 +688,65 @@ mod tests {
         let storage = MemStorage::new();
         let wal = Wal::open(storage.clone()).unwrap();
         (wal, storage)
+    }
+
+    /// The whole on-disk frame of one payload, built by hand.
+    fn frame_record(payload: &[u8]) -> Vec<u8> {
+        let mut frame = frame_header(payload.len(), crc32(payload)).to_vec();
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn a_record_in_parts_is_framed_exactly_like_its_concatenation() {
+        let payloads: [&[&[u8]]; 5] = [
+            &[],
+            &[b""],
+            &[b"\x01", b"block bytes"],
+            &[b"a", b"", b"bc", b"defghijklmnop"],
+            &[&[7u8; 1000], &[9u8; 3]],
+        ];
+        let (mut whole, whole_storage) = mem_wal();
+        let (mut parted, parted_storage) = mem_wal();
+        let mut expected = Vec::new();
+        for parts in payloads {
+            let payload = parts.concat();
+            expected.extend(frame_record(&payload));
+            assert_eq!(
+                whole.append(&payload).unwrap(),
+                parted.append_parts(parts).unwrap()
+            );
+        }
+        assert_eq!(whole_storage.snapshot(), expected);
+        assert_eq!(parted_storage.snapshot(), expected);
+        assert_eq!(whole.tail(), parted.tail());
+        let half = vec![0u8; MAX_RECORD_BYTES / 2 + 1];
+        assert!(matches!(
+            parted.append_parts(&[&half[..], &half[..]]),
+            Err(WalError::RecordTooLarge(_))
+        ));
+        assert_eq!(
+            parted_storage.snapshot(),
+            expected,
+            "a refused record writes nothing"
+        );
+    }
+
+    #[test]
+    fn file_backed_parts_reach_the_file_in_order() {
+        let dir = scratch_dir("parts");
+        let path = dir.join("parts.wal");
+        let big = vec![0x5au8; 3 * COPY_BUFFER_BYTES + 11];
+        {
+            let mut wal = FileWal::open_path(&path).unwrap();
+            wal.append_parts(&[b"\x01", &big[..], b"tail"]).unwrap();
+            wal.sync().unwrap();
+        }
+        let mut expected = vec![1u8];
+        expected.extend_from_slice(&big);
+        expected.extend_from_slice(b"tail");
+        assert_eq!(std::fs::read(&path).unwrap(), frame_record(&expected));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

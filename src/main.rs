@@ -20,43 +20,77 @@ use std::time::Duration;
 
 type Options = HashMap<String, String>;
 
+/// What a subcommand runs, given its options.
+type Subcommand = fn(&Options) -> Result<(), String>;
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_else(|| "help".to_string());
-    let options = parse_options(args.collect());
-    if let Err(message) = run(&command, &options) {
+    let outcome = parse_options(args.collect()).and_then(|options| run(&command, &options));
+    if let Err(message) = outcome {
         eprintln!("mahi-mahi: {message}");
         std::process::exit(2);
     }
 }
 
-/// Dispatches one subcommand. An `Err` is a usage error: `main` prints it
-/// to stderr and exits 2 rather than running something the user did not
-/// ask for.
+/// The flags `simulate` reads; `compare` reads these but for the protocol
+/// choice, since it runs all four systems.
+const SIMULATE_FLAGS: &[&str] = &[
+    "protocol",
+    "leaders",
+    "nodes",
+    "faults",
+    "load",
+    "duration",
+    "seed",
+    "adversary",
+];
+const COMPARE_FLAGS: &[&str] = &["nodes", "faults", "load", "duration", "seed", "adversary"];
+const CLUSTER_FLAGS: &[&str] = &["nodes", "txs", "seed"];
+const ANALYZE_FLAGS: &[&str] = &["faults", "leaders"];
+
+/// Dispatches one subcommand. An `Err` is a usage error — an unknown
+/// subcommand, a flag the subcommand does not read, a value that does not
+/// parse — which `main` prints to stderr and exits 2 on, rather than
+/// running something the user did not ask for.
 fn run(command: &str, options: &Options) -> Result<(), String> {
-    match command {
-        "simulate" => simulate(options),
-        "compare" => compare(options),
-        "cluster" => cluster(options),
-        "analyze" => analyze(options),
-        "help" | "--help" | "-h" => {
-            help();
-            Ok(())
+    let (action, flags): (Subcommand, &[&str]) = match command {
+        "simulate" => (simulate, SIMULATE_FLAGS),
+        "compare" => (compare, COMPARE_FLAGS),
+        "cluster" => (cluster, CLUSTER_FLAGS),
+        "analyze" => (analyze, ANALYZE_FLAGS),
+        "help" | "--help" | "-h" => (help, &[]),
+        unknown => {
+            return Err(format!(
+                "unknown subcommand {unknown:?} (see `mahi-mahi help`)"
+            ))
         }
-        unknown => Err(format!(
-            "unknown subcommand {unknown:?} (see `mahi-mahi help`)"
-        )),
+    };
+    let mut unknown: Vec<&str> = options
+        .keys()
+        .map(String::as_str)
+        .filter(|key| !flags.contains(key))
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort_unstable();
+        return Err(format!(
+            "{command} does not take --{} (see `mahi-mahi help`)",
+            unknown.join(", --")
+        ));
     }
+    action(options)
 }
 
-/// Parses `--key value` pairs; bare flags get the value `"true"`.
-fn parse_options(raw: Vec<String>) -> Options {
+/// Parses `--key value` pairs; bare flags get the value `"true"`. An
+/// argument that is neither a flag nor a flag's value is an error.
+fn parse_options(raw: Vec<String>) -> Result<Options, String> {
     let mut options = HashMap::new();
     let mut iter = raw.into_iter().peekable();
     while let Some(token) = iter.next() {
         let Some(key) = token.strip_prefix("--") else {
-            eprintln!("ignoring stray argument {token:?}");
-            continue;
+            return Err(format!(
+                "unexpected argument {token:?} (see `mahi-mahi help`)"
+            ));
         };
         let value = match iter.peek() {
             Some(next) if !next.starts_with("--") => iter.next().expect("peeked"),
@@ -64,7 +98,7 @@ fn parse_options(raw: Vec<String>) -> Options {
         };
         options.insert(key.to_string(), value);
     }
-    options
+    Ok(options)
 }
 
 /// The value of `--key`, or `default` when the flag is absent. A value that
@@ -217,7 +251,7 @@ fn analyze(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn help() {
+fn help(_: &Options) -> Result<(), String> {
     println!(
         "mahi-mahi — reproduction of the Mahi-Mahi asynchronous BFT consensus paper
 
@@ -230,6 +264,7 @@ USAGE:
   mahi-mahi analyze  [--faults F] [--leaders L]  closed-form models
 "
     );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -250,7 +285,8 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
-        );
+        )
+        .unwrap();
         assert_eq!(get(&options, "nodes", 0usize), Ok(10));
         assert_eq!(options.get("quick").map(String::as_str), Some("true"));
         assert_eq!(get(&options, "load", 0u64), Ok(500));
@@ -348,6 +384,54 @@ mod tests {
         assert!(run("compare", &options(&[("seed", "x")])).is_err());
         assert!(run("cluster", &options(&[("txs", "-1")])).is_err());
         assert!(run("analyze", &options(&[("faults", "1.5")])).is_err());
+    }
+
+    fn args(raw: &[&str]) -> Vec<String> {
+        raw.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_read_is_an_error_naming_it() {
+        // A misspelt flag must not fall back to the default protocol.
+        let misspelled = parse_options(args(&["--protocl", "mm4", "--nodes", "4"])).unwrap();
+        let error = run("simulate", &misspelled).unwrap_err();
+        assert!(error.contains("--protocl"), "{error}");
+        // Every subcommand refuses a flag it does not read, naming each.
+        for command in ["simulate", "compare", "cluster", "analyze", "help"] {
+            let error = run(command, &options(&[("bogus", "1"), ("also", "2")])).unwrap_err();
+            assert!(error.contains("--also, --bogus"), "{command}: {error}");
+        }
+        // Flags one subcommand reads are unknown to another.
+        assert!(run("compare", &options(&[("protocol", "mm4")])).is_err());
+        assert!(run("analyze", &options(&[("nodes", "4")])).is_err());
+        assert!(run("cluster", &options(&[("load", "10")])).is_err());
+        // The lists name exactly what each subcommand reads: every listed
+        // flag with a bad value fails on parsing, not as unknown.
+        for (command, flags) in [
+            ("simulate", SIMULATE_FLAGS),
+            ("compare", COMPARE_FLAGS),
+            ("cluster", CLUSTER_FLAGS),
+            ("analyze", ANALYZE_FLAGS),
+        ] {
+            for flag in flags {
+                let error = run(command, &options(&[(flag, "x")])).unwrap_err();
+                assert!(
+                    !error.contains("does not take"),
+                    "{command} --{flag}: {error}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_positional_argument_is_an_error_naming_it() {
+        let error = parse_options(args(&["--nodes", "4", "extra", "--load", "5"])).unwrap_err();
+        assert!(error.contains("\"extra\""), "{error}");
+        let error = parse_options(args(&["mm4"])).unwrap_err();
+        assert!(error.contains("\"mm4\""), "{error}");
+        // A value that looks numeric, even negative, is a flag's value.
+        let options = parse_options(args(&["--txs", "-1"])).unwrap();
+        assert_eq!(options.get("txs").map(String::as_str), Some("-1"));
     }
 
     #[test]
