@@ -17,7 +17,7 @@
 use mahimahi_core::{CoinElector, LeaderElector, LeaderStatus, ProtocolCommitter};
 use mahimahi_dag::BlockStore;
 use mahimahi_types::{Block, Committee, Round, Slot};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -38,9 +38,10 @@ impl Default for CordialMinersOptions {
 pub struct CordialMinersCommitter {
     committee: Committee,
     options: CordialMinersOptions,
-    elector: Arc<dyn LeaderElector>,
-    /// Memoized decided waves (decisions are stable; see `mahimahi-core`).
-    decided: Mutex<HashMap<u64, LeaderStatus>>,
+    elector: Box<dyn LeaderElector>,
+    /// Memoized decided waves (decisions are stable; see `mahimahi-core`),
+    /// from the latest first wave asked on.
+    decided: RefCell<HashMap<u64, LeaderStatus>>,
 }
 
 impl CordialMinersCommitter {
@@ -50,7 +51,7 @@ impl CordialMinersCommitter {
     ///
     /// Panics if `wave_length < 3`.
     pub fn new(committee: Committee, options: CordialMinersOptions) -> Self {
-        Self::with_elector(committee, options, Arc::new(CoinElector::new()))
+        Self::with_elector(committee, options, Box::new(CoinElector::new()))
     }
 
     /// Creates a committer with a custom election strategy (tests).
@@ -61,14 +62,14 @@ impl CordialMinersCommitter {
     pub fn with_elector(
         committee: Committee,
         options: CordialMinersOptions,
-        elector: Arc<dyn LeaderElector>,
+        elector: Box<dyn LeaderElector>,
     ) -> Self {
         assert!(options.wave_length >= 3, "waves need at least 3 rounds");
         CordialMinersCommitter {
             committee,
             options,
             elector,
-            decided: Mutex::new(HashMap::new()),
+            decided: RefCell::default(),
         }
     }
 
@@ -149,7 +150,11 @@ impl ProtocolCommitter for CordialMinersCommitter {
 
         // Decide from the highest wave down so the recursive rule can use
         // later statuses as anchors. Decided waves come from the memo.
-        let mut decided = self.decided.lock();
+        let mut decided = self.decided.borrow_mut();
+        // The sequencer asks from its next round on, which only grows: a
+        // wave below the first one asked, and its coin, is never read again.
+        decided.retain(|&wave, _| wave >= first_wave);
+        self.elector.forget_below(self.propose_round(first_wave));
         let mut statuses: HashMap<u64, LeaderStatus> = HashMap::new();
         for wave in (first_wave..=last_wave).rev() {
             let round = self.propose_round(wave);
@@ -220,6 +225,30 @@ mod tests {
     }
 
     #[test]
+    fn the_memo_keeps_only_waves_from_the_latest_first_wave() {
+        // A committed wave's status holds its leader block: a memo of every
+        // wave ever decided would pin every leader block of the run.
+        let setup = TestCommittee::new(4, 17);
+        let committer = committer(&setup);
+        let mut dag = DagBuilder::new(setup);
+        dag.add_full_rounds(30);
+        let all = committer.try_decide(dag.store(), 1);
+        for from_round in [5, 12, 26] {
+            let statuses = committer.try_decide(dag.store(), from_round);
+            let expected: Vec<LeaderStatus> = all
+                .iter()
+                .filter(|status| status.round() >= from_round)
+                .cloned()
+                .collect();
+            assert_eq!(statuses, expected, "the same decisions");
+            let first_wave = (from_round - 1).div_ceil(5);
+            let memo = committer.decided.borrow();
+            assert!(memo.keys().all(|&wave| wave >= first_wave));
+            assert_eq!(memo.len(), expected.len());
+        }
+    }
+
+    #[test]
     fn no_direct_skip_crashed_leader_stays_undecided_until_next_wave() {
         let setup = TestCommittee::new(4, 17);
         let committee = setup.committee().clone();
@@ -235,7 +264,7 @@ mod tests {
         let committer = CordialMinersCommitter::with_elector(
             committee,
             CordialMinersOptions::default(),
-            Arc::new(elector),
+            Box::new(elector),
         );
         // DAG up to round 8: wave 0 decidable (certify 5), wave 1 not
         // (certify 10 missing). Mahi-Mahi would skip v3 directly; Cordial
@@ -314,7 +343,7 @@ mod tests {
         let committer = CordialMinersCommitter::with_elector(
             committee,
             CordialMinersOptions::default(),
-            Arc::new(elector),
+            Box::new(elector),
         );
         let statuses = committer.try_decide(dag.store(), 1);
         assert!(matches!(&statuses[0], LeaderStatus::Commit(block)

@@ -26,7 +26,7 @@
 use mahimahi_core::{CoinElector, LeaderElector, LeaderStatus, ProtocolCommitter};
 use mahimahi_dag::BlockStore;
 use mahimahi_types::{Block, Committee, Round, Slot};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -36,23 +36,24 @@ pub const TUSK_WAVE_LENGTH: u64 = 3;
 /// The Tusk committer.
 pub struct TuskCommitter {
     committee: Committee,
-    elector: Arc<dyn LeaderElector>,
-    /// Memoized decided waves (decisions are stable; see `mahimahi-core`).
-    decided: Mutex<HashMap<u64, LeaderStatus>>,
+    elector: Box<dyn LeaderElector>,
+    /// Memoized decided waves (decisions are stable; see `mahimahi-core`),
+    /// from the latest first wave asked on.
+    decided: RefCell<HashMap<u64, LeaderStatus>>,
 }
 
 impl TuskCommitter {
     /// Creates a committer electing leaders through the common coin.
     pub fn new(committee: Committee) -> Self {
-        Self::with_elector(committee, Arc::new(CoinElector::new()))
+        Self::with_elector(committee, Box::new(CoinElector::new()))
     }
 
     /// Creates a committer with a custom election strategy (tests).
-    pub fn with_elector(committee: Committee, elector: Arc<dyn LeaderElector>) -> Self {
+    pub fn with_elector(committee: Committee, elector: Box<dyn LeaderElector>) -> Self {
         TuskCommitter {
             committee,
             elector,
-            decided: Mutex::new(HashMap::new()),
+            decided: RefCell::default(),
         }
     }
 
@@ -119,7 +120,11 @@ impl ProtocolCommitter for TuskCommitter {
             return Vec::new();
         }
 
-        let mut decided = self.decided.lock();
+        let mut decided = self.decided.borrow_mut();
+        // The sequencer asks from its next round on, which only grows: a
+        // wave below the first one asked, and its coin, is never read again.
+        decided.retain(|&wave, _| wave >= first_wave);
+        self.elector.forget_below(self.propose_round(first_wave));
         let mut statuses: HashMap<u64, LeaderStatus> = HashMap::new();
         for wave in (first_wave..=last_wave).rev() {
             let round = self.propose_round(wave);
@@ -185,6 +190,30 @@ mod tests {
     }
 
     #[test]
+    fn the_memo_keeps_only_waves_from_the_latest_first_wave() {
+        // A committed wave's status holds its leader block: a memo of every
+        // wave ever decided would pin every leader block of the run.
+        let setup = TestCommittee::new(4, 19);
+        let committer = TuskCommitter::new(setup.committee().clone());
+        let mut dag = DagBuilder::new(setup);
+        dag.add_full_rounds(30);
+        let all = committer.try_decide(dag.store(), 1);
+        for from_round in [5, 12, 26] {
+            let statuses = committer.try_decide(dag.store(), from_round);
+            let expected: Vec<LeaderStatus> = all
+                .iter()
+                .filter(|status| status.round() >= from_round)
+                .cloned()
+                .collect();
+            assert_eq!(statuses, expected, "the same decisions");
+            let first_wave = (from_round - 1).div_ceil(TUSK_WAVE_LENGTH);
+            let memo = committer.decided.borrow();
+            assert!(memo.keys().all(|&wave| wave >= first_wave));
+            assert_eq!(memo.len(), expected.len());
+        }
+    }
+
+    #[test]
     fn direct_commit_needs_only_validity_quorum() {
         let setup = TestCommittee::new(4, 19);
         let committee = setup.committee().clone();
@@ -200,7 +229,7 @@ mod tests {
         ]);
         dag.add_full_round();
         let elector = FixedElector::new().assign(1, 0, 3);
-        let committer = TuskCommitter::with_elector(committee, Arc::new(elector));
+        let committer = TuskCommitter::with_elector(committee, Box::new(elector));
         let statuses = committer.try_decide(dag.store(), 1);
         // v3@1 has f + 1 = 2 direct supporters (v0, v1... plus v3 itself):
         // commit.
@@ -218,7 +247,7 @@ mod tests {
             dag.add_round_producers(&[0, 1, 2]);
         }
         let elector = FixedElector::new().assign(1, 0, 3).assign(4, 0, 1);
-        let committer = TuskCommitter::with_elector(committee, Arc::new(elector));
+        let committer = TuskCommitter::with_elector(committee, Box::new(elector));
         // Rounds 1..5: wave 0 (reveal 3) decidable, wave 1 (reveal 6) not.
         let statuses = committer.try_decide(dag.store(), 1);
         assert_eq!(statuses.len(), 1);
@@ -236,7 +265,7 @@ mod tests {
             dag.add_round_producers(&[0, 1, 2]);
         }
         let elector = FixedElector::new().assign(1, 0, 3).assign(4, 0, 1);
-        let committer = TuskCommitter::with_elector(committee, Arc::new(elector));
+        let committer = TuskCommitter::with_elector(committee, Box::new(elector));
         let statuses = committer.try_decide(dag.store(), 1);
         // Wave 0's slot (v3@1) is empty: no direct commit possible; wave 1
         // (v1@4) commits directly; the recursive rule then skips wave 0.
@@ -285,7 +314,7 @@ mod tests {
         // v3's own chain.
         dag.add_full_rounds(5);
         let elector = FixedElector::new().assign(1, 0, 3).assign(4, 0, 0);
-        let committer = TuskCommitter::with_elector(committee, Arc::new(elector));
+        let committer = TuskCommitter::with_elector(committee, Box::new(elector));
         let statuses = committer.try_decide(dag.store(), 1);
         assert!(statuses.len() >= 2);
         // Wave 1 commits directly; wave 0's leader commits recursively.

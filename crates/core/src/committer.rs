@@ -3,9 +3,8 @@
 
 use mahimahi_dag::BlockStore;
 use mahimahi_types::{Committee, Round};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::decider::{Decision, WaveDecider};
 use crate::election::{CoinElector, LeaderElector};
@@ -56,13 +55,13 @@ impl CommitterOptions {
 pub struct Committer {
     committee: Committee,
     options: CommitterOptions,
-    elector: Arc<dyn LeaderElector>,
+    elector: Box<dyn LeaderElector>,
     /// Memoized decided slots. Sound because the decision rules are stable
     /// over a growing causally-complete DAG (a slot classified commit or
     /// skip never changes — see the stability tests). Undecided slots are
     /// recomputed on every call. Only slots from the latest `from_round`
     /// on are kept: a committed slot's status holds its leader block.
-    decided: Mutex<BTreeMap<(Round, usize), LeaderStatus>>,
+    decided: RefCell<BTreeMap<(Round, usize), LeaderStatus>>,
 }
 
 impl Committer {
@@ -74,7 +73,7 @@ impl Committer {
     /// Panics if `wave_length < 3` or if `leaders_per_round` is zero or
     /// exceeds the committee size.
     pub fn new(committee: Committee, options: CommitterOptions) -> Self {
-        Self::with_elector(committee, options, Arc::new(CoinElector::new()))
+        Self::with_elector(committee, options, Box::new(CoinElector::new()))
     }
 
     /// Creates a committer with a custom election strategy (conformance
@@ -86,7 +85,7 @@ impl Committer {
     pub fn with_elector(
         committee: Committee,
         options: CommitterOptions,
-        elector: Arc<dyn LeaderElector>,
+        elector: Box<dyn LeaderElector>,
     ) -> Self {
         assert!(options.wave_length >= 3, "waves need at least 3 rounds");
         assert!(
@@ -97,7 +96,7 @@ impl Committer {
             committee,
             options,
             elector,
-            decided: Mutex::new(BTreeMap::new()),
+            decided: RefCell::default(),
         }
     }
 
@@ -134,10 +133,12 @@ impl Committer {
         // (round, offset) → status, filled from the top down. Previously
         // decided slots come from the memo; only undecided ones recompute.
         let mut statuses: BTreeMap<(Round, usize), LeaderStatus> = BTreeMap::new();
-        let mut decided = self.decided.lock();
+        let mut decided = self.decided.borrow_mut();
         // The sequencer asks from its next round on, which only grows: a
-        // slot below it is never read again.
+        // slot below it is never read again, nor a coin below its certify
+        // round.
         decided.retain(|&(round, _), _| round >= from_round);
+        self.elector.forget_below(from_round);
         for round in (from_round..=highest).rev() {
             for offset in (0..self.options.leaders_per_round).rev() {
                 let status = match decided.get(&(round, offset)) {
@@ -302,9 +303,13 @@ mod tests {
                 .cloned()
                 .collect();
             assert_eq!(statuses, expected, "the same decisions");
-            let memo = committer.decided.lock();
+            let memo = committer.decided.borrow();
             assert!(memo.keys().all(|&(round, _)| round >= from_round));
             assert_eq!(memo.len(), expected.len());
+            // Coins are memoized by certify round: none below the cut.
+            let coins = committer.elector.memoized_rounds();
+            assert!(!coins.is_empty());
+            assert!(coins.iter().all(|&round| round >= from_round), "{coins:?}");
         }
     }
 

@@ -10,24 +10,26 @@ use mahimahi_dag::BlockStore;
 #[cfg(test)]
 use mahimahi_types::AuthorityIndex;
 use mahimahi_types::{Block, Committee, Round, Slot};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Shared, memoized reconstruction of per-round coin values.
+/// Memoized reconstruction of per-round coin values.
 ///
 /// The combined value is independent of which `2f + 1` valid shares are
 /// used (the threshold property), so caching by round is sound even as more
-/// blocks arrive.
+/// blocks arrive — and so is forgetting a round: recomputing it gives the
+/// same value. `RefCell`s because the committer that owns it belongs to one
+/// thread.
 #[derive(Debug, Default)]
 pub(crate) struct CoinCache {
-    values: Mutex<HashMap<Round, CoinValue>>,
+    values: RefCell<HashMap<Round, CoinValue>>,
     /// Shares already verified per open round, by author index. Until a
     /// round's coin opens, `coin_for_round` is re-queried on every commit
     /// attempt; without this memo each query would redo the DLEQ
     /// verification (group exponentiations) for every share in view.
     /// Dropped once the round's value is cached.
-    verified: Mutex<HashMap<Round, HashMap<u64, CoinShare>>>,
+    verified: RefCell<HashMap<Round, HashMap<u64, CoinShare>>>,
 }
 
 impl CoinCache {
@@ -40,7 +42,7 @@ impl CoinCache {
         store: &BlockStore,
         round: Round,
     ) -> Option<CoinValue> {
-        if let Some(value) = self.values.lock().get(&round) {
+        if let Some(value) = self.values.borrow().get(&round) {
             return Some(*value);
         }
         // Deduplicate by author (equivocating blocks carry the same share)
@@ -50,7 +52,7 @@ impl CoinCache {
         // share must be skipped, never allowed to panic the node or poison
         // the combination. Each author's share is verified at most once per
         // round (memoized across calls).
-        let mut verified = self.verified.lock();
+        let mut verified = self.verified.borrow_mut();
         let round_verified = verified.entry(round).or_default();
         for block in store.blocks_at_round(round) {
             if let Some(share) = block.coin_share() {
@@ -65,13 +67,32 @@ impl CoinCache {
             return None;
         }
         let shares: Vec<CoinShare> = round_verified.values().copied().collect();
-        drop(verified);
         // The shares were verified above, so this cannot fail; if it ever
         // does, an unopened coin (retry next call) beats a crashed node.
         let value = committee.coin_public().combine(round, &shares).ok()?;
-        self.values.lock().insert(round, value);
-        self.verified.lock().remove(&round);
+        self.values.borrow_mut().insert(round, value);
+        verified.remove(&round);
         Some(value)
+    }
+
+    /// Forgets every round below `round`.
+    pub fn forget_below(&self, round: Round) {
+        self.values
+            .borrow_mut()
+            .retain(|&cached, _| cached >= round);
+        self.verified
+            .borrow_mut()
+            .retain(|&cached, _| cached >= round);
+    }
+
+    /// The rounds holding a value or verified shares, ascending.
+    #[cfg(test)]
+    pub fn rounds(&self) -> Vec<Round> {
+        let mut rounds: Vec<Round> = self.values.borrow().keys().copied().collect();
+        rounds.extend(self.verified.borrow().keys());
+        rounds.sort_unstable();
+        rounds.dedup();
+        rounds
     }
 }
 

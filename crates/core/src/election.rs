@@ -14,8 +14,9 @@ use std::fmt::Debug;
 
 use crate::decider::CoinCache;
 
-/// Strategy determining which authority owns a leader slot.
-pub trait LeaderElector: Send + Sync + Debug {
+/// Strategy determining which authority owns a leader slot. Each committer
+/// owns its elector, so an elector may memoize without locking.
+pub trait LeaderElector: Send + Debug {
     /// The authority elected for `(propose_round, offset)`, or `None` if the
     /// election cannot be determined yet (e.g. the coin has not opened).
     ///
@@ -41,6 +42,16 @@ pub trait LeaderElector: Send + Sync + Debug {
     ) -> Option<Slot> {
         self.elect(committee, store, certify_round, propose_round, offset)
             .map(|authority| Slot::new(propose_round, authority))
+    }
+
+    /// Drops whatever was memoized for rounds below `round`: the caller
+    /// never asks about a certify round below it again.
+    fn forget_below(&self, _round: Round) {}
+
+    /// The rounds the elector holds memoized state for, ascending.
+    #[cfg(test)]
+    fn memoized_rounds(&self) -> Vec<Round> {
+        Vec::new()
     }
 }
 
@@ -72,6 +83,15 @@ impl LeaderElector for CoinElector {
         Some(AuthorityIndex(
             coin.leader_slot(offset, committee.size()) as u32
         ))
+    }
+
+    fn forget_below(&self, round: Round) {
+        self.coins.forget_below(round);
+    }
+
+    #[cfg(test)]
+    fn memoized_rounds(&self) -> Vec<Round> {
+        self.coins.rounds()
     }
 }
 

@@ -108,7 +108,7 @@
 //! ```
 
 use mahimahi_crypto::blake2b::blake2b_256;
-use mahimahi_crypto::Digest;
+use mahimahi_crypto::{CoinSecret, Digest, Keypair};
 use mahimahi_dag::{BlockStore, InsertResult};
 use mahimahi_types::{
     AuthorityIndex, AuthoritySet, Block, BlockRef, Checkpoint, CodecError, Committee, Decode,
@@ -455,10 +455,14 @@ impl Decode for WalRecord {
 pub struct EngineConfig {
     /// The authority this engine runs as.
     pub authority: AuthorityIndex,
-    /// Committee provisioning. A production deployment would hand each
-    /// validator only its own secrets; the test committee carries them all
-    /// (the engine uses only its own for signing).
-    pub setup: TestCommittee,
+    /// The public committee: every member's verifying key and the coin's
+    /// public parameters.
+    pub committee: Committee,
+    /// This authority's signing key (blocks and checkpoints).
+    pub keypair: Keypair,
+    /// This authority's share of the global perfect coin, embedded in
+    /// every block it produces.
+    pub coin_secret: CoinSecret,
     /// Whether blocks require certification (consistent broadcast) before
     /// entering the DAG (Tusk).
     pub certified: bool,
@@ -502,11 +506,15 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// An uncertified configuration with no pacing, no GC, and the default
-    /// block capacity — the base every driver specializes.
+    /// block capacity — the base every driver specializes. Takes the public
+    /// committee and `authority`'s own secrets from `setup`; the other
+    /// members' secrets are dropped.
     pub fn new(authority: AuthorityIndex, setup: TestCommittee) -> Self {
         EngineConfig {
             authority,
-            setup,
+            committee: setup.committee().clone(),
+            keypair: setup.keypair(authority).clone(),
+            coin_secret: setup.coin_secret(authority).clone(),
             certified: false,
             mempool: MempoolConfig::default(),
             ingress: IngressConfig::default(),
@@ -642,7 +650,7 @@ impl ValidatorEngine {
         committer: Box<dyn ProtocolCommitter>,
         strategy: Box<dyn ProposerStrategy>,
     ) -> Self {
-        let committee = config.setup.committee().clone();
+        let committee = config.committee.clone();
         let mut sequencer = CommitSequencer::new(committer);
         if let Some(depth) = config.gc_depth {
             sequencer = sequencer.with_gc_depth(depth);
@@ -906,7 +914,7 @@ impl ValidatorEngine {
     }
 
     fn committee(&self) -> &Committee {
-        self.config.setup.committee()
+        &self.config.committee
     }
 
     /// The local DAG.
@@ -1043,7 +1051,7 @@ impl ValidatorEngine {
             return true;
         }
         self.signature_checks += 1;
-        if block.verify(self.config.setup.committee()).is_err() {
+        if block.verify(&self.config.committee).is_err() {
             return false;
         }
         self.mark_verified(block);
@@ -1252,7 +1260,7 @@ impl ValidatorEngine {
     fn emit_checkpoint(&mut self, snapshot: SequencerSnapshot, outputs: &mut Vec<Output>) {
         let resume = snapshot.to_bytes_vec();
         let checkpoint = self.checkpoints.sign_own(
-            self.config.setup.keypair(self.config.authority),
+            &self.config.keypair,
             snapshot.position,
             self.execution.state_root(),
             blake2b_256(&resume),

@@ -109,16 +109,15 @@ impl ProposeCtx<'_> {
     /// variants. Every built variant is registered for own-transaction
     /// commit accounting.
     pub fn build(&mut self, tag: Option<u64>) -> Arc<Block> {
-        let authority = self.engine.config.authority;
-        let setup = &self.engine.config.setup;
-        let mut builder = BlockBuilder::new(authority, self.round)
+        let config = &self.engine.config;
+        let mut builder = BlockBuilder::new(config.authority, self.round)
             .parents(self.parents.clone())
             .transactions(self.transactions.iter().cloned());
         if let Some(tag) = tag {
             builder = builder.transaction(Transaction::new(tag.to_le_bytes().to_vec()));
         }
         let block = builder
-            .build_with(setup.keypair(authority), setup.coin_secret(authority))
+            .build_with(&config.keypair, &config.coin_secret)
             .into_arc();
         self.engine
             .clients

@@ -12,8 +12,9 @@ use mahimahi_types::{Committee, Round};
 use crate::committer::Committer;
 use crate::status::LeaderStatus;
 
-/// A consensus commit rule over a shared [`BlockStore`].
-pub trait ProtocolCommitter: Send + Sync {
+/// A consensus commit rule over a shared [`BlockStore`]. A committer
+/// belongs to the one thread that sequences, so its memos need no lock.
+pub trait ProtocolCommitter: Send {
     /// The committee decided for.
     fn committee(&self) -> &Committee;
 
@@ -56,21 +57,6 @@ impl ProtocolCommitter for Committer {
 }
 
 impl<T: ProtocolCommitter + ?Sized> ProtocolCommitter for Box<T> {
-    fn committee(&self) -> &Committee {
-        (**self).committee()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn try_decide(&self, store: &BlockStore, from_round: Round) -> Vec<LeaderStatus> {
-        (**self).try_decide(store, from_round)
-    }
-    fn delays_per_round(&self) -> u64 {
-        (**self).delays_per_round()
-    }
-}
-
-impl<T: ProtocolCommitter + ?Sized> ProtocolCommitter for std::sync::Arc<T> {
     fn committee(&self) -> &Committee {
         (**self).committee()
     }

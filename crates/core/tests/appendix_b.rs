@@ -25,7 +25,6 @@ use mahimahi_core::{
 };
 use mahimahi_dag::{BlockSpec, DagBuilder};
 use mahimahi_types::{AuthorityIndex, BlockRef, Slot, TestCommittee};
-use std::sync::Arc;
 
 /// Block references for the handcrafted DAG, indexed `[round][position]`.
 struct FigureTwo {
@@ -143,8 +142,8 @@ fn build_figure_two(max_round: u64) -> FigureTwo {
 }
 
 /// The paper's (implicit) leader elections: two slots per round.
-fn elector() -> Arc<FixedElector> {
-    Arc::new(
+fn elector() -> Box<FixedElector> {
+    Box::new(
         FixedElector::new()
             .assign(1, 0, 0) // L1a = v0@1
             .assign(1, 1, 1) // L1b = v1@1

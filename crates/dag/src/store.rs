@@ -3,7 +3,7 @@
 use mahimahi_types::{
     AuthorityIndex, AuthoritySet, Block, BlockRef, DigestKeyed, EquivocationProof, Round, Slot,
 };
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error as StdError;
 use std::fmt;
@@ -105,11 +105,12 @@ pub struct BlockStore {
     waiters: HashMap<BlockRef, Vec<BlockRef>, DigestKeyed>,
     /// Memoized `VotedBlock` results: (vote block, target slot) → voted
     /// block (if any). Sound because a stored block's causal history is
-    /// immutable. Interior mutability keeps traversals `&self`.
-    pub(crate) vote_cache: Mutex<HashMap<(BlockIdx, Slot), Option<BlockIdx>, DigestKeyed>>,
+    /// immutable. Interior mutability keeps traversals `&self`; a `RefCell`
+    /// because the store belongs to one thread (it is `Send`, not `Sync`).
+    pub(crate) vote_cache: RefCell<HashMap<(BlockIdx, Slot), Option<BlockIdx>, DigestKeyed>>,
     /// Memoized `IsCert` results: (certificate block, leader block) → bool.
     /// Sound for the same reason: both blocks' histories are immutable.
-    pub(crate) cert_cache: Mutex<HashMap<(BlockIdx, BlockIdx), bool, DigestKeyed>>,
+    pub(crate) cert_cache: RefCell<HashMap<(BlockIdx, BlockIdx), bool, DigestKeyed>>,
     /// Equivocation proofs emitted at admission and not yet collected
     /// ([`BlockStore::take_equivocation_evidence`]). One proof per slot —
     /// emitted the moment the *second* digest lands; further forks in the
@@ -133,8 +134,8 @@ impl BlockStore {
             gc_cutoff: 0,
             pending: HashMap::default(),
             waiters: HashMap::default(),
-            vote_cache: Mutex::new(HashMap::default()),
-            cert_cache: Mutex::new(HashMap::default()),
+            vote_cache: RefCell::default(),
+            cert_cache: RefCell::default(),
             fresh_evidence: Vec::new(),
         };
         for genesis in Block::all_genesis(committee_size) {
@@ -467,8 +468,8 @@ impl BlockStore {
         });
         // Memo caches are keyed by dense indexes: cleared wholesale (they
         // re-warm within a round).
-        self.vote_cache.lock().clear();
-        self.cert_cache.lock().clear();
+        self.vote_cache.get_mut().clear();
+        self.cert_cache.get_mut().clear();
         before - self.blocks.len()
     }
 

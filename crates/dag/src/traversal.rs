@@ -36,7 +36,7 @@ impl BlockStore {
         if slot.round >= stored.block.round() {
             return None;
         }
-        if let Some(&cached) = self.vote_cache.lock().get(&(index, slot)) {
+        if let Some(&cached) = self.vote_cache.borrow().get(&(index, slot)) {
             return cached;
         }
         let mut result = None;
@@ -51,7 +51,7 @@ impl BlockStore {
                 break;
             }
         }
-        self.vote_cache.lock().insert((index, slot), result);
+        self.vote_cache.borrow_mut().insert((index, slot), result);
         result
     }
 
@@ -73,7 +73,7 @@ impl BlockStore {
             self.index_of(&leader.reference()),
         ) {
             (Some(cert_index), Some(leader_index)) => {
-                if let Some(&cached) = self.cert_cache.lock().get(&(cert_index, leader_index)) {
+                if let Some(&cached) = self.cert_cache.borrow().get(&(cert_index, leader_index)) {
                     return cached;
                 }
                 Some((cert_index, leader_index))
@@ -92,7 +92,7 @@ impl BlockStore {
             }
         }
         if let Some(key) = key {
-            self.cert_cache.lock().insert(key, result);
+            self.cert_cache.borrow_mut().insert(key, result);
         }
         result
     }

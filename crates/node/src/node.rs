@@ -29,6 +29,7 @@ use mahimahi_core::{
     AdmissionConfig, AdmissionPipeline, CommittedSubDag, Committer, CommitterOptions, EvidencePool,
     IngressConfig, MempoolConfig, Output, TxIntegrityReport, ValidatorEngine, WalRecord,
 };
+use mahimahi_crypto::{CoinSecret, Keypair};
 use mahimahi_dag::BlockStore;
 use mahimahi_telemetry::{Gauge, Histogram, Registry, Stage, StageSnapshot, StageStats};
 use mahimahi_transport::Transport;
@@ -37,12 +38,11 @@ use mahimahi_types::{
     Verified,
 };
 use mahimahi_wal::{FileWal, MemStorage, Wal};
-use parking_lot::Mutex;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,10 +60,13 @@ pub type RecordedStep = (Input, String);
 pub struct NodeConfig {
     /// This node's authority index.
     pub authority: AuthorityIndex,
-    /// Committee provisioning. A production deployment would hand each node
-    /// only its own secrets; the test committee carries them all (the node
-    /// uses only its own).
-    pub setup: TestCommittee,
+    /// The public committee: every member's verifying key and the coin's
+    /// public parameters.
+    pub committee: Committee,
+    /// This node's signing key.
+    pub keypair: Keypair,
+    /// This node's share of the global perfect coin.
+    pub coin_secret: CoinSecret,
     /// Committer parameters (wave length, leaders per round).
     pub options: CommitterOptions,
     /// Write-ahead log path; `None` uses a volatile in-memory log.
@@ -128,11 +131,15 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// A sensible localhost configuration.
+    /// A sensible localhost configuration for member `authority` of
+    /// `setup`, keeping only its own secrets.
     pub fn local(authority: u32, setup: TestCommittee) -> Self {
+        let authority = AuthorityIndex(authority);
         NodeConfig {
-            authority: AuthorityIndex(authority),
-            setup,
+            authority,
+            committee: setup.committee().clone(),
+            keypair: setup.keypair(authority).clone(),
+            coin_secret: setup.coin_secret(authority).clone(),
             options: CommitterOptions::default(),
             wal_path: None,
             mempool: MempoolConfig {
@@ -155,14 +162,20 @@ impl NodeConfig {
     /// derive from these parameters — public so replay tests can construct
     /// a fresh engine identical to the one a recorded node ran.
     pub fn engine_config(&self) -> EngineConfig {
-        let mut config = EngineConfig::new(self.authority, self.setup.clone());
-        config.mempool = self.mempool;
-        config.ingress = self.ingress;
-        config.min_round_interval = self.min_round_interval.as_micros() as EngineTime;
-        config.inclusion_wait = self.inclusion_wait.as_micros() as EngineTime;
-        config.gc_depth = self.gc_depth;
-        config.checkpoint_interval = self.checkpoint_interval;
-        config
+        EngineConfig {
+            authority: self.authority,
+            committee: self.committee.clone(),
+            keypair: self.keypair.clone(),
+            coin_secret: self.coin_secret.clone(),
+            certified: false,
+            mempool: self.mempool,
+            ingress: self.ingress,
+            inclusion_wait: self.inclusion_wait.as_micros() as EngineTime,
+            min_round_interval: self.min_round_interval.as_micros() as EngineTime,
+            gc_depth: self.gc_depth,
+            halt_from_round: None,
+            checkpoint_interval: self.checkpoint_interval,
+        }
     }
 }
 
@@ -571,7 +584,7 @@ impl NodeHandle {
     pub fn stop_into_trace(mut self) -> Option<Vec<RecordedStep>> {
         self.shutdown();
         let trace = self.trace.take()?;
-        let steps = std::mem::take(&mut *trace.lock());
+        let steps = std::mem::take(&mut *trace.lock().expect("trace poisoned"));
         Some(steps)
     }
 
@@ -625,8 +638,7 @@ impl ValidatorNode {
     ///
     /// Propagates WAL I/O failures.
     pub fn new(config: NodeConfig, transport: Transport) -> Result<Self, mahimahi_wal::WalError> {
-        let committee = config.setup.committee().clone();
-        let committer = Committer::new(committee, config.options);
+        let committer = Committer::new(config.committee.clone(), config.options);
         let mut engine = ValidatorEngine::honest(config.engine_config(), Box::new(committer));
 
         let wal = match &config.wal_path {
@@ -649,7 +661,7 @@ impl ValidatorNode {
             authority: config.authority,
             transport,
             engine,
-            committee: config.setup.committee().clone(),
+            committee: config.committee,
             admission: AdmissionConfig {
                 verify_workers: config.verify_workers,
                 queue_bound: config.verify_queue_bound,
@@ -862,7 +874,10 @@ impl ValidatorNode {
                 .record(started.elapsed().as_micros() as u64);
         }
         if let (Some(trace), Some(recorded)) = (&self.trace, recorded) {
-            trace.lock().push((recorded, format!("{produced:?}")));
+            trace
+                .lock()
+                .expect("trace poisoned")
+                .push((recorded, format!("{produced:?}")));
         }
         outputs.extend(produced);
     }

@@ -202,6 +202,7 @@ impl Simulation {
             .map(|index| {
                 let mut validator = SimValidator::new(
                     config.engine_config(AuthorityIndex::from(index), setup.clone()),
+                    &setup,
                     config.protocol.committer(setup.committee().clone()),
                     config.behavior_of(index),
                     config.protocol.leader_schedule(),

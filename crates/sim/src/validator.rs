@@ -27,7 +27,8 @@ use mahimahi_core::{
 use mahimahi_dag::BlockStore;
 use mahimahi_net::time::Time;
 use mahimahi_types::{
-    AuthorityIndex, BlockRef, Checkpoint, Envelope, Round, StateRoot, Transaction, TxReceipt,
+    AuthorityIndex, BlockRef, Checkpoint, Envelope, Round, StateRoot, TestCommittee, Transaction,
+    TxReceipt,
 };
 
 use crate::config::{Behavior, LeaderSchedule};
@@ -61,9 +62,11 @@ pub struct SimValidator {
 impl SimValidator {
     /// Creates the validator `config` describes (see
     /// [`SimConfig::engine_config`](crate::config::SimConfig::engine_config)),
-    /// playing `behavior`.
+    /// playing `behavior`. `setup` holds every member's secrets: an
+    /// adversary that anticipates the coin precomputes it from them.
     pub fn new(
         mut config: EngineConfig,
+        setup: &TestCommittee,
         committer: Box<dyn ProtocolCommitter>,
         behavior: Behavior,
         leader_schedule: LeaderSchedule,
@@ -72,7 +75,7 @@ impl SimValidator {
             behavior,
             config.certified,
             config.authority,
-            &config.setup,
+            setup,
             leader_schedule,
         );
         if let Behavior::Crashed { from_round } = behavior {
@@ -287,10 +290,16 @@ mod tests {
         };
         let committer = protocol.committer(setup.committee().clone());
         // No inclusion wait: unit tests drive rounds explicitly.
-        let mut config = EngineConfig::new(AuthorityIndex(authority), setup);
+        let mut config = EngineConfig::new(AuthorityIndex(authority), setup.clone());
         config.certified = certified;
         config.mempool = MempoolConfig::test(10_000, 100);
-        SimValidator::new(config, committer, behavior, protocol.leader_schedule())
+        SimValidator::new(
+            config,
+            &setup,
+            committer,
+            behavior,
+            protocol.leader_schedule(),
+        )
     }
 
     /// Broadcast block actions (the production path most tests inspect).
@@ -634,6 +643,7 @@ mod tests {
                 config.inclusion_wait = 1_000; // hold round 2 open until all of round 1 is here
                 SimValidator::new(
                     config,
+                    &setup,
                     protocol.committer(setup.committee().clone()),
                     Behavior::Honest,
                     protocol.leader_schedule(),

@@ -35,12 +35,11 @@
 //! ```
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -129,7 +128,10 @@ impl Transport {
     /// automatic reconnect). Queued frames survive reconnects.
     pub fn connect(&self, peer: PeerId, addr: SocketAddr) {
         let (tx, rx) = unbounded::<Vec<u8>>();
-        self.peers.lock().insert(peer, tx);
+        self.peers
+            .lock()
+            .expect("queue table poisoned")
+            .insert(peer, tx);
         let id = self.id;
         let shutdown = Arc::clone(&self.shutdown);
         thread::Builder::new()
@@ -147,7 +149,7 @@ impl Transport {
         } else {
             &self.peers
         };
-        if let Some(tx) = registry.lock().get(&peer) {
+        if let Some(tx) = registry.lock().expect("queue table poisoned").get(&peer) {
             let _ = tx.send(frame);
         }
     }
@@ -155,7 +157,7 @@ impl Transport {
     /// Queues `frame` for every connected peer (committee only — client
     /// connections never receive consensus traffic).
     pub fn broadcast(&self, frame: Vec<u8>) {
-        let peers = self.peers.lock();
+        let peers = self.peers.lock().expect("queue table poisoned");
         for tx in peers.values() {
             let _ = tx.send(frame.clone());
         }
@@ -164,8 +166,8 @@ impl Transport {
     /// Signals all threads to stop. Subsequent sends are dropped.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.peers.lock().clear();
-        self.clients.lock().clear();
+        self.peers.lock().expect("queue table poisoned").clear();
+        self.clients.lock().expect("queue table poisoned").clear();
     }
 }
 
@@ -231,7 +233,10 @@ fn reader_loop(
         peer = client_id;
         if let Ok(write_half) = stream.try_clone() {
             let (tx, rx) = unbounded::<Vec<u8>>();
-            clients.lock().insert(client_id, tx);
+            clients
+                .lock()
+                .expect("queue table poisoned")
+                .insert(client_id, tx);
             registered = true;
             let writer_shutdown = Arc::clone(&shutdown);
             thread::Builder::new()
@@ -251,7 +256,10 @@ fn reader_loop(
     if registered {
         // Dropping the queue sender disconnects the writer's receiver,
         // which exits the writer thread.
-        clients.lock().remove(&client_id);
+        clients
+            .lock()
+            .expect("queue table poisoned")
+            .remove(&client_id);
     }
 }
 

@@ -35,14 +35,13 @@
 
 pub mod crc32;
 
-use parking_lot::Mutex;
 use std::error::Error as StdError;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crc32::{crc32, Crc32};
 
@@ -316,14 +315,20 @@ impl MemStorage {
         Self::default()
     }
 
+    /// The shared buffer. A clone that panicked while holding it leaves
+    /// nothing worth reading, so poisoning is that panic again.
+    fn buffer(&self) -> MutexGuard<'_, Vec<u8>> {
+        self.buffer.lock().expect("memory log poisoned")
+    }
+
     /// Copies out the raw bytes (test inspection).
     pub fn snapshot(&self) -> Vec<u8> {
-        self.buffer.lock().clone()
+        self.buffer().clone()
     }
 
     /// Overwrites the raw bytes (test corruption injection).
     pub fn replace(&self, bytes: Vec<u8>) {
-        *self.buffer.lock() = bytes;
+        *self.buffer() = bytes;
     }
 
     /// Makes every append fail (or succeed again) from now on (test fault
@@ -346,7 +351,7 @@ impl MemStorage {
     /// The bytes a crash at this instant would leave behind: everything
     /// appended after the last sync is discarded.
     pub fn durable_snapshot(&self) -> Vec<u8> {
-        let buffer = self.buffer.lock();
+        let buffer = self.buffer();
         let durable = (self.synced_len.load(Ordering::SeqCst) as usize).min(buffer.len());
         buffer[..durable].to_vec()
     }
@@ -357,7 +362,7 @@ impl Storage for MemStorage {
         if self.failing_appends.load(Ordering::SeqCst) {
             return Err(std::io::Error::other("injected append failure").into());
         }
-        let mut buffer = self.buffer.lock();
+        let mut buffer = self.buffer();
         for part in parts {
             buffer.extend_from_slice(part);
         }
@@ -365,7 +370,7 @@ impl Storage for MemStorage {
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, WalError> {
-        let buffer = self.buffer.lock();
+        let buffer = self.buffer();
         let start = (offset as usize).min(buffer.len());
         let end = (start + buf.len()).min(buffer.len());
         buf[..end - start].copy_from_slice(&buffer[start..end]);
@@ -373,11 +378,11 @@ impl Storage for MemStorage {
     }
 
     fn len(&mut self) -> Result<u64, WalError> {
-        Ok(self.buffer.lock().len() as u64)
+        Ok(self.buffer().len() as u64)
     }
 
     fn truncate(&mut self, offset: u64) -> Result<(), WalError> {
-        self.buffer.lock().truncate(offset as usize);
+        self.buffer().truncate(offset as usize);
         self.synced_len.fetch_min(offset, Ordering::SeqCst);
         Ok(())
     }
@@ -387,7 +392,7 @@ impl Storage for MemStorage {
             return Err(std::io::Error::other("injected sync failure").into());
         }
         self.syncs.fetch_add(1, Ordering::SeqCst);
-        let len = self.buffer.lock().len() as u64;
+        let len = self.buffer().len() as u64;
         self.synced_len.store(len, Ordering::SeqCst);
         Ok(())
     }
@@ -397,7 +402,7 @@ impl Storage for MemStorage {
     fn replace_with_frames(&mut self, keep: &[FrameRange]) -> Result<u64, WalError> {
         let mut replacement = Vec::new();
         let len = copy_frames(&mut self.clone(), keep, &mut replacement)?;
-        *self.buffer.lock() = replacement;
+        *self.buffer() = replacement;
         self.synced_len.store(len, Ordering::SeqCst);
         Ok(len)
     }

@@ -154,11 +154,6 @@ pub mod channel {
                 queue = guard;
             }
         }
-
-        /// Blocking iterator until the channel disconnects.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { receiver: self }
-        }
     }
 
     impl<T> Clone for Receiver<T> {
@@ -173,18 +168,6 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             self.inner.receivers.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    pub struct Iter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
         }
     }
 

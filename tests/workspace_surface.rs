@@ -1,7 +1,8 @@
 //! Smoke tests for the workspace surface itself: the facade re-exports, the
-//! WAL's CRC32 check vectors, and — most importantly — that every example
-//! under `examples/` still builds as part of the workspace (so future perf
-//! PRs always have a working harness).
+//! WAL's CRC32 check vectors, the thread-safety contract of the public
+//! types, and — most importantly — that every example under `examples/`
+//! still builds as part of the workspace (so future perf PRs always have a
+//! working harness).
 
 use std::path::Path;
 use std::process::Command;
@@ -30,6 +31,22 @@ fn facade_reexports_are_wired() {
     let digest = mahi_mahi::crypto::blake2b::blake2b_256(b"mahi-mahi");
     assert_ne!(digest, mahi_mahi::crypto::blake2b::blake2b_256(b"tusk"));
     assert!(mahi_mahi::analysis::direct_commit_probability_w5(0, 1) > 0.0);
+}
+
+/// The thread-safety contract, checked by the compiler. `wallclock` reads
+/// a running cluster's `NodeHandle`s from an observer thread and each
+/// `Transport` from a scoped receiver thread, so both must stay `Sync` (a
+/// `std::sync::mpsc::Receiver` inside either would break it). The engine
+/// and its committer move into the node's thread and nothing shares them:
+/// `Send` is all they promise.
+#[test]
+fn thread_safety_contract() {
+    fn shared<T: Sync>() {}
+    fn moved<T: Send>() {}
+    shared::<mahi_mahi::node::NodeHandle>();
+    shared::<mahi_mahi::transport::Transport>();
+    moved::<mahi_mahi::core::ValidatorEngine>();
+    moved::<mahi_mahi::core::Committer>();
 }
 
 /// `cargo build --examples` exits 0: all four end-to-end scenarios compile.
