@@ -13,7 +13,10 @@
 //! only ever sees that re-sequenced stream.
 //!
 //! The verify stage is where a transaction's bytes are first seen, so it is
-//! where each transaction is hashed, once: the digest travels with the
+//! where each transaction is hashed, once: decoding a block hashes the
+//! transactions it carries, because the block's content digest is built
+//! from theirs (see [`mahimahi_types::block`]), and the verify stage hashes
+//! those of client batches and forwards. The digest travels with the
 //! transaction ([`Transaction::digest`]), and the mempool's dedup, the
 //! client ledger and execution on the consensus thread read it instead of
 //! hashing the payload again.
@@ -372,19 +375,13 @@ fn verify_job(committee: &Committee, job: Job) -> Option<Input> {
     Some(input)
 }
 
-/// The transactions `input` carries: a client batch's, a forward's, or
-/// those of every block in it.
-fn carried_transactions(input: &Input) -> Box<dyn Iterator<Item = &Transaction> + '_> {
+/// The transactions `input` carries that nothing has hashed yet: a client
+/// batch's or a forward's. A block's were hashed when it was decoded.
+fn carried_transactions(input: &Input) -> &[Transaction] {
     match input {
         Input::TxBatchReceived { transactions, .. }
-        | Input::TxForwardReceived { transactions, .. } => Box::new(transactions.iter()),
-        Input::BlockReceived { block, .. } | Input::ProposalReceived { block, .. } => {
-            Box::new(block.transactions().iter())
-        }
-        Input::SyncReply { blocks, .. } => {
-            Box::new(blocks.iter().flat_map(|block| block.transactions()))
-        }
-        _ => Box::new(std::iter::empty()),
+        | Input::TxForwardReceived { transactions, .. } => transactions,
+        _ => &[],
     }
 }
 
@@ -447,7 +444,7 @@ fn verify_blocks(committee: &Committee, blocks: Vec<Arc<Block>>) -> Vec<Arc<Bloc
         .filter(|(index, block)| alive[*index] && block.round() > 0)
         .map(|(index, _)| index)
         .collect();
-    let messages: Vec<Vec<u8>> = signed.iter().map(|&i| blocks[i].signed_bytes()).collect();
+    let messages: Vec<_> = signed.iter().map(|&i| blocks[i].signed_bytes()).collect();
     let items: Vec<(&[u8], PublicKey, Signature)> = signed
         .iter()
         .zip(&messages)
@@ -499,7 +496,7 @@ fn verify_blocks(committee: &Committee, blocks: Vec<Arc<Block>>) -> Vec<Arc<Bloc
 mod tests {
     use super::*;
     use crate::committer::{Committer, CommitterOptions};
-    use crate::engine::{EngineConfig, Output, ValidatorEngine};
+    use crate::engine::{EngineConfig, Output, ValidatorEngine, WalRecord};
     use mahimahi_crypto::blake2b::blake2b_256;
     use mahimahi_dag::{BlockSpec, DagBuilder};
     use mahimahi_types::{AuthorityIndex, Encode, TestCommittee};
@@ -704,17 +701,20 @@ mod tests {
     }
 
     /// Whatever way a transaction came in, and whichever copy of it a
-    /// reader holds, its digest is the hash of the bytes it points at.
+    /// reader holds, it carries its digest, and that is the hash of the
+    /// bytes it points at.
     fn assert_digest_matches_bytes(transaction: &Transaction) {
         for copy in [transaction, &transaction.clone()] {
-            assert_eq!(copy.digest(), blake2b_256(copy.as_bytes()));
+            assert_eq!(copy.carried_digest(), Some(blake2b_256(copy.as_bytes())));
         }
     }
 
-    #[test]
-    fn every_entry_path_carries_the_digest_of_the_bytes_it_points_at() {
-        let setup = TestCommittee::new(4, 11);
-        let batch = |ids: std::ops::Range<u64>| ids.map(Transaction::benchmark).collect::<Vec<_>>();
+    fn batch(ids: std::ops::Range<u64>) -> Vec<Transaction> {
+        ids.map(Transaction::benchmark).collect()
+    }
+
+    /// A full round 1 in which each block carries three transactions.
+    fn round_one_with_transactions(setup: &TestCommittee) -> Vec<Arc<Block>> {
         let mut dag = DagBuilder::new(setup.clone());
         dag.add_round(
             (0..4)
@@ -724,12 +724,60 @@ mod tests {
                 })
                 .collect(),
         );
-        let blocks: Vec<Arc<Block>> = dag
-            .store()
+        dag.store()
             .iter()
-            .filter(|b| b.round() == 1)
+            .filter(|block| block.round() == 1)
             .cloned()
-            .collect();
+            .collect()
+    }
+
+    /// Every transaction `input` carries, those inside its blocks included.
+    fn transactions_in(input: &Input) -> Vec<&Transaction> {
+        match input {
+            Input::BlockReceived { block, .. } | Input::ProposalReceived { block, .. } => {
+                block.transactions().iter().collect()
+            }
+            Input::SyncReply { blocks, .. } => blocks
+                .iter()
+                .flat_map(|block| block.transactions())
+                .collect(),
+            other => carried_transactions(other).iter().collect(),
+        }
+    }
+
+    #[test]
+    fn a_decoded_block_carries_every_transaction_digest() {
+        // Before anything asks for one: decoding hashed each transaction
+        // to build the block's digest, and left the digest on its view.
+        let blocks = round_one_with_transactions(&TestCommittee::new(4, 11));
+        let Ok(Envelope::Block(framed)) =
+            Envelope::from_bytes_exact(&Envelope::Block(blocks[0].clone()).to_bytes_vec())
+        else {
+            panic!("a block frame decodes");
+        };
+        let Ok(Envelope::Response(replied)) =
+            Envelope::from_bytes_exact(&Envelope::Response(blocks.clone()).to_bytes_vec())
+        else {
+            panic!("a sync reply decodes");
+        };
+        let Ok(WalRecord::Block(logged)) =
+            WalRecord::from_bytes_exact(&WalRecord::Block(blocks[1].clone()).to_bytes_vec())
+        else {
+            panic!("a block record decodes");
+        };
+        assert_eq!(replied.len(), blocks.len());
+        for decoded in [vec![framed], replied, vec![logged]].concat() {
+            assert_eq!(decoded.transactions().len(), 3);
+            for tx in decoded.transactions() {
+                assert_eq!(tx.carried_digest(), Some(blake2b_256(tx.as_bytes())));
+            }
+        }
+    }
+
+    #[test]
+    fn every_entry_path_carries_the_digest_of_the_bytes_it_points_at() {
+        let setup = TestCommittee::new(4, 11);
+        let blocks = round_one_with_transactions(&setup);
 
         // The wire: a client batch, a forward, a block frame and a
         // multi-block sync reply, through the verify workers.
@@ -752,7 +800,7 @@ mod tests {
         assert_eq!(released.len(), 4);
         let carried: Vec<&Transaction> = released
             .iter()
-            .flat_map(|input| carried_transactions(input))
+            .flat_map(|input| transactions_in(input))
             .collect();
         // Each view points at exactly the payload that was sent.
         let sent: Vec<Transaction> = [batch(100..103), batch(200..202)]

@@ -24,12 +24,39 @@
 //!   copy runs at memory speed; keeping a single-block frame itself would
 //!   leave long-lived buffers among the transport readers' short-lived
 //!   ones, which costs more resident memory than the copy costs time;
-//! - a block built here ([`BlockBuilder`]) is encoded once, its digest taken
-//!   over that buffer and its transactions re-pointed into it, keeping the
-//!   digests they carried.
+//! - a block built here ([`BlockBuilder`]) is encoded once and its
+//!   transactions re-pointed into that buffer, keeping the digests they
+//!   carried.
 //!
-//! Encoding writes the retained bytes verbatim, so the wire frame, the log
-//! record and the content digest all come from the same bytes.
+//! Encoding writes the retained bytes verbatim, so the wire frame and the
+//! log record are the same bytes.
+//!
+//! # The content digest hashes each payload byte once
+//!
+//! A block's digest is BLAKE2b-256 of
+//!
+//! ```text
+//! "mahimahi-block-v2" ‖ author ‖ round ‖ parents ‖ tx count
+//!     ‖ digest(tx₁) ‖ … ‖ digest(txₖ) ‖ coin share
+//! ```
+//!
+//! where each field but the transactions is its encoding as it lies in the
+//! block's bytes, and `digest(tx)` is the transaction's own digest
+//! ([`Transaction::digest`]). Every validator needs each transaction's
+//! digest anyway (mempool dedup, receipts, execution), so the block digest
+//! costs 32 bytes of hashing per transaction on top of that instead of a
+//! second pass over the payload: decoding a block hashes each transaction
+//! as it walks the list and leaves the digest on the view, and building
+//! one reads the digests its transactions already carry. The signature
+//! covers this digest, so it binds every payload byte and every boundary
+//! between transactions.
+//!
+//! This is a whole-committee (flag-day) change from `mahimahi-block-v1`,
+//! which hashed the encoding up to the signature: the encodings are
+//! byte-identical but every digest differs, so every [`BlockRef`] and every
+//! signature does too. A v1 and a v2 validator cannot share a DAG — each
+//! finds the other's blocks badly signed — and a log written by a v1
+//! validator restores none of its blocks.
 
 use mahimahi_crypto::blake2b::Blake2b;
 use mahimahi_crypto::coin::{CoinSecret, CoinShare};
@@ -44,7 +71,9 @@ use crate::committee::Committee;
 use crate::ids::{AuthorityIndex, Round, Slot};
 use crate::transaction::Transaction;
 
-const DIGEST_DOMAIN: &[u8] = b"mahimahi-block-v1";
+const DIGEST_DOMAIN: &[u8] = b"mahimahi-block-v2";
+/// Bytes an author signs: the domain separator, then the content digest.
+const SIGNED_BYTES: usize = DIGEST_DOMAIN.len() + Digest::LENGTH;
 
 /// Bytes of one encoded [`BlockRef`]: round, author, digest.
 const BLOCK_REF_BYTES: usize = 8 + 4 + Digest::LENGTH;
@@ -260,6 +289,7 @@ impl Block {
             decoder.get_array::<BLOCK_REF_BYTES>()?;
         }
         let tx_count = decoder.get_u32()? as usize;
+        let first_tx = decoder.position();
         // Every transaction takes at least its length prefix: a count the
         // input cannot hold never reserves more than the input's size.
         let mut transactions = Vec::with_capacity(tx_count.min(decoder.remaining() / 4));
@@ -276,9 +306,13 @@ impl Block {
             }
             _ => return Err(CodecError::InvalidValue("coin share discriminant")),
         }
-        // The content digest covers everything up to the signature, hashed
-        // where it lies.
-        let digest = content_digest(decoder.consumed_since(0));
+        // Hashes each transaction where it lies and leaves the digest on
+        // its view.
+        let digest = content_digest(
+            &bytes[..first_tx],
+            &transactions,
+            &bytes[coin_share_at..decoder.position()],
+        );
         Signature::from_bytes(&decoder.get_array::<16>()?)
             .ok_or(CodecError::InvalidValue("signature"))?;
         decoder.finish()?;
@@ -296,7 +330,8 @@ impl Block {
 
     /// Writes a block's encoding into a buffer of its own — once — with
     /// the signature `sign` makes over its content digest, and re-points
-    /// `transactions` into it (their digests, where known, go along).
+    /// `transactions` into it. The digest reads the digests `transactions`
+    /// carry (hashing any that carry none), and they go along.
     fn assemble(
         author: AuthorityIndex,
         round: Round,
@@ -330,7 +365,12 @@ impl Block {
                 encoder.put_bytes(&share.to_bytes());
             }
         }
-        let digest = content_digest(encoder.as_bytes());
+        let encoded = encoder.as_bytes();
+        let digest = content_digest(
+            &encoded[..first_tx],
+            transactions,
+            &encoded[coin_share_at..],
+        );
         let signature = sign(&digest);
         encoder.put_bytes(&signature.to_bytes());
         debug_assert_eq!(encoder.len(), len);
@@ -356,17 +396,18 @@ impl Block {
         }
     }
 
-    fn signing_message(digest: &Digest) -> Vec<u8> {
-        let mut message = Vec::with_capacity(DIGEST_DOMAIN.len() + Digest::LENGTH);
-        message.extend_from_slice(DIGEST_DOMAIN);
-        message.extend_from_slice(digest.as_bytes());
+    fn signing_message(digest: &Digest) -> [u8; SIGNED_BYTES] {
+        let mut message = [0; SIGNED_BYTES];
+        let (domain, digest_bytes) = message.split_at_mut(DIGEST_DOMAIN.len());
+        domain.copy_from_slice(DIGEST_DOMAIN);
+        digest_bytes.copy_from_slice(digest.as_bytes());
         message
     }
 
     /// The exact bytes the author signed: domain separator ‖ content
     /// digest. Batch verifiers pair this with [`Block::signature`] and the
     /// author's public key.
-    pub fn signed_bytes(&self) -> Vec<u8> {
+    pub fn signed_bytes(&self) -> [u8; SIGNED_BYTES] {
         Self::signing_message(&self.reference.digest)
     }
 
@@ -496,12 +537,18 @@ impl Block {
     }
 }
 
-/// The content digest: BLAKE2b-256 of the domain separator followed by the
-/// block's encoding up to (not including) the signature.
-fn content_digest(content: &[u8]) -> Digest {
+/// The content digest (see the [module docs](self)): the domain separator,
+/// the encoding from the author up to the transaction count (`head`), each
+/// transaction's digest — computed here where a view carries none, and
+/// left on it — and the coin share's encoding (`coin_share`).
+fn content_digest(head: &[u8], transactions: &[Transaction], coin_share: &[u8]) -> Digest {
     let mut hasher = Blake2b::new(Digest::LENGTH);
     hasher.update(DIGEST_DOMAIN);
-    hasher.update(content);
+    hasher.update(head);
+    for tx in transactions {
+        hasher.update(tx.digest().as_bytes());
+    }
+    hasher.update(coin_share);
     hasher.finalize_digest()
 }
 
@@ -754,9 +801,11 @@ mod tests {
         TestCommittee::new(4, 42)
     }
 
-    /// The content digest by its definition: every field re-encoded into a
-    /// fresh buffer, then hashed. Decoded and built blocks hash their
-    /// retained bytes instead and must agree with it.
+    /// The content digest by its definition (see the module docs): every
+    /// field re-encoded into a fresh buffer, each transaction replaced by
+    /// the hash of its payload, then hashed. Decoded and built blocks hash
+    /// their retained bytes and carried digests instead and must agree
+    /// with it.
     fn reencoded_digest(block: &Block) -> Digest {
         let mut encoder = Encoder::new();
         encoder.put_bytes(DIGEST_DOMAIN);
@@ -765,7 +814,7 @@ mod tests {
         block.parents().collect::<Vec<_>>().encode(&mut encoder);
         encoder.put_u32(block.transactions.len() as u32);
         for tx in block.transactions() {
-            encoder.put_var_bytes(tx.as_bytes());
+            encoder.put_bytes(blake2b_256(tx.as_bytes()).as_bytes());
         }
         match block.coin_share() {
             None => encoder.put_u8(0),
@@ -1141,6 +1190,60 @@ mod tests {
         // Corrupt the signature's response scalar to an out-of-range value.
         bytes[len - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(Block::from_bytes_exact(&bytes).is_err());
+    }
+
+    #[test]
+    fn the_digest_binds_every_transaction_byte_and_boundary() {
+        // Each edit keeps the author's signature: a validator must see a
+        // different digest and reject the block. The re-split moves a
+        // boundary and keeps the concatenated payload.
+        let setup = setup();
+        let payloads: [&[u8]; 3] = [b"ab", b"c", b"defg"];
+        let block = BlockBuilder::new(AuthorityIndex(0), 1)
+            .parents(genesis_parents(AuthorityIndex(0)))
+            .transactions(payloads.map(|payload| Transaction::new(payload.to_vec())))
+            .build(&setup);
+        assert_eq!(block.verify(setup.committee()), Ok(()));
+        let signature = block.signature();
+        let tampered = |edit: &dyn Fn(&mut Vec<Transaction>)| {
+            reassemble(&block, |transactions, _| edit(transactions), |_| signature)
+        };
+        let mut edited: Vec<(String, Block)> = (0..payloads.len())
+            .map(|index| {
+                let flipped = tampered(&|transactions| {
+                    let mut payload = transactions[index].as_bytes().to_vec();
+                    payload[0] ^= 1;
+                    transactions[index] = Transaction::new(payload);
+                });
+                (format!("a byte of transaction {index} flipped"), flipped)
+            })
+            .collect();
+        edited.push((
+            "two transactions swapped".into(),
+            tampered(&|transactions| transactions.swap(0, 1)),
+        ));
+        edited.push((
+            "a transaction dropped".into(),
+            tampered(&|transactions| {
+                transactions.remove(1);
+            }),
+        ));
+        edited.push((
+            "[ab, c] re-split as [a, bc]".into(),
+            tampered(&|transactions| {
+                transactions[0] = Transaction::new(b"a".to_vec());
+                transactions[1] = Transaction::new(b"bc".to_vec());
+            }),
+        ));
+        for (edit, edited) in edited {
+            assert_ne!(edited.digest(), block.digest(), "{edit}");
+            assert_eq!(edited.digest(), reencoded_digest(&edited), "{edit}");
+            assert_eq!(
+                edited.verify(setup.committee()),
+                Err(ValidationError::InvalidSignature),
+                "{edit}"
+            );
+        }
     }
 
     #[test]

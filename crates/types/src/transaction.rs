@@ -15,7 +15,9 @@ use std::sync::{Arc, OnceLock};
 /// A transaction is a view: a shared buffer, the range of it that is the
 /// payload, and the payload's digest once someone has asked for it. A
 /// transaction decoded from a block points into the block's own bytes, so
-/// decoding a block allocates nothing per transaction; one built with
+/// decoding a block allocates nothing per transaction, and it carries its
+/// digest from the start, because the block's digest is built from it
+/// (see [the block module](crate::block)); one built with
 /// [`Transaction::new`] owns a buffer of its own. The digest is computed
 /// at most once per view and travels with its clones, so the validator
 /// hashes a payload where its bytes first arrive and every later reader —
@@ -113,9 +115,9 @@ impl Transaction {
         *self.digest.get_or_init(|| blake2b_256(self.as_bytes()))
     }
 
-    /// The digest if it has been computed, without computing it.
-    #[cfg(test)]
-    pub(crate) fn carried_digest(&self) -> Option<Digest> {
+    /// The digest if it has been computed, without computing it: whether
+    /// [`Transaction::digest`] would read a carried value or hash.
+    pub fn carried_digest(&self) -> Option<Digest> {
         self.digest.get().copied()
     }
 
