@@ -22,22 +22,20 @@
 //!
 //! # Drivers
 //!
-//! Three drivers share this core:
+//! Two drivers share this core:
 //!
 //! - the **simulator** (`mahimahi-sim`) maps `Broadcast`/`SendTo` onto its
-//!   virtual network and `WakeAt` onto its event heap;
+//!   virtual network — each envelope encoded and decoded once, at send —
+//!   `WakeAt` onto its event heap, and `Persist` onto an in-memory
+//!   write-ahead log per validator;
 //! - the **TCP node** (`mahimahi-node`) maps `Broadcast`/`SendTo` onto the
 //!   length-prefixed transport, `Persist` onto its write-ahead log, and
-//!   `Committed` onto the application channel;
-//! - the **loopback harness** (`mahimahi-node::LoopbackCluster`) maps
-//!   everything onto a deterministic in-memory event queue and records the
-//!   input trace for replay.
+//!   `Committed` onto the application channel.
 //!
-//! A client transaction has one way in and one way out, in all three: a
-//! batch enters as [`Input::TxBatchReceived`] — `from` is the wire client's
+//! A client transaction has one way in and one way out, in both: a batch
+//! enters as [`Input::TxBatchReceived`] — `from` is the wire client's
 //! connection id, or the validator's own index for the local client (the
-//! node's handle, the simulator's open-loop clients, the harness's
-//! `submit`) — and is answered through [`Output::TxReceipt`], which every
+//! node's handle, the simulator's open-loop clients) — and is answered through [`Output::TxReceipt`], which every
 //! driver reads: an `Admission` at once, a `Committed` when the batch is
 //! sequenced. Each tag of a `Committed` receipt is the batch's receive
 //! time, so `now − tag` is the client-observed commit latency — the one
@@ -84,7 +82,8 @@
 //! randomness or iteration over unordered containers to decide an output.
 //! Consequently a recorded input trace replayed into a freshly constructed
 //! engine reproduces the exact output sequence of the original run, byte
-//! for byte; `tests/driver_equivalence.rs` enforces this. Anything that
+//! for byte; `tests/driver_equivalence.rs` (a live TCP run's traces) and
+//! `tests/engine_proptest.rs` (arbitrary traces) enforce this. Anything that
 //! would break the contract (sockets, `Instant::now`, thread scheduling)
 //! belongs in a driver, not here.
 //!
@@ -335,7 +334,9 @@ pub enum Output {
     /// commit notification once all accepted transactions of a batch are
     /// sequenced. The TCP node frames it down the client's connection (or
     /// its local handle's channel when `peer` is its own index); the
-    /// simulator and loopback drivers record it in their books.
+    /// simulator keeps the ones addressed to clients outside the committee
+    /// and turns its local clients' `Committed` receipts into latency
+    /// samples.
     TxReceipt {
         /// The client/peer id the receipt addresses (the batch's `from`).
         peer: usize,

@@ -2,11 +2,11 @@
 //! ledger, and the exactly-once accounting of own transactions.
 //!
 //! Admission control lives *inside* the sans-I/O engine, not in the
-//! drivers, for one reason: determinism. The simulator, the loopback
-//! harness, and the TCP node all feed the same `Input::TxBatchReceived`
-//! events; because the token buckets tick on the engine's virtual time
-//! (never a wall clock), all three drivers enforce byte-identical policy
-//! and a recorded trace replays the exact same verdicts.
+//! drivers, for one reason: determinism. The simulator and the TCP node
+//! both feed the same `Input::TxBatchReceived` events; because the token
+//! buckets tick on the engine's virtual time (never a wall clock), both
+//! drivers enforce byte-identical policy and a recorded trace replays the
+//! exact same verdicts.
 //!
 //! [`ClientLedger`] is the engine's component for everything a client is
 //! owed, from the one way in — a transaction batch
@@ -177,7 +177,7 @@ pub struct IngressReport {
 impl IngressReport {
     /// Every ingress-ledger violation, as human-readable descriptions
     /// (empty when the subsystem is sound). Shared by the
-    /// `receipt-integrity` oracle and the loopback cluster's tests
+    /// `receipt-integrity` oracle and the simulator's client tests
     /// (`a_burst_past_capacity_…`, `compliant_zipf_clients_…`).
     pub fn violations(&self) -> Vec<String> {
         let mut violations = Vec::new();

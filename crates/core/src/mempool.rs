@@ -35,8 +35,8 @@
 //! [`ClientLedger`](crate::ingress::ClientLedger) puts in the client's
 //! admission receipt. It is transport-free and clock-free, like the engine
 //! around it (callers pass in the engine's virtual time): determinism (same
-//! submissions ⇒ same payloads) is what lets the recorded-trace replay and
-//! driver-equivalence tests cover the ingestion path end to end.
+//! submissions ⇒ same payloads) is what lets the recorded-trace replay
+//! tests cover the ingestion path end to end.
 //!
 //! [`Envelope::TxForward`]: mahimahi_types::Envelope::TxForward
 
@@ -478,8 +478,8 @@ impl TxIntegrityReport {
     /// Every integrity violation in this report, as human-readable
     /// descriptions (empty when the pipeline is sound). One shared
     /// definition of "sound" — the `tx-integrity` scenario oracle and the
-    /// loopback cluster's `sustained_wire_load_conserves_every_transaction`
-    /// both build on this, so the checks cannot drift apart.
+    /// simulator's `sustained_wire_load_conserves_every_transaction` both
+    /// build on this, so the checks cannot drift apart.
     pub fn violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
         if self.duplicate_committed != 0 {

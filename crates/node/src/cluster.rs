@@ -324,6 +324,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         };
         let body = second.split("\r\n\r\n").nth(1).expect("response body");
+        // Every commit-path stage histogram has seen a sample on the real
+        // path, not merely been registered.
+        let stages = cluster.handle(0).metrics().stage_snapshot();
+        assert!(stages.all_stages_populated(), "{stages:?}");
         // The write-ahead log's gauges: blocks were appended, all of them
         // still live, and nothing failed.
         assert!(sample(body, "mahimahi_wal_bytes") > 0.0);

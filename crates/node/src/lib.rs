@@ -13,10 +13,8 @@
 mod client;
 mod cluster;
 mod log;
-mod loopback;
 mod node;
 
 pub use client::{ClientError, TxClient, CLIENT_PEER};
 pub use cluster::LocalCluster;
-pub use loopback::{LoopbackCluster, LoopbackConfig};
 pub use node::{NodeConfig, NodeHandle, NodeMetrics, RecordedStep, StatusReport, ValidatorNode};

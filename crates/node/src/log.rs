@@ -374,6 +374,7 @@ mod tests {
     use mahimahi_core::engine::Input;
     use mahimahi_core::{BalanceLedger, CommittedSubDag, Committer, ExecutionState, Output};
     use mahimahi_dag::{BlockSpec, DagBuilder};
+    use mahimahi_sim::{CpuCosts, LatencyChoice, MempoolConfig, SimConfig, Simulation};
     use mahimahi_types::{Checkpoint, EquivocationProof, TestCommittee, Transaction};
     use mahimahi_wal::{MemStorage, Wal};
     use std::collections::BTreeMap;
@@ -946,5 +947,98 @@ mod tests {
         assert!(engine.latest_checkpoint().is_some());
         assert_eq!(log.stats().bytes, log.stats().live_bytes);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A simulated 4-validator committee on a uniform `link` fabric with
+    /// no modelled CPU and no open-loop clients.
+    fn simulated(link: u64, inclusion_wait: u64) -> SimConfig {
+        SimConfig {
+            committee_size: 4,
+            txs_per_second_per_validator: 0,
+            mempool: MempoolConfig::test(10_000, 100),
+            latency: LatencyChoice::Uniform {
+                min: link,
+                max: link,
+            },
+            cpu: CpuCosts {
+                signature_verify: 0,
+                coin_share_verify: 0,
+                block_creation: 0,
+                hash_per_kb: 0,
+                batch_discount_percent: 50,
+            },
+            inclusion_wait,
+            seed: 11,
+            ..SimConfig::default()
+        }
+    }
+
+    /// Recovers a fresh engine, configured like `config`'s validator 0,
+    /// from the log `simulation` kept for it — the node's recovery path.
+    fn recover_simulated(
+        config: &SimConfig,
+        simulation: &Simulation,
+    ) -> (NodeLog, ValidatorEngine) {
+        let setup = TestCommittee::new(config.committee_size, config.seed);
+        let mut engine = ValidatorEngine::honest(
+            config.engine_config(OWN, setup.clone()),
+            config.protocol.committer(setup.committee().clone()),
+        );
+        let wal = AnyWal::Memory(Wal::open(simulation.validator(0).log().clone()).unwrap());
+        let log = NodeLog::recover(wal, OWN, Some(16), &mut engine).unwrap();
+        (log, engine)
+    }
+
+    #[test]
+    fn an_idle_cluster_still_snapshots_and_its_log_compacts() {
+        // No payload at all: the rule counts block bytes, and empty blocks
+        // have some.
+        let config = simulated(1_000, 0);
+        let mut simulation = Simulation::new(config.clone());
+        let snapshots = |simulation: &Simulation| {
+            Wal::open(simulation.validator(0).log().clone())
+                .unwrap()
+                .records()
+                .unwrap()
+                .iter()
+                .filter(|record| {
+                    matches!(
+                        WalRecord::from_bytes_exact(&record.payload),
+                        Ok(WalRecord::Checkpoint { .. })
+                    )
+                })
+                .count()
+        };
+        let mut horizon = 0;
+        while snapshots(&simulation) < 3 {
+            horizon += 10_000;
+            assert!(horizon < 5_000_000, "an idle log never got its snapshots");
+            simulation.run_until(horizon);
+        }
+        // Through the node's log, the newest of those records marks the
+        // blocks below its floor dead, and the rewrite goes through.
+        let (mut log, engine) = recover_simulated(&config, &simulation);
+        assert!(log.compaction_due(), "{:?}", log.stats());
+        let before = log.stats().bytes;
+        log.compact();
+        let after = log.stats();
+        assert_eq!((after.compactions, after.errors), (1, 0));
+        assert!(after.bytes < before / 2);
+        assert!(engine.latest_checkpoint().is_some());
+    }
+
+    #[test]
+    fn wal_recovery_reproduces_the_dag() {
+        let config = simulated(30_000, 20_000);
+        let mut simulation = Simulation::new(config.clone());
+        simulation.run_until(1_000_000);
+        let live = simulation.validator(0).engine();
+        assert!(live.round() > 10);
+        let (_, recovered) = recover_simulated(&config, &simulation);
+        assert_eq!(recovered.round(), live.round());
+        assert_eq!(
+            recovered.store().highest_round(),
+            live.store().highest_round()
+        );
     }
 }

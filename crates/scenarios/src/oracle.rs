@@ -353,8 +353,8 @@ impl Oracle for TxIntegrity {
                 ));
             };
             // One shared definition of "sound" (TxIntegrityReport) keeps
-            // this oracle and the loopback cluster's sustained-load and
-            // burst tests in lockstep.
+            // this oracle and the simulator's sustained-load and burst
+            // tests (`crates/sim/tests/clients_and_log.rs`) in lockstep.
             if let Some(violation) = report.violations().into_iter().next() {
                 return Err(format!("validator {validator}: {violation}"));
             }
@@ -387,7 +387,7 @@ impl Oracle for ReceiptIntegrity {
                 ));
             };
             // `IngressReport::violations` is the shared definition of a
-            // balanced receipt ledger — the loopback cluster's burst and
+            // balanced receipt ledger — the simulator's burst and
             // Zipf-client tests assert on the same method, so they and
             // the matrix cannot drift.
             if let Some(violation) = report.violations().into_iter().next() {

@@ -3,10 +3,22 @@
 //!
 //! The simulator speaks the workspace-wide wire vocabulary directly:
 //! its messages are [`mahimahi_types::Envelope`]s, the same enum the TCP
-//! node serializes over its transport. The simulator never materializes
-//! bytes — it carries envelopes by value through the virtual network — so
-//! the size and round accounting the network model needs lives here as the
-//! [`WireModel`] extension trait.
+//! node serializes over its transport, and they cross the virtual network
+//! as what a recipient decodes from their bytes. Every envelope a validator
+//! sends is encoded and decoded once, at send ([`over_the_wire`]); all
+//! recipients of a broadcast share the decoded value, and a frame the
+//! decoder rejects is dropped there, the way the node drops a torn frame.
+//! Bytes in flight are immutable and decoding is a pure function, so
+//! decoding once per send runs the same program as decoding once per
+//! delivery, and it holds one decoded copy per send instead of one per
+//! recipient. On the 192-cell matrix (release build, 2 vCPUs) decoding per
+//! delivery took no less time (139 and 142 s; at send, 115–142 s) and
+//! peaked at 816–826 MB against 559–586 MB; an earlier prototype without
+//! the logs measured +28 % time and 3× the resident set.
+//!
+//! The network model still prices the envelope, not its bytes: the size
+//! and round accounting it needs lives here as the [`WireModel`] extension
+//! trait, which bills synthetic transactions at their configured wire size.
 //!
 //! Uncertified protocols (Mahi-Mahi, Cordial Miners) use only
 //! [`Envelope::Block`], [`Envelope::Request`], [`Envelope::Response`], and
@@ -14,7 +26,7 @@
 //! consistent-broadcast triple [`Envelope::Proposal`] → [`Envelope::Ack`]
 //! → [`Envelope::Certificate`].
 
-use mahimahi_types::{Block, Encode, Envelope};
+use mahimahi_types::{Block, Decode, Encode, Envelope};
 
 /// Size/round accounting over [`Envelope`] for the simulated network
 /// (bandwidth model and adversary visibility).
@@ -90,6 +102,12 @@ impl WireModel for Envelope {
     }
 }
 
+/// What a recipient decodes from `message`'s wire bytes, or `None` for a
+/// frame the decoder rejects.
+pub(crate) fn over_the_wire(message: &Envelope) -> Option<Envelope> {
+    Envelope::from_bytes_exact(&message.to_bytes_vec()).ok()
+}
+
 /// Wire size of a block with transactions inflated to their configured
 /// benchmark size.
 pub fn block_wire_size(block: &Block, tx_wire_size: usize) -> usize {
@@ -154,10 +172,8 @@ mod tests {
     fn sim_messages_are_wire_envelopes() {
         // The simulator's message type is literally the node's wire enum:
         // anything the sim can say round-trips through the codec.
-        use mahimahi_types::{Decode, Encode};
         let genesis = Block::genesis(AuthorityIndex(2)).into_arc();
-        let bytes = Envelope::Block(genesis.clone()).to_bytes_vec();
-        let decoded = Envelope::from_bytes_exact(&bytes).unwrap();
+        let decoded = over_the_wire(&Envelope::Block(genesis.clone())).unwrap();
         assert!(matches!(decoded, Envelope::Block(b) if b.reference() == genesis.reference()));
     }
 }

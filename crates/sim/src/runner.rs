@@ -6,14 +6,14 @@ use mahimahi_net::{
     PartitionAdversary, RandomSubsetAdversary, RotatingDelayAdversary, SimNetwork, UniformLatency,
 };
 use mahimahi_telemetry::{Stage, StageSnapshot, StageStats};
-use mahimahi_types::{AuthorityIndex, Envelope, TestCommittee, Transaction};
+use mahimahi_types::{AuthorityIndex, Envelope, TestCommittee, Transaction, TxReceipt};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::config::{AdversaryChoice, Behavior, LatencyChoice, SimConfig};
-use crate::message::WireModel;
+use crate::message::{over_the_wire, WireModel};
 use crate::metrics::{LatencyStats, SimReport};
 use crate::validator::{Action, SimValidator};
 
@@ -119,6 +119,8 @@ pub struct Simulation {
     /// Per-validator CPU availability.
     cpu_busy_until: Vec<Time>,
     now: Time,
+    /// Whether the round-1 kick-off has run.
+    started: bool,
     /// Next client batch time and id counter.
     next_batch_at: Time,
     next_tx_id: u64,
@@ -132,8 +134,10 @@ pub struct Simulation {
     /// verify/resequence boundaries it owns (CPU cost, deferred wait), the
     /// engines report theirs through shared [`StageStats`] sinks.
     stage_stats: Vec<StageStats>,
-    /// (commit time, count) pairs for throughput windowing at the observer.
-    observer_commits: Vec<(Time, u64)>,
+    /// Per-validator receipts addressed to clients outside the committee,
+    /// as `(emission time, client, receipt)` in emission order: what the
+    /// TCP node would frame down those clients' connections.
+    receipts: Vec<Vec<(Time, usize, TxReceipt)>>,
 }
 
 /// Wrapper making `Envelope` usable inside the ordered heap (ordering is
@@ -222,20 +226,20 @@ impl Simulation {
             wakeup_sequence: 0,
             cpu_busy_until: vec![0; nodes],
             now: 0,
+            started: false,
             next_batch_at: 0,
             next_tx_id: 0,
             txs_due_per_validator: 0,
             latencies: LatencyStats::default(),
             stage_stats,
-            observer_commits: Vec::new(),
+            receipts: vec![Vec::new(); nodes],
             config,
         }
     }
 
     /// Enqueues `transactions` at `validator` before the run starts (so
-    /// they ride in its first block) — seeded-workload injection for the
-    /// driver-equivalence tests (the open-loop clients use
-    /// `txs_per_second_per_validator` instead).
+    /// they ride in its first block) — seeded-workload injection for tests
+    /// (the open-loop clients use `txs_per_second_per_validator` instead).
     pub fn preload_transactions(&mut self, validator: usize, transactions: Vec<Transaction>) {
         self.validators[validator].preload(transactions);
     }
@@ -248,22 +252,13 @@ impl Simulation {
             .unwrap_or(0)
     }
 
-    /// Runs to completion, returning the report plus every validator's
-    /// committed-leader log (`None` entries are skips; crashed validators
-    /// have empty logs). Used by the safety-property tests: all honest
-    /// logs must be pairwise prefix-consistent.
-    pub fn run_with_logs(self) -> (SimReport, Vec<Vec<Option<mahimahi_types::BlockRef>>>) {
-        let outcome = self.run_full();
-        (outcome.report, outcome.logs)
-    }
-
     /// Runs to completion, returning every per-validator observable: the
     /// metrics report, the committed-leader logs, and each validator's
     /// convicted-equivocator set (fault attribution). The scenario
     /// harness's oracles consume this richer outcome.
     pub fn run_full(self) -> SimOutcome {
         let mut simulation = self;
-        simulation.run_loop();
+        simulation.run_until(simulation.config.duration);
         let logs = simulation
             .validators
             .iter()
@@ -307,15 +302,21 @@ impl Simulation {
 
     /// Runs the simulation to completion and produces the report.
     pub fn run(mut self) -> SimReport {
-        self.run_loop();
+        self.run_until(self.config.duration);
         self.report()
     }
 
-    fn run_loop(&mut self) {
-        // Kick-off: round-1 production on top of genesis.
-        for index in 0..self.validators.len() {
-            let actions = self.validators[index].maybe_advance(0);
-            self.perform(index, actions);
+    /// Runs every event due up to and including virtual time `horizon`,
+    /// then sets the clock to `horizon`. The first call starts the run:
+    /// every validator produces round 1 on top of genesis. The open-loop
+    /// clients stop at the configured duration whatever the horizon.
+    pub fn run_until(&mut self, horizon: Time) {
+        if !self.started {
+            self.started = true;
+            for index in 0..self.validators.len() {
+                let actions = self.validators[index].maybe_advance(self.now);
+                self.perform(index, actions);
+            }
         }
 
         loop {
@@ -331,7 +332,7 @@ impl Simulation {
             else {
                 break;
             };
-            if next > self.config.duration {
+            if next > horizon {
                 break;
             }
             self.now = next;
@@ -355,6 +356,33 @@ impl Simulation {
             let envelope = self.network.next_delivery().expect("peeked");
             self.dispatch(envelope.from, envelope.to, envelope.payload);
         }
+        self.now = self.now.max(horizon);
+    }
+
+    /// Hands `transactions` to `validator` as one batch from `client`, at
+    /// the current virtual time. A `client` at or above the committee size
+    /// is an external client: its receipts are kept (see
+    /// [`Self::receipts`]). The validator's own index is its local client,
+    /// whose commit receipts are the run's latency samples.
+    pub fn submit_batch(
+        &mut self,
+        validator: usize,
+        client: usize,
+        transactions: Vec<Transaction>,
+    ) {
+        let actions = self.validators[validator].submit_batch(self.now, client, transactions);
+        self.perform(validator, actions);
+    }
+
+    /// The validator running as `index`.
+    pub fn validator(&self, index: usize) -> &SimValidator {
+        &self.validators[index]
+    }
+
+    /// Every receipt `validator` addressed to a client outside the
+    /// committee, as `(emission time, client, receipt)` in emission order.
+    pub fn receipts(&self, validator: usize) -> &[(Time, usize, TxReceipt)] {
+        &self.receipts[validator]
     }
 
     /// Open-loop clients: each honest validator receives the transactions
@@ -381,8 +409,7 @@ impl Simulation {
             if !batch.is_empty() {
                 // The validator's local client: the batch goes in under
                 // the validator's own index, tagged with its receive time.
-                let actions = self.validators[index].submit_batch(self.now, index, batch);
-                self.perform(index, actions);
+                self.submit_batch(index, index, batch);
             }
             // Inclusion happens at the next block production; nudge the
             // validator in case it is idle at a round boundary.
@@ -465,6 +492,8 @@ impl Simulation {
     }
 
     /// Executes validator actions: network sends and latency bookkeeping.
+    /// A sent envelope travels as what its recipients decode from its
+    /// bytes (see [`over_the_wire`]); one the decoder rejects goes nowhere.
     fn perform(&mut self, origin: usize, actions: Vec<Action>) {
         for action in actions {
             match action {
@@ -476,21 +505,26 @@ impl Simulation {
                     }
                     let size = message.wire_size(self.config.tx_wire_size);
                     let round = message.round();
-                    self.network
-                        .broadcast(self.now, origin, size, round, message);
+                    if let Some(message) = over_the_wire(&message) {
+                        self.network
+                            .broadcast(self.now, origin, size, round, message);
+                    }
                 }
                 Action::Send(to, message) => {
                     if to >= self.validators.len() {
-                        // A receipt addressed to an external client: the
-                        // simulator's open-loop clients have no inbox, so
-                        // the frame is dropped at the network edge (the
-                        // engine-side ingress ledger already counted it).
+                        // Only receipts leave the committee: kept at the
+                        // network edge, where the client would read them.
+                        if let Envelope::TxReceipt(receipt) = message {
+                            self.receipts[origin].push((self.now, to, receipt));
+                        }
                         continue;
                     }
                     let size = message.wire_size(self.config.tx_wire_size);
                     let round = message.round();
-                    self.network
-                        .send(self.now, origin, to, size, round, message);
+                    if let Some(message) = over_the_wire(&message) {
+                        self.network
+                            .send(self.now, origin, to, size, round, message);
+                    }
                 }
                 Action::BatchesCommitted(received) => {
                     let warmup =
@@ -510,7 +544,7 @@ impl Simulation {
         }
     }
 
-    fn report(mut self) -> SimReport {
+    fn report(self) -> SimReport {
         let observer_index = self.observer();
         let observer = &self.validators[observer_index];
         let duration_s = mahimahi_net::time::as_secs_f64(self.config.duration);
@@ -531,7 +565,6 @@ impl Simulation {
             .filter(|&i| matches!(self.config.behavior_of(i), Behavior::Honest))
             .count();
         let offered = self.config.txs_per_second_per_validator * honest as u64;
-        self.observer_commits.clear();
         // Merge the honest validators' stage histograms: faulty behaviors
         // would pollute the pipeline picture with intentionally weird
         // timings.
@@ -733,7 +766,7 @@ mod tests {
             minority: 1,
             heals_at: time::from_secs(2),
         };
-        let (report, logs) = Simulation::new(config).run_with_logs();
+        let SimOutcome { report, logs, .. } = Simulation::new(config).run_full();
         assert!(report.committed_transactions > 0, "{report:?}");
         // The three correct validators (0 was partitioned, not faulty) must
         // agree on a common prefix despite the coordinated equivocation.
@@ -786,6 +819,22 @@ mod tests {
                 (later, 0)
             ]
         );
+    }
+
+    #[test]
+    fn a_frame_the_decoder_rejects_is_dropped_at_send() {
+        // One transaction past the batch limit encodes but does not decode:
+        // validator 1 never sees the batch, the way a node drops the frame.
+        let mut sim = Simulation::new(SimConfig {
+            txs_per_second_per_validator: 0,
+            ..base_config(ProtocolChoice::MahiMahi5 { leaders: 2 })
+        });
+        let oversized = (0..=mahimahi_types::MAX_BATCH_TXS as u64)
+            .map(|id| Transaction::new(id.to_le_bytes().to_vec()))
+            .collect();
+        sim.perform(0, vec![Action::Send(1, Envelope::TxBatch(oversized))]);
+        sim.run_until(time::from_secs(1));
+        assert_eq!(sim.validator(1).ingress_report().batches_received, 0);
     }
 
     #[test]

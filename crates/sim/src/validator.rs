@@ -15,7 +15,10 @@
 //! - maps engine [`Output`]s onto runner [`Action`]s (virtual network
 //!   sends, wake-ups) and plays the validator's local client: batches go
 //!   in under the validator's own index, and the `Committed` receipts
-//!   addressed to that index are the client's latency samples.
+//!   addressed to that index are the client's latency samples;
+//! - keeps the validator's write-ahead log: every [`Output::Persist`] is
+//!   appended to an in-memory [`Wal`] exactly as the TCP node's log writes
+//!   it, synced when the record is durable.
 //!
 //! [`ValidatorEngine`]: mahimahi_core::ValidatorEngine
 //! [`ProposerStrategy`]: mahimahi_core::ProposerStrategy
@@ -23,13 +26,15 @@
 use mahimahi_core::{
     engine::{EngineConfig, Input},
     EvidencePool, IngressReport, Output, ProtocolCommitter, TxIntegrityReport, ValidatorEngine,
+    WalRecord,
 };
 use mahimahi_dag::BlockStore;
 use mahimahi_net::time::Time;
 use mahimahi_types::{
-    AuthorityIndex, BlockRef, Checkpoint, Envelope, Round, StateRoot, TestCommittee, Transaction,
-    TxReceipt,
+    AuthorityIndex, BlockRef, Checkpoint, Encode, Envelope, Round, StateRoot, TestCommittee,
+    Transaction, TxReceipt,
 };
+use mahimahi_wal::{MemStorage, Wal};
 
 use crate::config::{Behavior, LeaderSchedule};
 use crate::strategy::strategy_for;
@@ -57,6 +62,10 @@ pub struct SimValidator {
     /// Every signed checkpoint this validator produced, in position order
     /// (the `state-root-agreement` oracle compares them across validators).
     checkpoints: Vec<Checkpoint>,
+    /// Every record the engine asked to persist, in emission order.
+    log: Wal<MemStorage>,
+    /// A handle on `log`'s bytes (clones share them).
+    storage: MemStorage,
 }
 
 impl SimValidator {
@@ -81,10 +90,13 @@ impl SimValidator {
         if let Behavior::Crashed { from_round } = behavior {
             config.halt_from_round = Some(from_round);
         }
+        let storage = MemStorage::new();
         SimValidator {
             behavior,
             engine: ValidatorEngine::new(config, committer, strategy),
             checkpoints: Vec::new(),
+            log: Wal::open(storage.clone()).expect("an empty log opens"),
+            storage,
         }
     }
 
@@ -161,9 +173,9 @@ impl SimValidator {
 
     /// Submits a client batch through the shared wire vocabulary
     /// ([`Envelope::TxBatch`]) — the same ingestion path the TCP node's
-    /// client listener and the loopback cluster use. `from` is the
-    /// submitting connection; the validator's own index is its local
-    /// client, whose receipts come back as [`Action::BatchesCommitted`].
+    /// client listener uses. `from` is the submitting connection; the
+    /// validator's own index is its local client, whose receipts come back
+    /// as [`Action::BatchesCommitted`].
     pub fn submit_batch(
         &mut self,
         now: Time,
@@ -195,6 +207,12 @@ impl SimValidator {
     /// Every checkpoint this validator signed, in position order.
     pub fn checkpoints(&self) -> &[Checkpoint] {
         &self.checkpoints
+    }
+
+    /// The storage under this validator's write-ahead log: a handle that
+    /// shares its bytes and sync count, for opening or inspecting the log.
+    pub fn log(&self) -> &MemStorage {
+        &self.storage
     }
 
     /// Handles a delivered message, returning follow-up actions.
@@ -232,14 +250,14 @@ impl SimValidator {
         actions
     }
 
-    /// Maps engine outputs onto runner actions. Persistence, commit, and
-    /// conviction notifications have no simulator-side effect (metrics
-    /// read the engine's counters directly); checkpoints are recorded for
-    /// the `state-root-agreement` oracle; receipts addressed to this
-    /// validator's own index are its local client's inbox (open-loop
-    /// clients do not retry, so admission verdicts stop here — the
-    /// rejection counters stay visible through [`Self::tx_integrity`]);
-    /// everything else forwards one-to-one.
+    /// Maps engine outputs onto runner actions. Records to persist go to
+    /// the log; commit and conviction notifications have no simulator-side
+    /// effect (metrics read the engine's counters directly); checkpoints
+    /// are recorded for the `state-root-agreement` oracle; receipts
+    /// addressed to this validator's own index are its local client's
+    /// inbox (open-loop clients do not retry, so admission verdicts stop
+    /// here — the rejection counters stay visible through
+    /// [`Self::tx_integrity`]); everything else forwards one-to-one.
     fn apply(&mut self, outputs: Vec<Output>, actions: &mut Vec<Action>) {
         let own = self.authority().as_usize();
         for output in outputs {
@@ -256,8 +274,27 @@ impl SimValidator {
                 Output::TxReceipt { peer, receipt } => {
                     actions.push(Action::Send(peer, Envelope::TxReceipt(receipt)))
                 }
-                Output::Committed(_) | Output::Persist(_) | Output::Convicted(_) => {}
+                Output::Persist(record) => self.persist(&record),
+                Output::Committed(_) | Output::Convicted(_) => {}
             }
+        }
+    }
+
+    /// Appends `record` the way the node's log does — a block record as
+    /// its tag and the block's retained bytes, anything else as its
+    /// encoding — and syncs when the record is durable
+    /// ([`WalRecord::is_durable`]). The log is in memory, so an append
+    /// fails only for a record past [`mahimahi_wal::MAX_RECORD_BYTES`];
+    /// such a record stays out of the log and the run goes on.
+    fn persist(&mut self, record: &WalRecord) {
+        let appended = match record {
+            WalRecord::Block(block) => self
+                .log
+                .append_parts(&[&[WalRecord::BLOCK_TAG], block.as_bytes()]),
+            _ => self.log.append(&record.to_bytes_vec()),
+        };
+        if appended.is_ok() && record.is_durable(self.authority()) {
+            let _ = self.log.sync();
         }
     }
 }

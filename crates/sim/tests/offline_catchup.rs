@@ -4,7 +4,7 @@
 //! — never a divergent fork, and not stuck at the outage point.
 
 use mahimahi_net::time;
-use mahimahi_sim::{Behavior, LatencyChoice, ProtocolChoice, SimConfig, Simulation};
+use mahimahi_sim::{Behavior, LatencyChoice, ProtocolChoice, SimConfig, SimOutcome, Simulation};
 
 #[test]
 fn offline_validator_catches_up_to_a_prefix_consistent_extension() {
@@ -30,7 +30,7 @@ fn offline_validator_catches_up_to_a_prefix_consistent_extension() {
         },
     )];
 
-    let (report, logs) = Simulation::new(config).run_with_logs();
+    let SimOutcome { report, logs, .. } = Simulation::new(config).run_full();
     assert!(report.committed_transactions > 0, "{report:?}");
 
     // Prefix consistency across all four logs, including the recovered
@@ -103,7 +103,7 @@ fn offline_catchup_survives_the_random_network_model() {
         },
     )];
 
-    let (report, logs) = Simulation::new(config).run_with_logs();
+    let SimOutcome { report, logs, .. } = Simulation::new(config).run_full();
     assert!(report.committed_transactions > 0, "{report:?}");
     for i in 0..4 {
         for j in (i + 1)..4 {

@@ -20,9 +20,8 @@
 //! [`Registry::histogram`] take a lock; recording never does). The crate
 //! has **no dependencies** and
 //! never reads a clock — all durations are microsecond `u64`s supplied by
-//! the caller, so the deterministic drivers (simulator, loopback cluster)
-//! feed virtual time and the TCP node feeds wall time through the same
-//! types. Nothing in here can perturb consensus: recording returns no
+//! the caller, so the deterministic simulator feeds virtual time and the
+//! TCP node feeds wall time through the same types. Nothing in here can perturb consensus: recording returns no
 //! value a caller could branch on.
 
 mod metrics;

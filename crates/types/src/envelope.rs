@@ -1,11 +1,11 @@
 //! The wire-agnostic message vocabulary of the protocol.
 //!
-//! Every validator driver — the deterministic simulator, the TCP node, the
-//! loopback test harness — exchanges exactly these messages. The sans-I/O
-//! validator engine (`mahimahi-core`) consumes and emits [`Envelope`]s
-//! without knowing how they travel: the simulator passes them by value
-//! through its virtual network, the node serializes them with the codec
-//! below and frames them over TCP. Keeping one enum here (rather than a
+//! Both validator drivers — the deterministic simulator and the TCP node —
+//! exchange exactly these messages. The sans-I/O validator engine
+//! (`mahimahi-core`) consumes and emits [`Envelope`]s without knowing how
+//! they travel: both drivers serialize them with the codec below, the
+//! simulator once per send into its virtual network, the node into frames
+//! over TCP. Keeping one enum here (rather than a
 //! per-driver message type) is what guarantees the drivers cannot drift
 //! apart in what they can say.
 //!

@@ -14,9 +14,9 @@
 //!    at a peer the transaction was forwarded to).
 //!
 //! The receipt is transport-agnostic like every other [`Envelope`]
-//! payload: the TCP node frames it back down the client's connection, the
-//! loopback cluster records it on its virtual fabric, and the simulator
-//! accounts it in the engine's ingress counters.
+//! payload: the TCP node frames it back down the client's connection, and
+//! the simulator keeps it where it leaves the committee (its local clients'
+//! `Committed` receipts become latency samples).
 //!
 //! [`Envelope::TxBatch`]: crate::envelope::Envelope::TxBatch
 //! [`Envelope`]: crate::envelope::Envelope

@@ -13,7 +13,7 @@
 
 use mahi_mahi::net::time;
 use mahi_mahi::sim::{
-    AdversaryChoice, Behavior, LatencyChoice, ProtocolChoice, SimConfig, Simulation,
+    AdversaryChoice, Behavior, LatencyChoice, ProtocolChoice, SimConfig, SimOutcome, Simulation,
 };
 use proptest::prelude::*;
 
@@ -132,7 +132,7 @@ proptest! {
             .collect();
         let fully_honest =
             (0..4).filter(|&i| matches!(config.behavior_of(i), Behavior::Honest)).count();
-        let (report, logs) = Simulation::new(config).run_with_logs();
+        let SimOutcome { report, logs, .. } = Simulation::new(config).run_full();
 
         // Safety: pairwise prefix consistency of correct commit logs —
         // whatever the fault mix or schedule.

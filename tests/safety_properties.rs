@@ -7,7 +7,7 @@
 
 use mahi_mahi::net::time;
 use mahi_mahi::sim::{
-    AdversaryChoice, Behavior, LatencyChoice, ProtocolChoice, SimConfig, Simulation,
+    AdversaryChoice, Behavior, LatencyChoice, ProtocolChoice, SimConfig, SimOutcome, Simulation,
 };
 use mahi_mahi::types::BlockRef;
 
@@ -30,7 +30,7 @@ fn run_and_check(config: SimConfig, context: &str) {
     let honest: Vec<usize> = (0..config.committee_size)
         .filter(|&index| matches!(config.behavior_of(index), Behavior::Honest))
         .collect();
-    let (report, logs) = Simulation::new(config).run_with_logs();
+    let SimOutcome { report, logs, .. } = Simulation::new(config).run_full();
     assert!(
         report.committed_transactions > 0,
         "{context}: no transactions committed"
@@ -164,7 +164,7 @@ fn agreement_survives_an_outage_and_rejoin() {
             until: time::from_secs(4),
         },
     )];
-    let (report, logs) = Simulation::new(config).run_with_logs();
+    let SimOutcome { report, logs, .. } = Simulation::new(config).run_full();
     assert!(report.committed_transactions > 0);
     // All four logs (including the rejoined validator's) must be pairwise
     // prefix-consistent; the rejoined validator must have committed
