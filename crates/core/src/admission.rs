@@ -56,15 +56,18 @@ pub struct AdmissionConfig {
     ///
     /// `0` (the default) verifies synchronously inside
     /// [`AdmissionPipeline::submit`] — no threads, same observable
-    /// behavior; this is what deterministic harnesses use. Values around
-    /// the physical core count are sensible for a TCP node.
+    /// behavior. Deterministic harnesses use it, and so does the TCP node
+    /// by default: a verdict reached on the thread that applies the input
+    /// never waits for that thread to wake up and collect it.
     pub verify_workers: usize,
     /// Bound on in-flight submissions (submitted but not yet drained).
     ///
     /// The pipeline itself never blocks; callers consult
     /// [`AdmissionPipeline::has_capacity`] before submitting more work and
-    /// leave the excess wherever it currently queues (e.g. the transport's
-    /// incoming channel), which is the backpressure path.
+    /// leave the excess wherever it currently queues. For the TCP node that
+    /// is the transport's inbound channel, which is unbounded: its readers
+    /// never block, so the bound caps the pipeline but does not push back
+    /// on the peer's connection (bounding it is ROADMAP item 2(c)).
     pub queue_bound: usize,
 }
 
@@ -431,6 +434,15 @@ fn carries_claims(input: &Input) -> bool {
 /// per-round base derived once per round — with failures attributed to and
 /// dropped from the specific offending blocks.
 fn verify_blocks(committee: &Committee, blocks: Vec<Arc<Block>>) -> Vec<Arc<Block>> {
+    // A lone block — every frame but a sync reply — gains nothing from the
+    // combined equation, which costs one exponentiation and a transcript
+    // hash more than checking the one signature.
+    if let [block] = &blocks[..] {
+        return match block.verify(committee) {
+            Ok(()) => blocks,
+            Err(_) => Vec::new(),
+        };
+    }
     let mut alive: Vec<bool> = blocks
         .iter()
         .map(|block| block.verify_structure(committee).is_ok())

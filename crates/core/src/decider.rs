@@ -11,7 +11,7 @@ use mahimahi_dag::BlockStore;
 use mahimahi_types::AuthorityIndex;
 use mahimahi_types::{Block, Committee, Round, Slot};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Memoized reconstruction of per-round coin values.
@@ -19,23 +19,22 @@ use std::sync::Arc;
 /// The combined value is independent of which `2f + 1` valid shares are
 /// used (the threshold property), so caching by round is sound even as more
 /// blocks arrive — and so is forgetting a round: recomputing it gives the
-/// same value. `RefCell`s because the committer that owns it belongs to one
+/// same value. A `RefCell` because the committer that owns it belongs to one
 /// thread.
 #[derive(Debug, Default)]
 pub(crate) struct CoinCache {
     values: RefCell<HashMap<Round, CoinValue>>,
-    /// Shares already verified per open round, by author index. Until a
-    /// round's coin opens, `coin_for_round` is re-queried on every commit
-    /// attempt; without this memo each query would redo the DLEQ
-    /// verification (group exponentiations) for every share in view.
-    /// Dropped once the round's value is cached.
-    verified: RefCell<HashMap<Round, HashMap<u64, CoinShare>>>,
 }
 
 impl CoinCache {
     /// Reconstructs (or returns the cached) coin for `round` from the coin
     /// shares embedded in that round's blocks. `None` until blocks from
-    /// `2f + 1` distinct authorities are present.
+    /// `2f + 1` distinct authorities carry valid shares.
+    ///
+    /// Until a round's coin opens, this is asked again on every commit
+    /// attempt. While the round holds fewer authors than the threshold the
+    /// answer needs no block at all; once it holds enough, the shares are
+    /// verified where they are combined, once.
     pub fn coin_for_round(
         &self,
         committee: &Committee,
@@ -45,33 +44,31 @@ impl CoinCache {
         if let Some(value) = self.values.borrow().get(&round) {
             return Some(*value);
         }
-        // Deduplicate by author (equivocating blocks carry the same share)
-        // and keep only shares that verify: block validation normally
-        // rejects bad shares upstream, but a stored block is Byzantine
-        // input as far as this reconstruction is concerned — a malformed
-        // share must be skipped, never allowed to panic the node or poison
-        // the combination. Each author's share is verified at most once per
-        // round (memoized across calls).
-        let mut verified = self.verified.borrow_mut();
-        let round_verified = verified.entry(round).or_default();
-        for block in store.blocks_at_round(round) {
-            if let Some(share) = block.coin_share() {
-                if !round_verified.contains_key(&share.index())
-                    && committee.coin_public().verify_share(round, &share).is_ok()
-                {
-                    round_verified.insert(share.index(), share);
-                }
-            }
-        }
-        if round_verified.len() < committee.coin_public().threshold() {
+        let coin = committee.coin_public();
+        if store.authorities_at_round(round).len() < coin.threshold() {
             return None;
         }
-        let shares: Vec<CoinShare> = round_verified.values().copied().collect();
-        // The shares were verified above, so this cannot fail; if it ever
-        // does, an unopened coin (retry next call) beats a crashed node.
-        let value = committee.coin_public().combine(round, &shares).ok()?;
+        let shares: Vec<CoinShare> = store
+            .blocks_at_round(round)
+            .iter()
+            .filter_map(|block| block.coin_share())
+            .collect();
+        // `combine` verifies every share it uses. One that fails is skipped,
+        // never allowed to panic the node or poison the combination: block
+        // validation normally rejects bad shares upstream, but a stored
+        // block is Byzantine input as far as this reconstruction is
+        // concerned. Only then is each share checked on its own.
+        let value = coin
+            .combine(round, &one_per_author(&shares))
+            .or_else(|_| {
+                let valid: Vec<CoinShare> = shares
+                    .into_iter()
+                    .filter(|share| coin.verify_share(round, share).is_ok())
+                    .collect();
+                coin.combine(round, &one_per_author(&valid))
+            })
+            .ok()?;
         self.values.borrow_mut().insert(round, value);
-        verified.remove(&round);
         Some(value)
     }
 
@@ -80,20 +77,26 @@ impl CoinCache {
         self.values
             .borrow_mut()
             .retain(|&cached, _| cached >= round);
-        self.verified
-            .borrow_mut()
-            .retain(|&cached, _| cached >= round);
     }
 
-    /// The rounds holding a value or verified shares, ascending.
+    /// The rounds holding a value, ascending.
     #[cfg(test)]
     pub fn rounds(&self) -> Vec<Round> {
         let mut rounds: Vec<Round> = self.values.borrow().keys().copied().collect();
-        rounds.extend(self.verified.borrow().keys());
         rounds.sort_unstable();
-        rounds.dedup();
         rounds
     }
+}
+
+/// The first share of each author index (equivocating blocks carry the
+/// same one), in the order given.
+fn one_per_author(shares: &[CoinShare]) -> Vec<CoinShare> {
+    let mut seen = HashSet::new();
+    shares
+        .iter()
+        .filter(|share| seen.insert(share.index()))
+        .copied()
+        .collect()
 }
 
 /// The decision rules for one leader slot (Propose round + leader offset).

@@ -607,6 +607,12 @@ pub struct ValidatorEngine {
     store: BlockStore,
     evidence: EvidencePool,
     sequencer: CommitSequencer<Box<dyn ProtocolCommitter>>,
+    /// The [`BlockStore::version`] the commit rule last ran on, or `None`
+    /// when it has to run on the next input regardless (before the first,
+    /// and after the sequencer jumped to a cut). The rule is a function of
+    /// the DAG and the sequencer's position, and a run on an unchanged pair
+    /// decides nothing new — so `commit` skips it.
+    decided_at: Option<u64>,
     strategy: Option<Box<dyn ProposerStrategy>>,
     /// Driver time, advanced only by [`Input::TimerFired`].
     now: Time,
@@ -661,6 +667,7 @@ impl ValidatorEngine {
             store: BlockStore::new(committee.size(), committee.quorum_threshold()),
             evidence: EvidencePool::new(committee.clone()),
             sequencer,
+            decided_at: None,
             strategy: Some(strategy),
             now: 0,
             round: 0,
@@ -1243,6 +1250,7 @@ impl ValidatorEngine {
         if self.sequencer.restore(&snapshot).is_err() {
             return false;
         }
+        self.decided_at = None;
         self.execution = state;
         self.cadence.taken(execution, resume);
         self.history.log.clear();
@@ -1302,9 +1310,11 @@ impl ValidatorEngine {
 
     /// Drops everything held for rounds below `floor` — the one place
     /// floor compaction happens: the store, the tips, the verified set,
-    /// the exactly-once digest ledger and the certified pipeline's maps.
+    /// the sequencer's emitted set, the exactly-once digest ledger and the
+    /// certified pipeline's maps.
     fn compact_below(&mut self, floor: Round) {
         self.store.compact(floor);
+        self.sequencer.forget_emitted_below(floor);
         self.unreferenced
             .retain(|reference| reference.round >= floor);
         self.verified_blocks = self.verified_blocks.split_off(&floor);
@@ -1491,8 +1501,20 @@ impl ValidatorEngine {
     /// they close, folding every commit into the execution state, signing
     /// checkpoints at boundary crossings, then compacting once the GC floor
     /// moved far enough. Allocates nothing when nothing commits.
+    ///
+    /// The rule itself ([`CommitSequencer::try_commit`]) runs only when the
+    /// DAG or the sequencer changed since its last run (see `decided_at`):
+    /// most inputs — timer ticks, duplicates, blocks still missing
+    /// ancestors — admit nothing, and asking again could only answer "no
+    /// new decision". Everything after the rule runs on every input.
     fn commit(&mut self, outputs: &mut Vec<Output>) {
-        let decisions = self.sequencer.try_commit(&self.store);
+        let version = self.store.version();
+        let decisions = if self.decided_at == Some(version) {
+            Vec::new()
+        } else {
+            self.decided_at = Some(version);
+            self.sequencer.try_commit(&self.store)
+        };
         // Boundary snapshots captured during try_commit, oldest first; the
         // snapshot at position `p` is emitted after the decision at
         // `p − 1` has been executed, so the signed state root describes
@@ -1679,6 +1701,79 @@ mod tests {
         }
         assert_eq!(engine.signature_checks(), before_tampered + 2);
         assert!(!engine.store().contains(&tampered.reference()));
+    }
+
+    /// Decides like the committer it wraps, counting how often it is asked.
+    struct CountingCommitter {
+        inner: Committer,
+        calls: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl ProtocolCommitter for CountingCommitter {
+        fn committee(&self) -> &Committee {
+            self.inner.committee()
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn try_decide(
+            &self,
+            store: &BlockStore,
+            from_round: Round,
+        ) -> Vec<crate::status::LeaderStatus> {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.try_decide(store, from_round)
+        }
+    }
+
+    #[test]
+    fn the_commit_rule_is_consulted_only_by_inputs_that_admit_a_block() {
+        let setup = TestCommittee::new(4, 7);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut engine = ValidatorEngine::honest(
+            EngineConfig::new(AuthorityIndex(0), setup.clone()),
+            Box::new(CountingCommitter {
+                inner: Committer::new(setup.committee().clone(), CommitterOptions::default()),
+                calls: Arc::clone(&calls),
+            }),
+        );
+        let consulted = || calls.load(std::sync::atomic::Ordering::Relaxed);
+
+        // The first tick produces round 1: the own block joins the DAG.
+        engine.handle(Input::TimerFired { now: 0 });
+        assert_eq!(engine.round(), 1);
+        assert_eq!(consulted(), 1);
+        // Ticks without a round-1 quorum admit nothing.
+        for now in 1..5 {
+            engine.handle(Input::TimerFired { now });
+        }
+        assert_eq!(consulted(), 1);
+
+        // A peer's round-1 block joins the DAG.
+        let mut dag = DagBuilder::new(setup);
+        let round_one = dag.add_full_round();
+        let block = dag.store().get(&round_one[1]).unwrap().clone();
+        engine.handle(Input::BlockReceived {
+            from: 1,
+            block: block.clone(),
+        });
+        assert_eq!(consulted(), 2);
+
+        // Its duplicate does not, nor does a block still missing ancestors.
+        engine.handle(Input::BlockReceived { from: 2, block });
+        let round_two = dag.add_full_round();
+        let orphan = dag.store().get(&round_two[2]).unwrap().clone();
+        let outputs = engine.handle(Input::BlockReceived {
+            from: 2,
+            block: orphan,
+        });
+        assert!(outputs
+            .iter()
+            .any(|output| matches!(output, Output::SendTo(2, Envelope::Request(_)))));
+        assert_eq!(consulted(), 2);
     }
 
     #[test]

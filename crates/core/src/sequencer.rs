@@ -282,9 +282,22 @@ impl<C: ProtocolCommitter> CommitSequencer<C> {
         self.position
     }
 
-    /// Number of distinct blocks emitted into the total order so far.
+    /// Number of distinct blocks emitted into the total order so far and
+    /// still remembered: a sequencer under an engine with GC forgets those
+    /// below the floor each time the engine compacts.
     pub fn emitted_blocks(&self) -> usize {
         self.emitted.len()
+    }
+
+    /// Forgets which blocks below `floor` were emitted, where `floor` is at
+    /// most [`CommitSequencer::gc_floor`]. Every later commit linearizes
+    /// above a floor at least that high and never looks a block below it
+    /// up, so this changes no decision — it keeps the set, and the
+    /// boundary snapshots that scan it, the size of the GC window rather
+    /// than of the whole history.
+    pub(crate) fn forget_emitted_below(&mut self, floor: Round) {
+        debug_assert!(floor <= self.gc_floor(), "forgetting above the GC floor");
+        self.emitted.retain(|reference| reference.round >= floor);
     }
 
     /// Extends the commit sequence as far as the DAG allows.
@@ -531,6 +544,36 @@ mod tests {
             assert_eq!(snapshot.position, 3 * (index as u64 + 1));
             assert_eq!(snapshot.digest(), all_at_once[index].digest());
         }
+    }
+
+    #[test]
+    fn forgetting_emitted_blocks_below_the_gc_floor_changes_no_decision() {
+        // Two GC'd sequencers over the same growing DAG: one forgets its
+        // emitted blocks below the floor after every step, the other keeps
+        // them all. Same decisions, same boundary snapshots — and the
+        // forgetting one holds only the GC window.
+        let setup = TestCommittee::new(4, 13);
+        let depth = 4;
+        let mut forgetting = sequencer(&setup, 5, 2).with_gc_depth(depth);
+        forgetting.set_checkpoint_interval(3);
+        let mut keeping = sequencer(&setup, 5, 2).with_gc_depth(depth);
+        keeping.set_checkpoint_interval(3);
+        let mut dag = DagBuilder::new(setup);
+        for _ in 0..30 {
+            dag.add_full_rounds(2);
+            let forgot = forgetting.try_commit(dag.store());
+            let kept = keeping.try_commit(dag.store());
+            assert_eq!(format!("{forgot:?}"), format!("{kept:?}"));
+            assert_eq!(
+                forgetting.take_boundary_snapshots(),
+                keeping.take_boundary_snapshots()
+            );
+            forgetting.forget_emitted_below(forgetting.gc_floor());
+        }
+        assert!(keeping.sequenced_slots() > 50, "too short to matter");
+        let window = (dag.store().highest_round() + 1 - forgetting.gc_floor()) as usize * 4;
+        assert!(forgetting.emitted_blocks() <= window);
+        assert!(keeping.emitted_blocks() > 2 * window);
     }
 
     #[test]

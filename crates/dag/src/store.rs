@@ -116,6 +116,8 @@ pub struct BlockStore {
     /// emitted the moment the *second* digest lands; further forks in the
     /// same slot add no new proofs (one conviction per author suffices).
     fresh_evidence: Vec<EquivocationProof>,
+    /// Bumped whenever the DAG's content changes ([`BlockStore::version`]).
+    version: u64,
 }
 
 impl BlockStore {
@@ -137,6 +139,7 @@ impl BlockStore {
             vote_cache: RefCell::default(),
             cert_cache: RefCell::default(),
             fresh_evidence: Vec::new(),
+            version: 0,
         };
         for genesis in Block::all_genesis(committee_size) {
             store
@@ -237,6 +240,7 @@ impl BlockStore {
             self.equivocators.insert(reference.author);
         }
         self.highest_round = self.highest_round.max(reference.round);
+        self.version += 1;
     }
 
     /// After `arrived` joined the DAG, admits any pending blocks that are now
@@ -328,6 +332,15 @@ impl BlockStore {
         self.highest_round
     }
 
+    /// A counter that changes whenever the DAG does: a block joins it, or
+    /// [`BlockStore::compact`] drops rounds. Buffering a block that still
+    /// misses ancestors changes nothing a traversal reads, so it leaves the
+    /// version alone. Equal versions of one store mean equal DAGs, so a
+    /// caller can skip re-deriving anything that is a function of the DAG.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// The garbage-collection cutoff (0 when never compacted).
     pub fn gc_cutoff(&self) -> Round {
         self.gc_cutoff
@@ -413,6 +426,7 @@ impl BlockStore {
             return 0;
         }
         self.gc_cutoff = cutoff;
+        self.version += 1;
         let before = self.blocks.len();
         // Rebuild the interned block table keeping rounds ≥ cutoff (and
         // genesis-bootstrap blocks only if cutoff is 0, handled above).

@@ -14,8 +14,15 @@
 //!   dissemination — the rule and its reasons are stated there);
 //! - [`Output::Committed`] → the application's commit channel;
 //! - time → [`Input::TimerFired`] from an `Instant`-derived microsecond
-//!   counter, fed once per poll-loop iteration (which bounds every
-//!   [`Output::WakeAt`] request by the 2 ms poll timeout).
+//!   counter, fed once per event-loop iteration. The loop blocks until the
+//!   earliest of a frame, the engine's earliest pending [`Output::WakeAt`],
+//!   and a 2 ms fallback for the two inputs that cannot wake a blocked
+//!   receive (see [`FALLBACK_WAIT`]), so a deadline is served when it falls
+//!   due rather than at the next poll.
+//!
+//! Frames are decoded and verified on the loop's own thread, right before
+//! the engine applies them ([`NodeConfig::verify_workers`] is 0 by
+//! default): no verdict waits on another thread for the loop to wake up.
 //!
 //! Recovery replays the WAL's [`WalRecord`]s into the engine before the
 //! first input: blocks rebuild the DAG and the produced-round watermark,
@@ -32,7 +39,7 @@ use mahimahi_core::{
 use mahimahi_crypto::{CoinSecret, Keypair};
 use mahimahi_dag::BlockStore;
 use mahimahi_telemetry::{Gauge, Histogram, Registry, Stage, StageSnapshot, StageStats};
-use mahimahi_transport::Transport;
+use mahimahi_transport::{wake_acceptor, Transport};
 use mahimahi_types::{
     AuthorityIndex, Committee, Encode, Envelope, Round, TestCommittee, Transaction, TxReceipt,
     Verified,
@@ -49,6 +56,13 @@ use std::time::{Duration, Instant};
 /// Upper bound on frames handled per event-loop iteration, so a flooding
 /// peer cannot starve the timer tick (production pacing, wake-ups).
 const MAX_FRAMES_PER_ITERATION: usize = 128;
+
+/// The longest the event loop blocks with no frame and no engine deadline
+/// due. Frames wake the loop and [`Alarm`] serves every
+/// [`Output::WakeAt`] on time; this bound exists only for the two sources
+/// that cannot wake a blocked receive — batches submitted through
+/// [`NodeHandle`] and the stop flag — and is how late either is noticed.
+const FALLBACK_WAIT: Duration = Duration::from_millis(2);
 
 /// A recorded engine interaction: the input handled and the `Debug`
 /// rendering of the outputs it produced — the exact artifact the
@@ -107,15 +121,21 @@ pub struct NodeConfig {
     /// checkpointed frontier — for the next compaction; see
     /// [`EngineConfig::checkpoint_interval`] for the safety contract.
     pub checkpoint_interval: u64,
-    /// Verify-stage worker threads for the admission pipeline. `0` checks
-    /// signatures and proofs inline on the event-loop thread (the pre-split
-    /// behavior); higher values decode and verify incoming frames in
-    /// parallel while the apply stage stays sequential and deterministic.
+    /// Verify-stage worker threads for the admission pipeline. `0` (the
+    /// [`NodeConfig::local`] default) decodes and checks each frame inline
+    /// on the event-loop thread, in the iteration that applies it: no
+    /// thread hop, and no verdict waiting for the loop's next wake-up.
+    /// Higher values decode and verify frames on worker threads in
+    /// parallel while the apply stage stays sequential and deterministic;
+    /// the loop cannot block on their verdicts, so one that lands after
+    /// the loop went to sleep is applied at the next frame or tick.
     pub verify_workers: usize,
-    /// Bound on inputs in flight inside the verify stage. When the bound is
-    /// reached the event loop stops pulling frames from the transport —
-    /// backpressure propagates to the peer's TCP connection rather than
-    /// growing an unbounded local queue.
+    /// Bound on inputs in flight inside the verify stage. When it is
+    /// reached, the event loop stops pulling frames from the transport for
+    /// that iteration and the excess waits in the transport's inbound
+    /// channel. That channel is unbounded, so its reader threads never
+    /// block and the backpressure does not reach the peer's TCP connection;
+    /// bounding the hops is ROADMAP item 2(c).
     pub verify_queue_bound: usize,
     /// Where to serve this node's metrics endpoint, or `None` (the default)
     /// to run without one. Binding `127.0.0.1:0` picks an ephemeral port;
@@ -152,7 +172,7 @@ impl NodeConfig {
             inclusion_wait: Duration::ZERO,
             gc_depth: Some(128),
             checkpoint_interval: 32,
-            verify_workers: 2,
+            verify_workers: 0,
             verify_queue_bound: 1024,
             metrics_addr: None,
         }
@@ -452,18 +472,17 @@ impl StatusReport {
 /// The metrics endpoint's accept loop: a deliberately minimal HTTP/1.1
 /// server (request line + headers in, one response out, close). It reads
 /// only lock-free metric handles, so a slow or hostile scraper can never
-/// back-pressure consensus.
+/// back-pressure consensus. It blocks in `accept`; [`NodeHandle`]'s stop
+/// sets the flag and then connects once, so the check after each accept
+/// sees it.
 fn serve_metrics(listener: TcpListener, metrics: Arc<NodeMetrics>, stop: Arc<AtomicBool>) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for accepted in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok(stream) => {
                 let _ = answer_scrape(stream, &metrics);
-            }
-            Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
             }
             Err(_) => break,
         }
@@ -472,7 +491,6 @@ fn serve_metrics(listener: TcpListener, metrics: Arc<NodeMetrics>, stop: Arc<Ato
 
 /// Serves one metrics-endpoint request (see [`NodeConfig::metrics_addr`]).
 fn answer_scrape(mut stream: TcpStream, metrics: &NodeMetrics) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut request = Vec::new();
     let mut buf = [0u8; 1024];
@@ -507,6 +525,51 @@ fn answer_scrape(mut stream: TcpStream, metrics: &NodeMetrics) -> std::io::Resul
         body.len(),
     )?;
     stream.flush()
+}
+
+/// The engine's earliest pending [`Output::WakeAt`], and from it how long
+/// the event loop may block before the next [`Input::TimerFired`] is due —
+/// the node's counterpart of the simulator's wake-up heap, which needs
+/// only its head because every tick re-runs all of the engine's timers.
+#[derive(Debug, Default)]
+struct Alarm {
+    /// The earliest requested deadline not yet served (engine µs).
+    due: Option<EngineTime>,
+    /// The latest tick fed to the engine: it served every deadline at or
+    /// before it.
+    fed: Option<EngineTime>,
+}
+
+impl Alarm {
+    /// Records a `WakeAt(at)`; the earliest pending deadline wins. One the
+    /// latest fed tick already reached is served and needs no tick of its
+    /// own — which is what keeps an engine that asks for a past deadline on
+    /// every tick from spinning the loop.
+    fn request(&mut self, at: EngineTime) {
+        if self.fed.is_some_and(|fed| at <= fed) {
+            return;
+        }
+        self.due = Some(self.due.map_or(at, |due| due.min(at)));
+    }
+
+    /// Records that `TimerFired { now }` reached the engine. The pending
+    /// deadline is forgotten only here, once a tick at or past it has been
+    /// fed.
+    fn fed(&mut self, now: EngineTime) {
+        self.fed = Some(self.fed.map_or(now, |fed| fed.max(now)));
+        if self.due.is_some_and(|due| due <= now) {
+            self.due = None;
+        }
+    }
+
+    /// How long the loop may block at `now`: until the pending deadline —
+    /// zero once it has passed, for one immediate tick — and never longer
+    /// than [`FALLBACK_WAIT`].
+    fn wait(&self, now: EngineTime) -> Duration {
+        self.due.map_or(FALLBACK_WAIT, |due| {
+            Duration::from_micros(due.saturating_sub(now)).min(FALLBACK_WAIT)
+        })
+    }
 }
 
 /// Handle to a running [`ValidatorNode`].
@@ -594,6 +657,9 @@ impl NodeHandle {
             let _ = join.join();
         }
         if let Some(join) = self.metrics_join.take() {
+            if let Some(addr) = self.metrics_addr {
+                wake_acceptor(addr);
+            }
             let _ = join.join();
         }
     }
@@ -717,8 +783,11 @@ impl ValidatorNode {
         let mut metrics_addr = None;
         let mut metrics_join = None;
         if let Some(requested) = self.metrics_addr {
-            if let Ok(listener) = TcpListener::bind(requested) {
-                metrics_addr = listener.local_addr().ok();
+            // Without its address the server could not be woken to stop.
+            let bound = TcpListener::bind(requested)
+                .and_then(|listener| Ok((listener.local_addr()?, listener)));
+            if let Ok((addr, listener)) = bound {
+                metrics_addr = Some(addr);
                 let server_metrics = Arc::clone(&metrics);
                 let server_stop = Arc::clone(&stop);
                 metrics_join = Some(
@@ -747,16 +816,19 @@ impl ValidatorNode {
         }
     }
 
-    /// The event loop: per iteration, feed *all* ready inputs — one timer
-    /// tick, every queued client batch, and every frame already received
-    /// (bounded by [`MAX_FRAMES_PER_ITERATION`] and the verify queue
-    /// bound) — through the admission pipeline, apply whatever verified
-    /// inputs it releases (in submission order) as one output batch, then
-    /// render that batch against the transport/WAL/commit channel once.
+    /// The event loop: block until a frame arrives, the engine's earliest
+    /// pending [`Output::WakeAt`] falls due, or [`FALLBACK_WAIT`] passes;
+    /// then feed *all* ready inputs — one timer tick, every queued client
+    /// batch, and every frame already received (bounded by
+    /// [`MAX_FRAMES_PER_ITERATION`] and the verify queue bound) — through
+    /// the admission pipeline, apply whatever verified inputs it releases
+    /// (in submission order) as one output batch, then render that batch
+    /// against the transport/WAL/commit channel once.
     ///
     /// The pipeline is the verify stage of the verify/apply split: frame
-    /// decoding, signature checks, and coin-share proofs run on its worker
-    /// threads ([`NodeConfig::verify_workers`]) while the engine — the
+    /// decoding, signature checks, and coin-share proofs run inline on
+    /// this thread by default, or on worker threads when
+    /// [`NodeConfig::verify_workers`] asks for them, while the engine — the
     /// apply stage — stays single-threaded and deterministic. Because the
     /// pipeline re-sequences results into submission order, the engine
     /// observes the same input stream a serial node would, minus the
@@ -789,19 +861,17 @@ impl ValidatorNode {
         // the engine, so the request is safe to send unconditionally.
         self.transport
             .broadcast(Envelope::CheckpointRequest.to_bytes_vec());
+        let clock = || started.elapsed().as_micros() as EngineTime;
+        let mut alarm = Alarm::default();
         while !stop.load(Ordering::SeqCst) {
-            // Wait for one incoming frame (with a short poll timeout that
-            // also serves every WakeAt the engine asked for).
-            let first = match self
-                .transport
-                .incoming()
-                .recv_timeout(Duration::from_millis(2))
-            {
+            // Wait for one incoming frame, at most until the engine's next
+            // deadline (not at all once it is past).
+            let first = match self.transport.incoming().recv_timeout(alarm.wait(clock())) {
                 Ok(frame) => Some(frame),
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
             };
-            let now = started.elapsed().as_micros() as EngineTime;
+            let now = clock();
             pipeline.submit_at(Input::TimerFired { now }, now);
             // Drain client batches (enqueue-only inputs).
             loop {
@@ -839,7 +909,7 @@ impl ValidatorNode {
             // submission order, and render the outputs once.
             let mut outputs = Vec::new();
             for input in pipeline.drain_ready_at(now) {
-                self.handle_verified(input, &mut outputs);
+                self.handle_verified(input, &mut alarm, &mut outputs);
             }
             let applied = self.apply(outputs, &commits, &receipts);
             self.metrics.update_engine(&self.engine);
@@ -859,14 +929,33 @@ impl ValidatorNode {
     }
 
     /// Applies one verified input to the engine, recording the step when
-    /// tracing. The trace records the *verified* inputs in sequenced
-    /// order, so replaying it through the plain [`ValidatorEngine::handle`]
-    /// path reproduces these outputs byte for byte.
-    fn handle_verified(&mut self, input: Verified<Input>, outputs: &mut Vec<Output>) {
+    /// tracing, and keeps `alarm` in step with the ticks fed and the
+    /// wake-ups requested. The trace records the *verified* inputs in
+    /// sequenced order, so replaying it through the plain
+    /// [`ValidatorEngine::handle`] path reproduces these outputs byte for
+    /// byte.
+    fn handle_verified(
+        &mut self,
+        input: Verified<Input>,
+        alarm: &mut Alarm,
+        outputs: &mut Vec<Output>,
+    ) {
         let recorded = self.trace.as_ref().map(|_| input.get().clone());
+        let tick = match *input {
+            Input::TimerFired { now } => Some(now),
+            _ => None,
+        };
         // The clock is read here: the engine stays clock-free.
         let started = Instant::now();
         let produced = self.engine.handle_verified(input);
+        if let Some(now) = tick {
+            alarm.fed(now);
+        }
+        for output in &produced {
+            if let Output::WakeAt(at) = output {
+                alarm.request(*at);
+            }
+        }
         let cut = |output: &Output| matches!(output, Output::CheckpointProduced(_));
         if produced.iter().any(cut) {
             self.metrics
@@ -950,9 +1039,9 @@ impl ValidatorNode {
                             .send(peer as u32, Envelope::TxReceipt(receipt).to_bytes_vec());
                     }
                 }
-                // The 2 ms poll loop revisits the engine well within any
-                // requested wake-up; conviction and checkpoint notices
-                // have no node-side consumer beyond the gauges.
+                // Wake-ups were handed to the loop's alarm as the engine
+                // emitted them; conviction and checkpoint notices have no
+                // node-side consumer beyond the gauges.
                 Output::WakeAt(_) | Output::Convicted(_) | Output::CheckpointProduced(_) => {}
             }
         }
@@ -1162,6 +1251,67 @@ mod tests {
             .status()
             .to_json()
             .contains("\"wal_errors\":1"));
+    }
+
+    #[test]
+    fn the_earliest_deadline_wins_and_is_kept_until_a_tick_reaches_it() {
+        let mut alarm = Alarm::default();
+        assert_eq!(alarm.wait(0), FALLBACK_WAIT, "nothing requested");
+        alarm.request(900);
+        alarm.request(500);
+        alarm.request(700);
+        assert_eq!(alarm.wait(100), Duration::from_micros(400));
+        // A tick short of the deadline does not serve it.
+        alarm.fed(300);
+        assert_eq!(alarm.wait(300), Duration::from_micros(200));
+        // One at it does. The later requests went with it: the engine
+        // re-arms every timer it still needs on each tick.
+        alarm.fed(500);
+        assert_eq!(alarm.wait(500), FALLBACK_WAIT);
+    }
+
+    #[test]
+    fn a_past_deadline_is_one_immediate_tick_and_then_no_spin() {
+        let mut alarm = Alarm::default();
+        alarm.fed(1_000);
+        alarm.request(2_000);
+        // The loop woke after the deadline: tick at once.
+        assert_eq!(alarm.wait(2_500), Duration::ZERO);
+        alarm.fed(2_500);
+        assert_eq!(alarm.wait(2_500), FALLBACK_WAIT);
+        // Asking again for a time that tick already reached buys no
+        // second one.
+        alarm.request(2_000);
+        alarm.request(2_500);
+        assert_eq!(alarm.wait(2_600), FALLBACK_WAIT);
+    }
+
+    #[test]
+    fn a_deadline_an_hour_away_waits_no_longer_than_the_fallback() {
+        let mut alarm = Alarm::default();
+        alarm.request(3_600_000_000);
+        assert_eq!(alarm.wait(0), FALLBACK_WAIT);
+
+        // A node holding such a deadline (a forwarding timer an hour out,
+        // armed by a batch sitting in its pool) still stops promptly: the
+        // stop flag is read at least once per fallback wait.
+        let mut config = NodeConfig::local(0, TestCommittee::new(4, 5));
+        config.ingress = IngressConfig {
+            forward_age: Some(3_600_000_000),
+            ..IngressConfig::default()
+        };
+        let transport = Transport::bind(0, "127.0.0.1:0").unwrap();
+        let handle = ValidatorNode::new(config, transport).unwrap().start();
+        handle.submit(Transaction::benchmark(1));
+        let receipt = handle.receipts().recv_timeout(Duration::from_secs(10));
+        assert!(matches!(receipt, Ok(TxReceipt::Admission { .. })));
+        let stopping = Instant::now();
+        handle.stop();
+        assert!(
+            stopping.elapsed() < Duration::from_secs(1),
+            "stop took {:?}",
+            stopping.elapsed()
+        );
     }
 
     #[test]

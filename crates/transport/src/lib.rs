@@ -36,8 +36,8 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{IoSlice, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -84,7 +84,6 @@ impl Transport {
     /// Propagates socket errors from binding.
     pub fn bind<A: ToSocketAddrs>(id: PeerId, addr: A) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let (incoming_tx, incoming_rx) = unbounded();
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -163,9 +162,13 @@ impl Transport {
         }
     }
 
-    /// Signals all threads to stop. Subsequent sends are dropped.
+    /// Signals all threads to stop. Subsequent sends are dropped. The
+    /// first call also wakes the accept thread, which then exits and closes
+    /// the listener.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            wake_acceptor(self.local_addr);
+        }
         self.peers.lock().expect("queue table poisoned").clear();
         self.clients.lock().expect("queue table poisoned").clear();
     }
@@ -185,9 +188,14 @@ fn accept_loop(
 ) {
     // Client-connection ids are assigned in accept order, per transport.
     let next_client = AtomicU32::new(FIRST_CLIENT_ID);
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    // Blocks in `accept`; `Transport::shutdown` sets the flag and then
+    // connects once, so the check after each accept sees it.
+    for accepted in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok(stream) => {
                 let incoming = incoming.clone();
                 let clients = Arc::clone(&clients);
                 let shutdown = Arc::clone(&shutdown);
@@ -197,12 +205,24 @@ fn accept_loop(
                     .spawn(move || reader_loop(stream, incoming, clients, id, shutdown))
                     .expect("spawn reader thread");
             }
-            Err(ref error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
             Err(_) => break,
         }
     }
+}
+
+/// Connects once to the listener at `addr`, so a thread blocked in its
+/// `accept` returns and can see a stop flag set before this call. An
+/// unspecified address (`0.0.0.0`, `::`) is dialled on loopback. A listener
+/// that is already gone refuses the connection, which is as good.
+pub fn wake_acceptor(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 /// Reads the peer's hello, then frames, forwarding them upstream.
@@ -355,10 +375,27 @@ fn sender_loop(id: PeerId, addr: SocketAddr, frames: Receiver<Vec<u8>>, shutdown
     }
 }
 
+/// Writes the length prefix and the body with one vectored write — one
+/// TCP segment for a small frame under `nodelay`, where two `write_all`s
+/// sent two — and loops only if the kernel takes part of it.
 fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(frame.len() as u32).to_le_bytes())?;
-    stream.write_all(frame)?;
-    stream.flush()
+    let header = (frame.len() as u32).to_le_bytes();
+    let total = header.len() + frame.len();
+    let mut written = 0;
+    while written < total {
+        let result = if written < header.len() {
+            stream.write_vectored(&[IoSlice::new(&header[written..]), IoSlice::new(frame)])
+        } else {
+            stream.write(&frame[written - header.len()..])
+        };
+        match result {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(error) => return Err(error),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -483,6 +520,27 @@ mod tests {
             .unwrap();
         assert_ne!(a, b);
         assert!(a >= FIRST_CLIENT_ID && b >= FIRST_CLIENT_ID);
+    }
+
+    #[test]
+    fn shutdown_ends_the_accept_thread_and_closes_the_listener() {
+        let transport = Transport::bind(0, "127.0.0.1:0").unwrap();
+        let addr = transport.local_addr();
+        assert!(
+            TcpStream::connect(addr).is_ok(),
+            "listening before shutdown"
+        );
+        transport.shutdown();
+        // The accept thread owns the listener: once it has exited, the
+        // port refuses connections.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while TcpStream::connect(addr).is_ok() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the accept thread outlived shutdown"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
