@@ -1,16 +1,18 @@
-//! The admission pipeline: a parallel verify stage in front of the
-//! sequential engine core.
+//! The verify stage: the one place peer input is checked, and the
+//! admission pipeline that runs it in front of the sequential engine core.
 //!
-//! Everything expensive about admitting an input — decoding wire bytes,
-//! Schnorr signature checks, coin-share DLEQ proofs, structural block
-//! validation, hashing the transactions it carries — is stateless: it
-//! depends only on the input bytes and the (fixed) committee.
-//! [`AdmissionPipeline`] exploits that by fanning
-//! submissions out to a pool of verify workers and re-sequencing the
-//! results, so verified inputs emerge in exact submission order no matter
-//! how the workers interleave. The sequential apply stage
-//! ([`ValidatorEngine::handle_verified`]) stays deterministic because it
-//! only ever sees that re-sequenced stream.
+//! [`verify`] is the only verifier of peer input. Everything expensive
+//! about admitting an input — Schnorr signature checks, coin-share DLEQ
+//! proofs, structural block validation, hashing the transactions it
+//! carries — is stateless: it depends only on the input and the (fixed)
+//! committee. What passes comes back wrapped in a [`Verified`] witness, and
+//! [`ValidatorEngine::handle_verified`] applies it without checking again.
+//! Its three callers are [`ValidatorEngine::handle`] (verify, then apply),
+//! the simulator (once per sent envelope, shared by every recipient) and
+//! [`AdmissionPipeline`], which the TCP node runs inline on its consensus
+//! thread and which can also fan submissions out to a pool of verify
+//! workers and re-sequence the results, so verified inputs emerge in exact
+//! submission order no matter how the workers interleave.
 //!
 //! The verify stage is where a transaction's bytes are first seen, so it is
 //! where each transaction is hashed, once: decoding a block hashes the
@@ -22,18 +24,19 @@
 //! hashing the payload again.
 //!
 //! Invalid inputs — undecodable frames, blocks with bad signatures or coin
-//! shares, unverifiable evidence — are dropped by the verify stage and
-//! never reach the core. Dropping them is output-equivalent to the serial
-//! path: [`ValidatorEngine::handle`] rejects the same inputs with no
-//! outputs and no state change.
+//! shares, unverifiable evidence — are dropped here and never reach the
+//! core, so the engine's [`BlockStore`] holds only blocks that passed
+//! [`verify`] (or, on recovery, the direct check of a logged block).
 //!
 //! # Determinism contract
 //!
 //! Drivers record the *verified* inputs in sequenced order; replaying such
 //! a trace through plain [`ValidatorEngine::handle`] reproduces the live
-//! outputs byte for byte (the engine re-verifies deterministically, and a
-//! verification that succeeds changes nothing).
+//! outputs byte for byte: verification is a pure function of the input and
+//! the committee, so every recorded input passes again and is applied the
+//! same way.
 //!
+//! [`BlockStore`]: mahimahi_dag::BlockStore
 //! [`ValidatorEngine::handle`]: crate::engine::ValidatorEngine::handle
 //! [`Transaction::digest`]: mahimahi_types::Transaction::digest
 //! [`ValidatorEngine::handle_verified`]: crate::engine::ValidatorEngine::handle_verified
@@ -90,7 +93,7 @@ enum Job {
 
 struct Workers {
     job_tx: Sender<(u64, Job)>,
-    result_rx: Receiver<(u64, Option<Input>)>,
+    result_rx: Receiver<(u64, Option<Verified<Input>>)>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -127,7 +130,7 @@ pub struct AdmissionPipeline {
     /// Out-of-order results parked until their predecessors arrive, each
     /// with the time its verdict landed (for the resequence-wait stage).
     /// `None` marks a rejected input (counted, never released).
-    resequence: BTreeMap<u64, (Option<Input>, u64)>,
+    resequence: BTreeMap<u64, (Option<Verified<Input>>, u64)>,
     /// Submission time per still-in-flight sequence number; the delta to
     /// the verdict time is the verify-stage latency.
     submitted_at: BTreeMap<u64, u64>,
@@ -324,7 +327,7 @@ impl AdmissionPipeline {
 
     /// Parks a verify verdict for resequencing, closing its verify-stage
     /// interval (submission → verdict).
-    fn settle(&mut self, seq: u64, outcome: Option<Input>, now: u64) {
+    fn settle(&mut self, seq: u64, outcome: Option<Verified<Input>>, now: u64) {
         let submitted = self.submitted_at.remove(&seq).unwrap_or(now);
         if let Some(stages) = &self.stages {
             stages.record(Stage::Verified, now.saturating_sub(submitted));
@@ -342,7 +345,7 @@ impl AdmissionPipeline {
                     if let Some(stages) = &self.stages {
                         stages.record(Stage::Resequenced, now.saturating_sub(seen_at));
                     }
-                    ready.push(Verified::vouch(input));
+                    ready.push(input);
                 }
                 None => self.rejected += 1,
             }
@@ -364,18 +367,66 @@ impl Drop for AdmissionPipeline {
     }
 }
 
-fn verify_job(committee: &Committee, job: Job) -> Option<Input> {
+fn verify_job(committee: &Committee, job: Job) -> Option<Verified<Input>> {
     let input = match job {
         Job::Frame { from, bytes } => {
             Input::from_envelope(from, Envelope::from_bytes_exact(&bytes).ok()?)
         }
         Job::Typed(input) => input,
     };
-    let input = verify_input(committee, input)?;
+    verify(committee, input)
+}
+
+/// Verifies `input` against `committee`: the only verifier of peer input,
+/// and the only place a [`Verified`] witness is made.
+///
+/// Blocks — alone, as a Tusk proposal, or in a sync reply — must pass
+/// [`Block::verify`]: structure, signature, coin-share proof. A sync reply
+/// keeps its valid blocks and drops the rest, and one with none left is
+/// rejected. Evidence must carry two validly signed conflicting blocks.
+/// Inputs that carry no cryptographic claims (timers, client transactions,
+/// acks, certificates, sync requests, checkpoints, whose signatures the
+/// engine checks against its own state) pass through. The transactions a
+/// client batch or a forward carries are hashed here, once.
+///
+/// Returns `None` for an input that fails: it must not reach the engine.
+///
+/// # Example
+///
+/// ```
+/// use mahimahi_core::admission::verify;
+/// use mahimahi_core::engine::Input;
+/// use mahimahi_types::TestCommittee;
+///
+/// let setup = TestCommittee::new(4, 7);
+/// let tick = verify(setup.committee(), Input::TimerFired { now: 5 }).unwrap();
+/// assert!(matches!(*tick, Input::TimerFired { now: 5 }));
+/// ```
+pub fn verify(committee: &Committee, input: Input) -> Option<Verified<Input>> {
+    let input = match input {
+        Input::BlockReceived { from, block } => verify_blocks(committee, vec![block])
+            .pop()
+            .map(|block| Input::BlockReceived { from, block })?,
+        Input::ProposalReceived { from, block } => verify_blocks(committee, vec![block])
+            .pop()
+            .map(|block| Input::ProposalReceived { from, block })?,
+        Input::SyncReply { from, blocks } => {
+            let blocks = verify_blocks(committee, blocks);
+            if blocks.is_empty() {
+                return None;
+            }
+            Input::SyncReply { from, blocks }
+        }
+        Input::EvidenceReceived { from, proof } => {
+            proof.verify(committee).ok()?;
+            Input::EvidenceReceived { from, proof }
+        }
+        other => other,
+    };
     for transaction in carried_transactions(&input) {
         transaction.digest();
     }
-    Some(input)
+    Some(Verified::vouch(input))
 }
 
 /// The transactions `input` carries that nothing has hashed yet: a client
@@ -388,32 +439,7 @@ fn carried_transactions(input: &Input) -> &[Transaction] {
     }
 }
 
-/// The verify-stage policy: which checks each input kind needs before it
-/// may reach the core. Inputs that carry no cryptographic claims (timers,
-/// client transactions, acks, sync requests) pass through untouched.
-fn verify_input(committee: &Committee, input: Input) -> Option<Input> {
-    match input {
-        Input::BlockReceived { from, block } => verify_blocks(committee, vec![block])
-            .pop()
-            .map(|block| Input::BlockReceived { from, block }),
-        Input::ProposalReceived { from, block } => verify_blocks(committee, vec![block])
-            .pop()
-            .map(|block| Input::ProposalReceived { from, block }),
-        Input::SyncReply { from, blocks } => {
-            // Invalid blocks are filtered, valid ones kept: exactly what the
-            // serial path's per-block accept loop converges to.
-            let blocks = verify_blocks(committee, blocks);
-            (!blocks.is_empty()).then_some(Input::SyncReply { from, blocks })
-        }
-        Input::EvidenceReceived { from, proof } => proof
-            .verify(committee)
-            .is_ok()
-            .then_some(Input::EvidenceReceived { from, proof }),
-        other => Some(other),
-    }
-}
-
-/// Whether [`verify_input`] has anything to check on `input`. The pipeline
+/// Whether [`verify`] has anything to check on `input`. The pipeline
 /// settles the rest on the caller's thread; a kind missing here is still
 /// verified, only without a worker.
 fn carries_claims(input: &Input) -> bool {
@@ -668,7 +694,7 @@ mod tests {
             from: 3,
             blocks: vec![blocks[0].clone(), tamper(&blocks[1]), blocks[2].clone()],
         };
-        match verify_input(committee, reply) {
+        match verify(committee, reply).map(Verified::into_inner) {
             Some(Input::SyncReply { blocks: kept, .. }) => {
                 assert_eq!(kept, vec![blocks[0].clone(), blocks[2].clone()]);
             }
@@ -679,7 +705,7 @@ mod tests {
             from: 3,
             blocks: vec![tamper(&blocks[0])],
         };
-        assert!(verify_input(committee, reply).is_none());
+        assert!(verify(committee, reply).is_none());
     }
 
     #[test]
@@ -705,7 +731,7 @@ mod tests {
         for input in inputs {
             assert!(!carries_claims(&input));
             let rendered = format!("{input:?}");
-            let out = verify_input(committee, input).expect("pass-through");
+            let out = verify(committee, input).expect("pass-through").into_inner();
             assert_eq!(format!("{out:?}"), rendered);
         }
         let block = peer_blocks(&setup, 1)[0].clone();

@@ -15,7 +15,7 @@
 //!
 //! | concern | file | state it owns | inputs that reach it |
 //! |---|---|---|---|
-//! | consensus kernel — admission, production, commit rule, linearisation | `engine.rs` (the [`ProposerStrategy`] seam in `engine/proposer.rs`) | local DAG ([`BlockStore`]), [`EvidencePool`], [`CommitSequencer`], proposer strategy, round pacing, unreferenced tips, verified-block set, execution state, commit history | `BlockReceived`, `SyncRequest`, `SyncReply`, `EvidenceReceived`, `TimerFired` |
+//! | consensus kernel — admission, production, commit rule, linearisation | `engine.rs` (the [`ProposerStrategy`] seam in `engine/proposer.rs`) | local DAG ([`BlockStore`]), [`EvidencePool`], [`CommitSequencer`], proposer strategy, round pacing, unreferenced tips, execution state, commit history | `BlockReceived`, `SyncRequest`, `SyncReply`, `EvidenceReceived`, `TimerFired` |
 //! | client ledger — the pool, receipts, forwarding, exactly-once accounting | `ingress.rs` ([`ClientLedger`]) | the bounded transaction pool (`mempool.rs`), token buckets, receipt counters, commit notes, forwarded digests, own-block tags, committed-digest ledger | `TxBatchReceived`, `TxForwardReceived`; every own block built (it hands over the payload); every block sequenced |
 //! | checkpoint book — certification and state-sync material | `checkpointing.rs` ([`CheckpointBook`]) | the newest cut stood on, attestations per position inside a fixed window, latest certified position, commit frontier, who asked for state-sync and the one snapshot taken for them | `CheckpointReceived`, `CheckpointRequested`, `CheckpointSyncReceived`; every checkpoint boundary; checkpoint records at recovery |
 //! | certified broadcast — Tusk's proposal/ack/certificate pipeline | `certified.rs` ([`CertifiedBroadcast`]) | parked proposals, ack tallies, certified own proposals | `ProposalReceived`, `AckReceived`, `CertificateReceived` — only when [`EngineConfig::certified`]; otherwise the component does not exist and the three are dropped |
@@ -107,16 +107,17 @@
 //! ```
 
 use mahimahi_crypto::blake2b::blake2b_256;
-use mahimahi_crypto::{CoinSecret, Digest, Keypair};
+use mahimahi_crypto::{CoinSecret, Keypair};
 use mahimahi_dag::{BlockStore, InsertResult};
 use mahimahi_types::{
     AuthorityIndex, AuthoritySet, Block, BlockRef, Checkpoint, CodecError, Committee, Decode,
     Decoder, Encode, Encoder, Envelope, EquivocationProof, Round, Slot, StateRoot, TestCommittee,
     Transaction, TxReceipt, Verified,
 };
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
+use crate::admission;
 use crate::certified::CertifiedBroadcast;
 use crate::checkpointing::CheckpointBook;
 use crate::evidence::EvidencePool;
@@ -629,14 +630,6 @@ pub struct ValidatorEngine {
     /// Blocks in the local DAG that no stored block references yet —
     /// candidates for the next block's parent list.
     unreferenced: BTreeSet<BlockRef>,
-    /// Digests of blocks whose signature and coin share already verified,
-    /// keyed by round so GC can prune them with the store. The digest
-    /// covers the entire content, so a same-digest block is byte-identical
-    /// to the one that passed — re-verifying it can only succeed again.
-    /// Only successes are cached; failures always re-verify.
-    verified_blocks: BTreeMap<Round, HashSet<Digest>>,
-    /// Full block verifications actually performed (cache misses).
-    signature_checks: u64,
     /// The deterministic state machine folded over the commit stream.
     execution: Box<dyn ExecutionState>,
     history: CommitHistory,
@@ -678,8 +671,6 @@ impl ValidatorEngine {
                 .iter()
                 .map(Block::reference)
                 .collect(),
-            verified_blocks: BTreeMap::new(),
-            signature_checks: 0,
             execution: Box::new(BalanceLedger::new()),
             history: CommitHistory::default(),
             cadence: SnapshotCadence::default(),
@@ -724,9 +715,26 @@ impl ValidatorEngine {
         ValidatorEngine::new(config, committer, Box::new(HonestProposer))
     }
 
-    /// Handles one input, returning the effects for the driver to perform,
-    /// in order. See the module docs for the determinism contract.
+    /// Verifies one input with [`admission::verify`], then applies it
+    /// through [`ValidatorEngine::handle_verified`], returning the effects
+    /// for the driver to perform, in order. An input that fails
+    /// verification yields no outputs and changes nothing — what a driver
+    /// that drops it in its own verify stage observes. See the module docs
+    /// for the determinism contract.
     pub fn handle(&mut self, input: Input) -> Vec<Output> {
+        match admission::verify(&self.config.committee, input) {
+            Some(input) => self.handle_verified(input),
+            None => Vec::new(),
+        }
+    }
+
+    /// Applies an input that passed [`admission::verify`] — in the
+    /// driver's verify stage, or in [`ValidatorEngine::handle`] — and
+    /// returns the effects for the driver to perform, in order. Nothing the
+    /// witness covers is checked again: the blocks it carries go into the
+    /// store as they are.
+    pub fn handle_verified(&mut self, input: Verified<Input>) -> Vec<Output> {
+        let input = input.into_inner();
         // Timer ticks are the driver's clock feed, not commit-path work;
         // everything else is an applied item.
         if !matches!(input, Input::TimerFired { .. }) {
@@ -797,9 +805,9 @@ impl ValidatorEngine {
             Input::EvidenceReceived { proof, .. } => {
                 self.ingest_evidence(proof, &mut outputs);
             }
-            // Checkpoint signatures are verified inline on both entry
-            // points (never delegated to the admission verify stage), so
-            // `handle_verified` stays byte-identical to `handle`.
+            // The checkpoint book checks the signature, after its window
+            // test: whether one is worth checking depends on this
+            // validator's state, which `admission::verify` does not see.
             Input::CheckpointReceived { checkpoint, .. } => {
                 self.checkpoints.ingest(checkpoint);
                 self.answer_state_sync(&mut outputs);
@@ -828,31 +836,6 @@ impl ValidatorEngine {
         outputs
     }
 
-    /// Handles an input whose expensive checks already ran in a verify
-    /// stage (see [`AdmissionPipeline`](crate::admission::AdmissionPipeline)):
-    /// blocks carried by the input are marked verified, so the apply path
-    /// skips their signature and coin-share checks.
-    ///
-    /// Outputs are byte-identical to [`ValidatorEngine::handle`] on the
-    /// same input — skipping a verification that would have succeeded
-    /// changes no output and no protocol state — so traces recorded from
-    /// this entry point replay exactly through plain `handle`.
-    pub fn handle_verified(&mut self, input: Verified<Input>) -> Vec<Output> {
-        let input = input.into_inner();
-        match &input {
-            Input::BlockReceived { block, .. } | Input::ProposalReceived { block, .. } => {
-                self.mark_verified(block);
-            }
-            Input::SyncReply { blocks, .. } => {
-                for block in blocks {
-                    self.mark_verified(block);
-                }
-            }
-            _ => {}
-        }
-        self.handle(input)
-    }
-
     // ------------------------------------------------------------------
     // Recovery (used by the drivers before the first `handle`).
 
@@ -872,13 +855,14 @@ impl ValidatorEngine {
         }
     }
 
-    /// Re-inserts a block from durable storage. Invalid blocks are
-    /// skipped; own blocks advance the produced-round watermark even when
+    /// Re-inserts a block from durable storage. Log bytes are untrusted,
+    /// so the block is verified here, directly: invalid blocks are
+    /// skipped. Own blocks advance the produced-round watermark even when
     /// their ancestry is still missing (a torn log tail must not cause
     /// accidental equivocation). Evidence surfaced by replayed conflicts
     /// is convicted silently.
     fn restore_block(&mut self, block: Arc<Block>) -> bool {
-        if !self.check_block(&block) {
+        if block.verify(&self.config.committee).is_err() {
             return false;
         }
         if block.author() == self.config.authority {
@@ -998,13 +982,6 @@ impl ValidatorEngine {
         self.history.committed_transactions
     }
 
-    /// Full block verifications performed so far (verified-set cache
-    /// misses). A block arriving through several admission paths counts
-    /// once.
-    pub fn signature_checks(&self) -> u64 {
-        self.signature_checks
-    }
-
     /// The execution state root after every sub-DAG committed so far. Two
     /// correct validators with equal commit logs report equal roots — the
     /// `state-root-agreement` oracle's invariant.
@@ -1044,43 +1021,12 @@ impl ValidatorEngine {
     // ------------------------------------------------------------------
     // Internals.
 
-    /// Verifies `block` unless a byte-identical one (same content digest)
-    /// already passed. A block can arrive through several admission paths —
-    /// broadcast, a sync reply, a certified proposal, WAL recovery — and
-    /// each used to pay the full signature + coin-share check; now the
-    /// first success is cached and later arrivals hit the digest set.
-    fn check_block(&mut self, block: &Block) -> bool {
-        let digest = block.digest();
-        if self
-            .verified_blocks
-            .get(&block.round())
-            .is_some_and(|digests| digests.contains(&digest))
-        {
-            return true;
-        }
-        self.signature_checks += 1;
-        if block.verify(&self.config.committee).is_err() {
-            return false;
-        }
-        self.mark_verified(block);
-        true
-    }
-
-    /// Records that `block` passed verification — here, or in an external
-    /// verify stage (the caller's [`Verified`] witness is the promise).
-    fn mark_verified(&mut self, block: &Block) {
-        self.verified_blocks
-            .entry(block.round())
-            .or_default()
-            .insert(block.digest());
-    }
-
     /// The one place a block joins the local DAG: inserts it and, for
     /// every block that became available (the block itself and any
     /// waiters it released), maintains the unreferenced-tips set. Returns
     /// the ancestors still missing — empty unless the block was buffered.
     /// Duplicates, blocks below the GC floor and out-of-range authors
-    /// (which [`Self::check_block`] already rejected) change nothing.
+    /// (which verification already rejected) change nothing.
     fn admit(&mut self, block: Arc<Block>) -> Vec<BlockRef> {
         match self.store.insert(block) {
             Ok(InsertResult::Inserted(admitted)) => {
@@ -1099,11 +1045,11 @@ impl ValidatorEngine {
         }
     }
 
-    /// Validates and inserts a block, driving the synchronizer on gaps.
+    /// Persists and inserts a block, driving the synchronizer on gaps.
+    /// The block is trusted: a peer's came out of a [`Verified`] input
+    /// (invalid ones were discarded there, as the paper discards them), and
+    /// an own Tusk proposal was built and signed here.
     fn accept_block(&mut self, block: Arc<Block>, from: usize, outputs: &mut Vec<Output>) {
-        if !self.check_block(&block) {
-            return; // invalid blocks are dropped (paper: discarded)
-        }
         // Persist before acting: recovery must see everything acted on.
         outputs.push(Output::Persist(WalRecord::Block(block.clone())));
         let missing = self.admit(block);
@@ -1309,15 +1255,14 @@ impl ValidatorEngine {
     }
 
     /// Drops everything held for rounds below `floor` — the one place
-    /// floor compaction happens: the store, the tips, the verified set,
-    /// the sequencer's emitted set, the exactly-once digest ledger and the
-    /// certified pipeline's maps.
+    /// floor compaction happens: the store, the tips, the sequencer's
+    /// emitted set, the exactly-once digest ledger and the certified
+    /// pipeline's maps.
     fn compact_below(&mut self, floor: Round) {
         self.store.compact(floor);
         self.sequencer.forget_emitted_below(floor);
         self.unreferenced
             .retain(|reference| reference.round >= floor);
-        self.verified_blocks = self.verified_blocks.split_off(&floor);
         self.clients.prune_digests(floor);
         if let Some(certified) = &mut self.certified {
             certified.compact_below(floor);
@@ -1591,6 +1536,7 @@ pub(crate) fn usize_gauge(value: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::committer::{Committer, CommitterOptions};
+    use mahimahi_crypto::Digest;
     use mahimahi_dag::DagBuilder;
     use mahimahi_types::{BlockBuilder, TxVerdict};
     use std::collections::HashMap;
@@ -1644,63 +1590,6 @@ mod tests {
         );
         assert!(engine.handle(Input::TimerFired { now: 0 }).is_empty());
         assert_eq!(engine.round(), 0);
-    }
-
-    #[test]
-    fn redundant_arrivals_verify_signatures_at_most_once() {
-        let mut engine = engine(0, false);
-        let mut dag = DagBuilder::new(TestCommittee::new(4, 7));
-        dag.add_full_rounds(1);
-        let block = dag
-            .store()
-            .iter()
-            .find(|block| block.round() == 1 && block.author() == AuthorityIndex(1))
-            .cloned()
-            .unwrap();
-
-        // First arrival (broadcast) pays the full verification...
-        let before = engine.signature_checks();
-        engine.handle(Input::BlockReceived {
-            from: 1,
-            block: block.clone(),
-        });
-        let after_first = engine.signature_checks();
-        assert_eq!(after_first, before + 1);
-
-        // ...the same block arriving again — re-broadcast or sync reply —
-        // hits the digest-keyed verified set.
-        engine.handle(Input::BlockReceived {
-            from: 2,
-            block: block.clone(),
-        });
-        engine.handle(Input::SyncReply {
-            from: 3,
-            blocks: vec![block.clone()],
-        });
-        assert_eq!(engine.signature_checks(), after_first);
-
-        // A pre-verified input is never re-checked either.
-        engine.handle_verified(mahimahi_types::Verified::vouch(Input::SyncReply {
-            from: 2,
-            blocks: vec![block.clone()],
-        }));
-        assert_eq!(engine.signature_checks(), after_first);
-
-        // Failures are never cached: a tampered block (flipped parent
-        // digest byte, signature now stale) re-verifies on every arrival.
-        let mut bytes = block.to_bytes_vec();
-        bytes[30] ^= 0xff;
-        let tampered = Block::from_bytes_exact(&bytes).unwrap().into_arc();
-        assert_ne!(tampered.digest(), block.digest());
-        let before_tampered = engine.signature_checks();
-        for _ in 0..2 {
-            engine.handle(Input::BlockReceived {
-                from: 1,
-                block: tampered.clone(),
-            });
-        }
-        assert_eq!(engine.signature_checks(), before_tampered + 2);
-        assert!(!engine.store().contains(&tampered.reference()));
     }
 
     /// Decides like the committer it wraps, counting how often it is asked.
@@ -2064,6 +1953,104 @@ mod tests {
         assert_eq!(report.forwarded_committed, 1);
         assert_eq!(report.commit_notices, 1);
         assert!(report.violations().is_empty(), "{report:?}");
+    }
+
+    /// Asserts that none of `bad` got into `engine`: none was persisted
+    /// by `outputs`, inserted into the store, or buffered there to wait
+    /// for its parents.
+    fn assert_turned_away(engine: &ValidatorEngine, outputs: &[Output], bad: &[Arc<Block>]) {
+        for block in bad {
+            assert!(!engine.store().contains(&block.reference()), "{block:?}");
+            assert!(!outputs.iter().any(|output| matches!(output,
+                Output::Persist(WalRecord::Block(persisted)) if persisted.digest() == block.digest())));
+        }
+        assert_eq!(engine.store().pending_count(), 0, "a bad block is buffered");
+    }
+
+    /// Authority `author`'s valid round-1 block over `setup`'s genesis.
+    fn round_one_block(setup: &TestCommittee, author: usize) -> Arc<Block> {
+        let mut dag = DagBuilder::new(setup.clone());
+        let round_one = dag.add_full_round();
+        dag.store().get(&round_one[author]).unwrap().clone()
+    }
+
+    #[test]
+    fn handle_turns_away_blocks_that_fail_verification() {
+        let setup = TestCommittee::new(4, 7);
+        let mut engine = engine(0, false);
+        for block in BlockBuilder::failing_verification(&setup, AuthorityIndex(3)) {
+            let outputs = engine.handle(Input::BlockReceived {
+                from: 3,
+                block: block.clone(),
+            });
+            assert!(outputs.is_empty(), "{outputs:?}");
+            assert_turned_away(&engine, &outputs, &[block]);
+        }
+        let good = round_one_block(&setup, 3);
+        engine.handle(Input::BlockReceived {
+            from: 3,
+            block: good.clone(),
+        });
+        assert!(engine.store().contains(&good.reference()));
+    }
+
+    #[test]
+    fn a_sync_reply_admits_its_valid_blocks_and_no_bad_one() {
+        let setup = TestCommittee::new(4, 7);
+        let valid = [round_one_block(&setup, 1), round_one_block(&setup, 2)];
+        let [stale, bad_coin] = BlockBuilder::failing_verification(&setup, AuthorityIndex(3));
+        let mut engine = engine(0, false);
+        let outputs = engine.handle(Input::SyncReply {
+            from: 3,
+            blocks: vec![
+                valid[0].clone(),
+                stale.clone(),
+                valid[1].clone(),
+                bad_coin.clone(),
+            ],
+        });
+        for block in &valid {
+            assert!(engine.store().contains(&block.reference()));
+        }
+        assert_turned_away(&engine, &outputs, &[stale, bad_coin]);
+    }
+
+    #[test]
+    fn a_tusk_proposal_that_fails_verification_is_never_certified_into_the_store() {
+        let setup = TestCommittee::new(4, 7);
+        let mut engine = engine(0, true);
+        for block in BlockBuilder::failing_verification(&setup, AuthorityIndex(3)) {
+            let reference = block.reference();
+            let mut outputs = engine.handle(Input::ProposalReceived {
+                from: 3,
+                block: block.clone(),
+            });
+            assert!(
+                outputs.is_empty(),
+                "a bad proposal earns no ack: {outputs:?}"
+            );
+            outputs.extend(engine.handle(Input::CertificateReceived {
+                from: 3,
+                reference,
+                signatures: 3,
+            }));
+            assert_turned_away(&engine, &outputs, &[block]);
+        }
+        // A valid proposal is acked, and its certificate inserts it.
+        let good = round_one_block(&setup, 3);
+        let outputs = engine.handle(Input::ProposalReceived {
+            from: 3,
+            block: good.clone(),
+        });
+        assert!(outputs
+            .iter()
+            .any(|output| matches!(output, Output::SendTo(3, Envelope::Ack { .. }))));
+        engine.handle(Input::CertificateReceived {
+            from: 3,
+            reference: good.reference(),
+            signatures: 3,
+        });
+        assert!(engine.store().contains(&good.reference()));
     }
 
     #[test]
@@ -3012,6 +2999,24 @@ mod tests {
         }
     }
 
+    /// A validly signed round-`round` proposal by authority 1 whose
+    /// parents (a quorum at `round − 1`) no engine holds: it verifies, so
+    /// it is parked and acked, but it can never be certified.
+    fn junk_proposal(setup: &TestCommittee, round: Round) -> Arc<Block> {
+        let parents = [1, 0, 2]
+            .map(|author| BlockRef {
+                round: round - 1,
+                author: AuthorityIndex(author),
+                digest: Digest::ZERO,
+            })
+            .to_vec();
+        BlockBuilder::new(AuthorityIndex(1), round)
+            .parents(parents)
+            .transaction(Transaction::benchmark(round))
+            .build(setup)
+            .into_arc()
+    }
+
     #[test]
     fn certified_maps_plateau_under_gc_and_ignore_messages_below_the_floor() {
         const GC_DEPTH: u64 = 16;
@@ -3035,15 +3040,13 @@ mod tests {
                 .store()
                 .blocks_in_slot(Slot::new(1, AuthorityIndex(0)));
             first_own = first_own.or(own.first().map(|block| block.reference()));
-            // Each round, peer 1 parks a proposal no certificate will ever
-            // release (proposals are not verified until then); the ack it
-            // earns opens a tally at engine 1 that never reaches a quorum.
+            // Each round, peer 1 parks a valid proposal no certificate will
+            // ever release; the ack it earns opens a tally at engine 1 that
+            // never reaches a quorum.
             if engine.round() > junk_round {
                 junk_round = engine.round();
-                let junk = BlockBuilder::new(AuthorityIndex(1), junk_round)
-                    .transaction(Transaction::benchmark(junk_round))
-                    .build(&setup);
-                inflight.push_back((1, 0, Envelope::Proposal(junk.into_arc())));
+                let junk = junk_proposal(&setup, junk_round);
+                inflight.push_back((1, 0, Envelope::Proposal(junk)));
             }
             let sizes = engine.certified.as_ref().expect("certified").sizes();
             for (peak, size) in peak.iter_mut().zip(sizes) {
@@ -3077,9 +3080,8 @@ mod tests {
             assert!(outputs.is_empty(), "{outputs:?}");
         }
         // Nor is anything parked or fetched below the floor.
-        let junk = BlockBuilder::new(AuthorityIndex(1), 2).build(&setup);
-        let reference = junk.reference();
-        let block = junk.into_arc();
+        let block = junk_proposal(&setup, 2);
+        let reference = block.reference();
         assert!(engines[0]
             .handle(Input::ProposalReceived { from: 1, block })
             .is_empty());

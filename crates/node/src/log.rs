@@ -375,7 +375,7 @@ mod tests {
     use mahimahi_core::{BalanceLedger, CommittedSubDag, Committer, ExecutionState, Output};
     use mahimahi_dag::{BlockSpec, DagBuilder};
     use mahimahi_sim::{CpuCosts, LatencyChoice, MempoolConfig, SimConfig, Simulation};
-    use mahimahi_types::{Checkpoint, EquivocationProof, TestCommittee, Transaction};
+    use mahimahi_types::{BlockBuilder, Checkpoint, EquivocationProof, TestCommittee, Transaction};
     use mahimahi_wal::{MemStorage, Wal};
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -1025,6 +1025,28 @@ mod tests {
         assert_eq!((after.compactions, after.errors), (1, 0));
         assert!(after.bytes < before / 2);
         assert!(engine.latest_checkpoint().is_some());
+    }
+
+    #[test]
+    fn recovery_restores_no_block_that_fails_verification() {
+        let setup = TestCommittee::new(4, 5);
+        let valid = blocks_by_round(&setup, 1).swap_remove(0);
+        let bad = BlockBuilder::failing_verification(&setup, AuthorityIndex(3));
+        let storage = MemStorage::new();
+        let mut wal = Wal::open(storage.clone()).unwrap();
+        for block in valid.iter().chain(&bad) {
+            wal.append_parts(&[&[WalRecord::BLOCK_TAG], block.as_bytes()])
+                .unwrap();
+        }
+        assert_eq!(wal.records().unwrap().len(), valid.len() + bad.len());
+        let (_, engine) = recover(&setup, &storage);
+        for block in &valid {
+            assert!(engine.store().contains(&block.reference()));
+        }
+        for block in &bad {
+            assert!(!engine.store().contains(&block.reference()));
+        }
+        assert_eq!(engine.store().pending_count(), 0, "a bad block is buffered");
     }
 
     #[test]

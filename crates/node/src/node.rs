@@ -826,11 +826,12 @@ impl ValidatorNode {
     /// against the transport/WAL/commit channel once.
     ///
     /// The pipeline is the verify stage of the verify/apply split: frame
-    /// decoding, signature checks, and coin-share proofs run inline on
-    /// this thread by default, or on worker threads when
-    /// [`NodeConfig::verify_workers`] asks for them, while the engine — the
-    /// apply stage — stays single-threaded and deterministic. Because the
-    /// pipeline re-sequences results into submission order, the engine
+    /// decoding and [`mahimahi_core::admission::verify`] — signature
+    /// checks and coin-share proofs — run inline on this thread by
+    /// default, or on worker threads when [`NodeConfig::verify_workers`]
+    /// asks for them, while the engine — the apply stage — stays
+    /// single-threaded and deterministic and checks nothing again. Because
+    /// the pipeline re-sequences results into submission order, the engine
     /// observes the same input stream a serial node would, minus the
     /// invalid inputs the verify stage drops. Batching also amortizes WAL
     /// fsyncs across the inputs of an iteration (the sync is still forced
@@ -838,9 +839,11 @@ impl ValidatorNode {
     ///
     /// The loop also feeds the commit-path stage clocks: inputs enter the
     /// pipeline through the `_at` variants stamped with the loop's
-    /// microsecond counter, so the verify and resequence histograms
-    /// measure real queueing time across iterations. The ingress stages
-    /// record honest zeros — a frame is submitted in the same iteration
+    /// microsecond counter. Verified inline, an input's verdict and its
+    /// release land in the call and the iteration that submit it, so the
+    /// verify and resequence histograms read 0 by construction; only with
+    /// verify workers would they measure queueing time. The ingress stages
+    /// record honest zeros too — a frame is submitted in the same iteration
     /// that pulls it off the transport channel, and the wire carries no
     /// send timestamp this driver could trust.
     fn run(
@@ -1052,7 +1055,7 @@ impl ValidatorNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mahimahi_types::EquivocationProof;
+    use mahimahi_types::{BlockBuilder, EquivocationProof};
 
     fn wal_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mahimahi-node-{tag}-{}", std::process::id()));
@@ -1251,6 +1254,43 @@ mod tests {
             .status()
             .to_json()
             .contains("\"wal_errors\":1"));
+    }
+
+    #[test]
+    fn a_block_frame_that_fails_verification_never_reaches_the_engine() {
+        let setup = TestCommittee::new(4, 5);
+        let transport = Transport::bind(0, "127.0.0.1:0").unwrap();
+        let peer = Transport::bind(1, "127.0.0.1:0").unwrap();
+        peer.connect(0, transport.local_addr());
+        let mut config = NodeConfig::local(0, setup.clone());
+        config.record_trace = true;
+        let handle = ValidatorNode::new(config, transport).unwrap().start();
+        // The bad frames first, then two valid round-1 blocks: with its
+        // own, a quorum. Frames on one connection arrive in order, so once
+        // the node is past round 1 it has handled all four.
+        let bad = BlockBuilder::failing_verification(&setup, AuthorityIndex(3));
+        let mut dag = mahimahi_dag::DagBuilder::new(setup);
+        let round_one = dag.add_full_round();
+        let valid = [1, 2].map(|author| dag.store().get(&round_one[author]).unwrap().clone());
+        for block in bad.iter().chain(&valid) {
+            peer.send(0, Envelope::Block(block.clone()).to_bytes_vec());
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while (handle.round() < 2 || handle.metrics().rejected() < 2) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(handle.round() >= 2, "the valid frames were applied");
+        assert_eq!(handle.metrics().rejected(), 2);
+        let trace = handle.stop_into_trace().expect("record_trace is on");
+        peer.shutdown();
+        let applied: Vec<_> = trace
+            .iter()
+            .filter_map(|(input, _)| match input {
+                Input::BlockReceived { block, .. } => Some(block.digest()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(applied, valid.map(|block| block.digest()));
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! its messages are [`mahimahi_types::Envelope`]s, the same enum the TCP
 //! node serializes over its transport, and they cross the virtual network
 //! as what a recipient decodes from their bytes. Every envelope a validator
-//! sends is encoded and decoded once, at send ([`over_the_wire`]); all
-//! recipients of a broadcast share the decoded value, and a frame the
-//! decoder rejects is dropped there, the way the node drops a torn frame.
-//! Bytes in flight are immutable and decoding is a pure function, so
-//! decoding once per send runs the same program as decoding once per
-//! delivery, and it holds one decoded copy per send instead of one per
-//! recipient. On the 192-cell matrix (release build, 2 vCPUs) decoding per
+//! sends is encoded and decoded once, at send ([`over_the_wire`]), and the
+//! decoded input is verified there too, once, by
+//! `mahimahi_core::admission::verify`; all recipients of a broadcast apply
+//! the same verified value, and a frame the decoder or the verifier
+//! rejects is dropped at send, the way the node drops a torn frame or a
+//! forged block. Bytes in flight are immutable and decoding and verifying
+//! are pure functions, so doing each once per send runs the same program
+//! as doing it once per delivery, and it holds one decoded copy per send
+//! instead of one per recipient. On the 192-cell matrix (release build, 2 vCPUs) decoding per
 //! delivery took no less time (139 and 142 s; at send, 115–142 s) and
 //! peaked at 816–826 MB against 559–586 MB; an earlier prototype without
 //! the logs measured +28 % time and 3× the resident set.

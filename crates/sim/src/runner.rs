@@ -1,12 +1,15 @@
 //! The simulation event loop.
 
+use mahimahi_core::{admission, Input};
 use mahimahi_net::time::Time;
 use mahimahi_net::{
     Adversary, GeoLatency, LatencyModel, MessageMeta, NetworkConfig, NoAdversary,
     PartitionAdversary, RandomSubsetAdversary, RotatingDelayAdversary, SimNetwork, UniformLatency,
 };
 use mahimahi_telemetry::{Stage, StageSnapshot, StageStats};
-use mahimahi_types::{AuthorityIndex, Envelope, TestCommittee, Transaction, TxReceipt};
+use mahimahi_types::{
+    AuthorityIndex, Committee, Envelope, TestCommittee, Transaction, TxReceipt, Verified,
+};
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,8 +73,8 @@ impl Adversary for AnyAdversary {
 }
 
 /// A delivery parked until the recipient's CPU frees up:
-/// (resume time, sequence, from, to, message).
-type DeferredDelivery = (Time, u64, usize, usize, SeqMessage);
+/// (resume time, sequence, recipient, delivery).
+type DeferredDelivery = (Time, u64, usize, Delivery);
 
 /// Everything a finished run exposes per validator, beyond the observer's
 /// metrics: committed-leader logs and convicted-equivocator sets.
@@ -105,7 +108,9 @@ pub struct SimOutcome {
 /// A full simulated deployment: committee, network, clients, clock.
 pub struct Simulation {
     config: SimConfig,
-    network: SimNetwork<Envelope, AnyLatency, AnyAdversary>,
+    /// The committee every sent envelope is verified against.
+    committee: Committee,
+    network: SimNetwork<Delivery, AnyLatency, AnyAdversary>,
     validators: Vec<SimValidator>,
     /// Deliveries deferred because the recipient's CPU was busy.
     deferred: BinaryHeap<Reverse<DeferredDelivery>>,
@@ -140,22 +145,31 @@ pub struct Simulation {
     receipts: Vec<Vec<(Time, usize, TxReceipt)>>,
 }
 
-/// Wrapper making `Envelope` usable inside the ordered heap (ordering is
-/// by the tuple prefix only).
-struct SeqMessage(Envelope);
+/// A sent envelope as its recipients receive it: the input decoded from
+/// its wire bytes and verified once, at send (see [`Simulation::perform`]),
+/// and the CPU time each recipient is charged to verify it. Every
+/// recipient of a broadcast applies the same value.
+///
+/// Ordering is trivial: inside the deferred heap, entries order by the
+/// tuple prefix only.
+#[derive(Clone)]
+struct Delivery {
+    input: Verified<Input>,
+    cost: Time,
+}
 
-impl PartialEq for SeqMessage {
+impl PartialEq for Delivery {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
-impl Eq for SeqMessage {}
-impl PartialOrd for SeqMessage {
+impl Eq for Delivery {}
+impl PartialOrd for Delivery {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for SeqMessage {
+impl Ord for Delivery {
     fn cmp(&self, _: &Self) -> std::cmp::Ordering {
         std::cmp::Ordering::Equal
     }
@@ -218,6 +232,7 @@ impl Simulation {
             })
             .collect();
         Simulation {
+            committee: setup.committee().clone(),
             network,
             validators,
             deferred: BinaryHeap::new(),
@@ -348,13 +363,12 @@ impl Simulation {
                 continue;
             }
             if Some(next) == next_deferred {
-                let Reverse((_, _, from, to, SeqMessage(message))) =
-                    self.deferred.pop().expect("peeked");
-                self.process_message(from, to, message);
+                let Reverse((_, _, to, delivery)) = self.deferred.pop().expect("peeked");
+                self.process_message(to, delivery);
                 continue;
             }
             let envelope = self.network.next_delivery().expect("peeked");
-            self.dispatch(envelope.from, envelope.to, envelope.payload);
+            self.dispatch(envelope.to, envelope.payload);
         }
         self.now = self.now.max(horizon);
     }
@@ -370,7 +384,12 @@ impl Simulation {
         client: usize,
         transactions: Vec<Transaction>,
     ) {
-        let actions = self.validators[validator].submit_batch(self.now, client, transactions);
+        let batch = Input::TxBatchReceived {
+            from: client,
+            transactions,
+        };
+        let batch = admission::verify(&self.committee, batch).expect("a batch makes no claim");
+        let actions = self.validators[validator].on_message(self.now, batch);
         self.perform(validator, actions);
     }
 
@@ -419,31 +438,34 @@ impl Simulation {
         self.next_batch_at = self.now + CLIENT_BATCH_INTERVAL;
     }
 
-    /// Applies CPU gating, then lets the recipient process the message.
-    fn dispatch(&mut self, from: usize, to: usize, message: Envelope) {
+    /// Applies CPU gating, then lets the recipient process the delivery.
+    fn dispatch(&mut self, to: usize, delivery: Delivery) {
         let busy_until = self.cpu_busy_until[to];
         if busy_until > self.now {
             // The deferred heap is the simulator's resequencer: the message
             // waits exactly until the recipient's CPU frees up.
             self.stage_stats[to].record(Stage::Resequenced, busy_until - self.now);
             self.deferred_sequence += 1;
-            self.deferred.push(Reverse((
-                busy_until,
-                self.deferred_sequence,
-                from,
-                to,
-                SeqMessage(message),
-            )));
+            self.deferred
+                .push(Reverse((busy_until, self.deferred_sequence, to, delivery)));
             return;
         }
         self.stage_stats[to].record(Stage::Resequenced, 0);
-        self.process_message(from, to, message);
+        self.process_message(to, delivery);
     }
 
-    fn process_message(&mut self, from: usize, to: usize, message: Envelope) {
-        // Charge verification CPU.
+    fn process_message(&mut self, to: usize, delivery: Delivery) {
+        self.cpu_busy_until[to] = self.now + delivery.cost;
+        // The charged CPU time *is* the verify-stage latency in this model.
+        self.stage_stats[to].record(Stage::Verified, delivery.cost);
+        let actions = self.validators[to].on_message(self.now, delivery.input);
+        self.perform(to, actions);
+    }
+
+    /// The CPU time a recipient is charged to verify `message`.
+    fn verify_cost(&self, message: &Envelope) -> Time {
         let cpu = &self.config.cpu;
-        let cost = match &message {
+        match message {
             Envelope::Block(block) | Envelope::Proposal(block) => cpu.block_verify(
                 crate::message::block_wire_size(block, self.config.tx_wire_size),
             ),
@@ -483,17 +505,25 @@ impl Simulation {
             Envelope::CheckpointResponse { checkpoints, .. } => {
                 cpu.signature_verify * checkpoints.len() as Time
             }
-        };
-        self.cpu_busy_until[to] = self.now + cost;
-        // The charged CPU time *is* the verify-stage latency in this model.
-        self.stage_stats[to].record(Stage::Verified, cost);
-        let actions = self.validators[to].on_message(self.now, from, message);
-        self.perform(to, actions);
+        }
+    }
+
+    /// What the recipients of `message` from `origin` apply: the input
+    /// decoded from its bytes (see [`over_the_wire`]) and verified with
+    /// [`admission::verify`], once for all of them, priced at the cost
+    /// each recipient is charged. `None` for a frame the decoder or the
+    /// verifier rejects: it goes nowhere, as a node drops it.
+    fn deliverable(&self, origin: usize, message: &Envelope) -> Option<Delivery> {
+        let envelope = over_the_wire(message)?;
+        let cost = self.verify_cost(&envelope);
+        let input = admission::verify(&self.committee, Input::from_envelope(origin, envelope))?;
+        Some(Delivery { input, cost })
     }
 
     /// Executes validator actions: network sends and latency bookkeeping.
-    /// A sent envelope travels as what its recipients decode from its
-    /// bytes (see [`over_the_wire`]); one the decoder rejects goes nowhere.
+    /// A sent envelope travels as what its recipients apply (see
+    /// [`Self::deliverable`]); one the decoder or the verifier rejects goes
+    /// nowhere.
     fn perform(&mut self, origin: usize, actions: Vec<Action>) {
         for action in actions {
             match action {
@@ -505,9 +535,9 @@ impl Simulation {
                     }
                     let size = message.wire_size(self.config.tx_wire_size);
                     let round = message.round();
-                    if let Some(message) = over_the_wire(&message) {
+                    if let Some(delivery) = self.deliverable(origin, &message) {
                         self.network
-                            .broadcast(self.now, origin, size, round, message);
+                            .broadcast(self.now, origin, size, round, delivery);
                     }
                 }
                 Action::Send(to, message) => {
@@ -521,9 +551,9 @@ impl Simulation {
                     }
                     let size = message.wire_size(self.config.tx_wire_size);
                     let round = message.round();
-                    if let Some(message) = over_the_wire(&message) {
+                    if let Some(delivery) = self.deliverable(origin, &message) {
                         self.network
-                            .send(self.now, origin, to, size, round, message);
+                            .send(self.now, origin, to, size, round, delivery);
                     }
                 }
                 Action::BatchesCommitted(received) => {
@@ -598,6 +628,8 @@ mod tests {
     use super::*;
     use crate::config::ProtocolChoice;
     use mahimahi_net::time;
+    use mahimahi_types::BlockBuilder;
+    use mahimahi_wal::Wal;
 
     fn base_config(protocol: ProtocolChoice) -> SimConfig {
         SimConfig {
@@ -825,6 +857,7 @@ mod tests {
     fn a_frame_the_decoder_rejects_is_dropped_at_send() {
         // One transaction past the batch limit encodes but does not decode:
         // validator 1 never sees the batch, the way a node drops the frame.
+        // Blocks that decode but fail verification are dropped there too.
         let mut sim = Simulation::new(SimConfig {
             txs_per_second_per_validator: 0,
             ..base_config(ProtocolChoice::MahiMahi5 { leaders: 2 })
@@ -832,9 +865,27 @@ mod tests {
         let oversized = (0..=mahimahi_types::MAX_BATCH_TXS as u64)
             .map(|id| Transaction::new(id.to_le_bytes().to_vec()))
             .collect();
-        sim.perform(0, vec![Action::Send(1, Envelope::TxBatch(oversized))]);
+        let bad = BlockBuilder::failing_verification(&TestCommittee::new(4, 7), AuthorityIndex(3));
+        let mut sends = vec![Action::Send(1, Envelope::TxBatch(oversized))];
+        sends.extend(
+            bad.iter()
+                .map(|block| Action::Send(1, Envelope::Block(block.clone()))),
+        );
+        sim.perform(0, sends);
         sim.run_until(time::from_secs(1));
-        assert_eq!(sim.validator(1).ingress_report().batches_received, 0);
+        let validator = sim.validator(1);
+        assert_eq!(validator.ingress_report().batches_received, 0);
+        let logged = Wal::open(validator.log().clone())
+            .unwrap()
+            .records()
+            .unwrap();
+        assert!(validator.round() > 5, "the run went on");
+        for block in &bad {
+            assert!(!validator.store().contains(&block.reference()));
+            assert!(!logged
+                .iter()
+                .any(|record| record.payload.ends_with(block.as_bytes())));
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use mahimahi_dag::BlockStore;
 use mahimahi_net::time::Time;
 use mahimahi_types::{
     AuthorityIndex, BlockRef, Checkpoint, Encode, Envelope, Round, StateRoot, TestCommittee,
-    Transaction, TxReceipt,
+    Transaction, TxReceipt, Verified,
 };
 use mahimahi_wal::{MemStorage, Wal};
 
@@ -171,20 +171,6 @@ impl SimValidator {
             .handle(Input::TxBatchReceived { from, transactions });
     }
 
-    /// Submits a client batch through the shared wire vocabulary
-    /// ([`Envelope::TxBatch`]) — the same ingestion path the TCP node's
-    /// client listener uses. `from` is the submitting connection; the
-    /// validator's own index is its local client, whose receipts come back
-    /// as [`Action::BatchesCommitted`].
-    pub fn submit_batch(
-        &mut self,
-        now: Time,
-        from: usize,
-        transactions: Vec<Transaction>,
-    ) -> Vec<Action> {
-        self.on_message(now, from, Envelope::TxBatch(transactions))
-    }
-
     /// The transaction-pipeline accounting at this validator (mempool
     /// occupancy, rejections, conservation, duplicate commits).
     pub fn tx_integrity(&self) -> TxIntegrityReport {
@@ -215,8 +201,11 @@ impl SimValidator {
         &self.storage
     }
 
-    /// Handles a delivered message, returning follow-up actions.
-    pub fn on_message(&mut self, now: Time, from: usize, message: Envelope) -> Vec<Action> {
+    /// Applies a delivered input — a message, verified once at send, or a
+    /// client batch — returning follow-up actions. A batch's `from` is the
+    /// submitting connection; the validator's own index is its local
+    /// client, whose receipts come back as [`Action::BatchesCommitted`].
+    pub fn on_message(&mut self, now: Time, input: Verified<Input>) -> Vec<Action> {
         if self.is_crashed(self.engine.round() + 1) {
             return Vec::new();
         }
@@ -228,7 +217,7 @@ impl SimValidator {
         let mut actions = Vec::new();
         let outputs = self.engine.handle(Input::TimerFired { now });
         self.apply(outputs, &mut actions);
-        let outputs = self.engine.handle(Input::from_envelope(from, message));
+        let outputs = self.engine.handle_verified(input);
         self.apply(outputs, &mut actions);
         actions
     }
@@ -339,6 +328,15 @@ mod tests {
         )
     }
 
+    /// Delivers `message` from `from` as the runner does: verified first.
+    fn receive(v: &mut SimValidator, now: Time, from: usize, message: Envelope) -> Vec<Action> {
+        let committee = TestCommittee::new(4, 7).committee().clone();
+        let input =
+            mahimahi_core::admission::verify(&committee, Input::from_envelope(from, message))
+                .expect("test messages verify");
+        v.on_message(now, input)
+    }
+
     /// Broadcast block actions (the production path most tests inspect).
     fn broadcast_block(actions: &[Action]) -> Option<Arc<Block>> {
         actions.iter().find_map(|action| match action {
@@ -361,9 +359,13 @@ mod tests {
         let mut v = validator(0, Behavior::Crashed { from_round: 0 }, false);
         assert!(v.maybe_advance(0).is_empty());
         assert_eq!(v.round(), 0);
-        assert!(v
-            .submit_batch(0, 0, vec![Transaction::benchmark(1)])
-            .is_empty());
+        assert!(receive(
+            &mut v,
+            0,
+            0,
+            Envelope::TxBatch(vec![Transaction::benchmark(1)])
+        )
+        .is_empty());
         assert_eq!(v.queued_transactions(), 0);
     }
 
@@ -385,10 +387,10 @@ mod tests {
         let (sender, block) = round_one[1].clone();
         let mut target = validators.remove(0);
         // Deliver three peer blocks to validator 0: round 1 quorum complete.
-        target.on_message(1000, sender, Envelope::Block(block));
+        receive(&mut target, 1000, sender, Envelope::Block(block));
         assert_eq!(target.round(), 1, "needs full quorum at round 1");
         for (sender, block) in round_one.iter().skip(2) {
-            target.on_message(1000, *sender, Envelope::Block(block.clone()));
+            receive(&mut target, 1000, *sender, Envelope::Block(block.clone()));
         }
         assert_eq!(target.round(), 2);
         assert_eq!(target.store().blocks_at_round(1).len(), 4);
@@ -418,19 +420,26 @@ mod tests {
     fn wire_batches_share_the_mempool_with_local_submissions() {
         let mut v = validator(1, Behavior::Honest, false);
         // A batch through the wire vocabulary lands in the same pool…
-        let actions = v.submit_batch(
-            5,
-            0,
-            vec![Transaction::benchmark(1), Transaction::benchmark(2)],
-        );
+        let batch = vec![Transaction::benchmark(1), Transaction::benchmark(2)];
+        let actions = receive(&mut v, 5, 0, Envelope::TxBatch(batch));
         assert_eq!(v.queued_transactions(), 2);
         // …as does one the validator's own client submits afterwards.
-        v.submit_batch(5, 1, vec![Transaction::benchmark(3)]);
+        receive(
+            &mut v,
+            5,
+            1,
+            Envelope::TxBatch(vec![Transaction::benchmark(3)]),
+        );
         assert_eq!(v.queued_transactions(), 3);
         let integrity = v.tx_integrity();
         assert_eq!(integrity.accepted, 3);
         let _ = actions;
-        let again = v.submit_batch(6, 2, vec![Transaction::benchmark(2)]);
+        let again = receive(
+            &mut v,
+            6,
+            2,
+            Envelope::TxBatch(vec![Transaction::benchmark(2)]),
+        );
         assert_eq!(v.queued_transactions(), 3, "duplicate digest rejected");
         assert_eq!(v.tx_integrity().rejected_duplicate, 1);
         assert!(again
@@ -450,7 +459,8 @@ mod tests {
         // no round-1 block until the certificate forms.
         assert_eq!(v.store().blocks_at_round(1).len(), 0);
         // Acks from two peers complete the quorum (own ack counts).
-        let more = v.on_message(
+        let more = receive(
+            &mut v,
             10,
             1,
             Envelope::Ack {
@@ -459,7 +469,8 @@ mod tests {
             },
         );
         assert!(more.is_empty());
-        let more = v.on_message(
+        let more = receive(
+            &mut v,
             20,
             2,
             Envelope::Ack {
@@ -483,7 +494,7 @@ mod tests {
 
         let mut v = validator(0, Behavior::Honest, false);
         // Deliver a round-2 block whose round-1 parents are unknown.
-        let actions = v.on_message(0, 1, Envelope::Block(block));
+        let actions = receive(&mut v, 0, 1, Envelope::Block(block));
         assert!(actions.iter().any(|a| matches!(a,
             Action::Send(1, Envelope::Request(refs)) if !refs.is_empty())));
     }
@@ -498,7 +509,7 @@ mod tests {
             .first()
             .map(|b| b.reference())
             .unwrap();
-        let actions = v.on_message(5, 3, Envelope::Request(vec![own]));
+        let actions = receive(&mut v, 5, 3, Envelope::Request(vec![own]));
         assert!(
             matches!(&actions[..], [Action::Send(3, Envelope::Response(blocks))]
             if blocks.len() == 1)
@@ -710,7 +721,7 @@ mod tests {
             if *from == 0 {
                 continue;
             }
-            target.on_message(100, *from, Envelope::Block(block.clone()));
+            receive(&mut target, 100, *from, Envelope::Block(block.clone()));
         }
         assert_eq!(target.convicted(), vec![AuthorityIndex(3)]);
         assert!(target.round() >= 2, "round advanced past the conviction");

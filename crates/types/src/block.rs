@@ -723,6 +723,42 @@ impl BlockBuilder {
             |digest| keypair.sign(&Block::signing_message(digest)),
         )
     }
+
+    /// Test support: two round-1 blocks by `author` over `setup`'s genesis
+    /// that [`Block::verify`] rejects — one whose signature is stale (a
+    /// parent-digest byte flipped after signing: it still decodes) and one
+    /// validly signed whose coin share fails its proof (dealt by a
+    /// committee of another seed). The workspace's test suites use them to
+    /// show that no path inserts a block that fails verification.
+    #[doc(hidden)]
+    pub fn failing_verification(
+        setup: &crate::committee::TestCommittee,
+        author: AuthorityIndex,
+    ) -> [Arc<Block>; 2] {
+        let size = setup.committee().size();
+        let genesis = Block::all_genesis(size);
+        let mut parents = vec![genesis[author.as_usize()].reference()];
+        parents.extend(
+            genesis
+                .iter()
+                .map(Block::reference)
+                .filter(|r| r.author != author),
+        );
+        let signed = |coin_secret: &CoinSecret| {
+            BlockBuilder::new(author, 1)
+                .parents(parents.clone())
+                .build_with(setup.keypair(author), coin_secret)
+        };
+        let mut stale = signed(setup.coin_secret(author)).to_bytes_vec();
+        stale[30] ^= 0xff;
+        let stranger = crate::committee::TestCommittee::new(size, 0x0bad_5eed);
+        let blocks = [
+            Block::from_bytes_exact(&stale).expect("still decodes"),
+            signed(stranger.coin_secret(author)),
+        ];
+        assert!(blocks.iter().all(|b| b.verify(setup.committee()).is_err()));
+        blocks.map(Block::into_arc)
+    }
 }
 
 /// Reasons a block fails validation.

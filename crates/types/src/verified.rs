@@ -1,15 +1,17 @@
 //! Verification witnesses.
 //!
-//! The admission pipeline splits input handling into a stateless *verify*
-//! stage (signatures, coin-share proofs, structural checks — embarrassingly
-//! parallel) and a sequential *apply* stage (the deterministic engine core).
-//! [`Verified`] is the type-level receipt passed between the two: holding a
+//! Input handling is split into a stateless *verify* stage (signatures,
+//! coin-share proofs, structural checks — embarrassingly parallel) and a
+//! sequential *apply* stage (the deterministic engine core). [`Verified`]
+//! is the type-level receipt passed between the two: holding a
 //! `Verified<T>` means the expensive checks on `T` already ran and passed,
-//! so the apply stage can skip them.
+//! so the apply stage does not run them again.
 //!
 //! The wrapper is deliberately minimal: it adds no runtime state, and the
-//! only way to construct one is [`Verified::vouch`], which marks the exact
-//! places in the codebase where a verification obligation is discharged.
+//! only way to construct one is [`Verified::vouch`]. Outside tests the one
+//! call is in `mahimahi_core::admission::verify`, the one verifier of peer
+//! input, so an apply stage that takes a `Verified` sees only what that
+//! function passed.
 
 use std::fmt;
 use std::ops::Deref;
@@ -49,14 +51,6 @@ impl<T> Verified<T> {
     pub fn into_inner(self) -> T {
         self.0
     }
-
-    /// Maps the verified value, carrying the witness along.
-    ///
-    /// Sound only when `f` preserves what was verified (e.g. projecting a
-    /// field out of a verified message).
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Verified<U> {
-        Verified(f(self.0))
-    }
 }
 
 impl<T> Deref for Verified<T> {
@@ -84,7 +78,7 @@ mod tests {
         let witness = Verified::vouch(String::from("checked"));
         assert_eq!(witness.get(), "checked");
         assert_eq!(witness.len(), 7); // via Deref
-        assert_eq!(witness.map(|s| s.len()).into_inner(), 7);
+        assert_eq!(witness.into_inner(), "checked");
     }
 
     #[test]

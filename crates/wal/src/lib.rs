@@ -38,7 +38,8 @@ pub mod crc32;
 use std::error::Error as StdError;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, IoSlice, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, IoSlice, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -189,9 +190,10 @@ fn sync_parent_dir(path: &Path) -> Result<(), WalError> {
 
 impl Storage for FileStorage {
     /// One vectored write for all parts, repeated only if the kernel took
-    /// less than everything.
+    /// less than everything. The file is open in append mode, so every
+    /// write lands at its current end — after a truncation too — with no
+    /// seek first.
     fn append(&mut self, parts: &[&[u8]]) -> Result<(), WalError> {
-        self.file.seek(SeekFrom::End(0))?;
         let mut slices: Vec<IoSlice<'_>> = parts.iter().map(|part| IoSlice::new(part)).collect();
         let mut pending = &mut slices[..];
         // Skip empty parts up front, so that a write taking zero bytes
@@ -208,11 +210,11 @@ impl Storage for FileStorage {
         Ok(())
     }
 
+    /// Positional reads: the file offset appends rely on is never moved.
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, WalError> {
-        self.file.seek(SeekFrom::Start(offset))?;
         let mut read = 0;
         while read < buf.len() {
-            match self.file.read(&mut buf[read..])? {
+            match self.file.read_at(&mut buf[read..], offset + read as u64)? {
                 0 => break,
                 n => read += n,
             }
@@ -266,20 +268,21 @@ impl Storage for FileStorage {
 
 impl FileStorage {
     /// Writes the frames `keep` to a new file at `temp_path`, makes it
-    /// durable and renames it to `path`; returns the file, positioned for
-    /// use as the log, and its length.
+    /// durable and renames it to `path`; returns the file, open in append
+    /// mode for use as the log, and its length.
     fn write_replacement(
         &mut self,
         keep: &[FrameRange],
         temp_path: &Path,
         path: &Path,
     ) -> Result<(File, u64), WalError> {
+        // Append mode refuses `truncate(true)`: empty a leftover by hand.
         let temp = OpenOptions::new()
             .read(true)
-            .write(true)
+            .append(true)
             .create(true)
-            .truncate(true)
             .open(temp_path)?;
+        temp.set_len(0)?;
         let mut writer = BufWriter::with_capacity(COPY_BUFFER_BYTES, &temp);
         let len = copy_frames(self, keep, &mut writer)?;
         writer.flush()?;
@@ -465,9 +468,8 @@ impl FileWal {
         let existed = path.exists();
         let file = OpenOptions::new()
             .read(true)
-            .write(true)
+            .append(true)
             .create(true)
-            .truncate(false)
             .open(path)?;
         if !existed {
             // A crash right after creation must not lose the directory
@@ -1007,6 +1009,43 @@ mod tests {
         assert_eq!(records[0].payload, vec![7; 16]);
         assert_eq!(records[1].payload, vec![6; 16]);
         assert_eq!(records[2].payload, b"appended-after-compaction");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_append_after_a_truncation_and_a_read_lands_at_the_new_end() {
+        let dir = scratch_dir("append-mode");
+        let path = dir.join("torn.wal");
+        let tail = {
+            let mut wal = FileWal::open_path(&path).unwrap();
+            wal.append(b"first").unwrap();
+            wal.append(b"second").unwrap();
+            wal.sync().unwrap();
+            wal.tail()
+        };
+        // A torn write: half a frame past the last whole record.
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&frame_record(b"torn")[..7]).unwrap();
+        drop(file);
+
+        // Opening reads the log and truncates the torn bytes; a read moves
+        // no file offset, and the next append goes where the tail now is.
+        let mut wal = FileWal::open_path(&path).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), tail);
+        assert_eq!(wal.records().unwrap().len(), 2);
+        assert_eq!(wal.append(b"third").unwrap(), tail);
+        wal.sync().unwrap();
+        let payloads: Vec<Vec<u8>> = wal
+            .records()
+            .unwrap()
+            .into_iter()
+            .map(|record| record.payload)
+            .collect();
+        assert_eq!(payloads, [&b"first"[..], b"second", b"third"]);
+        let mut expected = frame_record(b"first");
+        expected.extend(frame_record(b"second"));
+        expected.extend(frame_record(b"third"));
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
